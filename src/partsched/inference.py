@@ -5,6 +5,13 @@ policy what to do: evaluate some part (pay for it, add its response to the
 running score, update the belief) or stop with a label.  A foreground stop
 evaluates whatever parts remain so the reported score is the complete
 additive score; a background stop reports negative infinity.
+
+All locations of a pass advance together as one frontier over arrays (used
+mask, exact float posterior, running score, evaluation count and order).
+Each round looks up every live location's action at once, retires the ones
+that got a label, and fetches the requested responses with one provider
+call per part.  The arithmetic per location is the same sequence of float
+operations as evaluating that location alone.
 """
 
 from __future__ import annotations
@@ -18,14 +25,12 @@ import numpy as np
 from .errors import ArityMismatchError, FormatError, InvalidActionError, ProviderError
 from .likelihoods import ScoreLikelihood
 from .policy import (
-    LABEL_NEG,
     LABEL_POS,
     CostParams,
     Policy,
     action_part,
     belief_update,
     is_part_action,
-    query_policy,
 )
 
 POS_LABEL = "pos"
@@ -36,7 +41,13 @@ class ResponseProvider:
     """Source of part responses, keyed by (location, part).
 
     Responses must be deterministic per (location, part); the engine asks for
-    each pair at most once per pass.
+    each pair at most once per pass.  It asks in batches: one
+    `get_responses(location_ids, part_id)` call per requested part per
+    round, with a 1-D integer array of location ids, expecting one float
+    per id back.  The default `get_responses` calls `get_response` once per
+    id, so a subclass that implements only `get_response` sees every fetch.
+    A NaN response is a provider fault (ProviderError); ±inf responses fall
+    into the part's edge score bins.
     """
 
     n_parts: int
@@ -45,9 +56,20 @@ class ResponseProvider:
     def get_response(self, location_id: int, part_id: int) -> float:
         raise NotImplementedError
 
+    def get_responses(self, location_ids, part_id: int) -> np.ndarray:
+        """Part `part_id`'s response at each of `location_ids`, one `get_response` call per id."""
+        return np.array([_response(self, loc, part_id)
+                         for loc in np.asarray(location_ids).tolist()], dtype=float)
+
 
 class MatrixResponseProvider(ResponseProvider):
-    """Responses backed by a dense (n_locations, n_parts) matrix."""
+    """Responses backed by a dense (n_locations, n_parts) matrix.
+
+    `get_responses` gathers `scores[location_ids, part_id]` in one step only
+    while `get_response` is this class's own.  A subclass that overrides
+    `get_response` (to count, log or alter fetches) gets the per-id default,
+    so its override still sees every fetch.
+    """
 
     def __init__(self, scores):
         scores = np.asarray(scores, dtype=float)
@@ -65,6 +87,11 @@ class MatrixResponseProvider(ResponseProvider):
 
     def get_response(self, location_id: int, part_id: int) -> float:
         return float(self.scores[location_id, part_id])
+
+    def get_responses(self, location_ids, part_id: int) -> np.ndarray:
+        if type(self).get_response is not MatrixResponseProvider.get_response:
+            return super().get_responses(location_ids, part_id)
+        return self.scores[location_ids, part_id]
 
 
 @dataclass(frozen=True)
@@ -126,66 +153,103 @@ def _response(provider: ResponseProvider, location_id: int, part_id: int) -> flo
         raise ProviderError(f"response provider failed at location {location_id}, part {part_id}") from exc
 
 
-def run_location(model: DetectorModel, policy: Policy, provider: ResponseProvider,
-                 location_id: int) -> DetectionResult:
-    """Label one location by querying the policy until it stops."""
+def _fetch(provider: ResponseProvider, location_ids: np.ndarray, part_id: int) -> np.ndarray:
+    """One part's responses at `location_ids`; a NaN among them is a provider fault."""
+    try:
+        m = np.asarray(provider.get_responses(location_ids, part_id), dtype=float)
+    except ProviderError:
+        raise
+    except Exception as exc:
+        raise ProviderError(f"response provider failed at part {part_id} "
+                            f"for {location_ids.size} locations") from exc
+    if m.shape != location_ids.shape:
+        raise ProviderError(f"response provider returned shape {m.shape} "
+                            f"for {location_ids.size} locations, part {part_id}")
+    nan = np.flatnonzero(np.isnan(m))
+    if nan.size:
+        raise ProviderError(f"response provider returned NaN at location "
+                            f"{location_ids[nan[0]]}, part {part_id}")
+    return m
+
+
+def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
+           location_ids: np.ndarray) -> tuple[list[DetectionResult], InferenceStats]:
+    """Label `location_ids` with one frontier; results come back in the same order."""
     n = model.n_parts
     if policy.n_parts != n:
         raise ArityMismatchError(f"policy has {policy.n_parts} parts, model has {n}")
-    mask = 0
-    p = 0.5
-    score = 0.0
-    evaluated: list[int] = []
-    for _ in range(n + 1):
-        action = query_policy(policy, mask, p)
-        if action == LABEL_POS:
-            tau = len(evaluated)
-            partial = score
-            for k in range(n):
-                if not (mask >> k) & 1:
-                    score += _response(provider, location_id, k)
-                    evaluated.append(k)
-            score += model.bias
-            return DetectionResult(location_id, POS_LABEL, score, tuple(evaluated),
-                                   tau, final_belief=p, partial_score=partial)
-        if action == LABEL_NEG:
-            return DetectionResult(location_id, NEG_LABEL, float("-inf"), tuple(evaluated),
-                                   len(evaluated), final_belief=p, partial_score=score)
-        k = action_part(action)
-        if (mask >> k) & 1:
-            raise InvalidActionError(f"policy named already-used part {k} at mask {mask:b}")
-        m = _response(provider, location_id, k)
-        score += m
-        evaluated.append(k)
-        p = belief_update(p, m, model.likelihoods[k])
-        mask |= 1 << k
-    # All parts used; an admissible policy must label now.
-    action = query_policy(policy, mask, p)
-    if is_part_action(action):
-        raise InvalidActionError("policy did not label at the full mask")
-    partial = score
-    if action == LABEL_POS:
-        score += model.bias
-        label = POS_LABEL
-        partial = score
-    else:
-        score = float("-inf")
-        label = NEG_LABEL
-    return DetectionResult(location_id, label, score, tuple(evaluated),
-                           len(evaluated), final_belief=p, partial_score=partial)
+    count = location_ids.size
+    mask = np.zeros(count, dtype=np.int64)
+    belief = np.full(count, 0.5)
+    score = np.zeros(count)
+    tau = np.zeros(count, dtype=np.int64)
+    order = np.zeros((count, n), dtype=np.uint8)  # row i: parts in evaluation order
+    positive = np.zeros(count, dtype=bool)
+
+    # A location holding both +inf and -inf responses sums to NaN, as scalar
+    # float arithmetic does, without a numpy warning.
+    with np.errstate(invalid="ignore"):
+        live = np.arange(count)
+        while live.size:
+            live_mask = mask[live]
+            action = policy.actions[live_mask, policy.grid.nearest_index_array(belief[live])]
+            positive[live[action == LABEL_POS]] = True
+            go = is_part_action(action)
+            live, live_mask, part = live[go], live_mask[go], action_part(action[go])
+            used = (live_mask >> part) & 1
+            if used.any():
+                i = int(used.argmax())
+                raise InvalidActionError(f"policy named already-used part {part[i]} "
+                                         f"at mask {int(live_mask[i]):b}")
+            for k in np.flatnonzero(np.bincount(part, minlength=n)).tolist():
+                sel = live[part == k]
+                m = _fetch(provider, location_ids[sel], k)
+                score[sel] += m
+                order[sel, tau[sel]] = k
+                tau[sel] += 1
+                belief[sel] = belief_update(belief[sel], m, model.likelihoods[k])
+                mask[sel] |= 1 << k
+
+        # Positives complete their remaining parts in index order, then add the bias.
+        partial = score.copy()
+        n_evaluated = tau.copy()
+        completing = np.flatnonzero(positive)
+        for k in range(n):
+            sel = completing[(mask[completing] & (1 << k)) == 0]
+            if sel.size:
+                score[sel] += _fetch(provider, location_ids[sel], k)
+                order[sel, n_evaluated[sel]] = k
+                n_evaluated[sel] += 1
+                mask[sel] |= 1 << k
+        score[completing] += model.bias
+    score[~positive] = -math.inf
+
+    stats = InferenceStats(n_locations=count,
+                           non_root_evals=int(n_evaluated.sum() - (mask & 1).sum()),
+                           n_positive=int(completing.size),
+                           mean_tau=float(tau.mean()) if count else 0.0)
+    rows = order.tobytes()
+    results = [
+        DetectionResult(loc, POS_LABEL if pos else NEG_LABEL, s, tuple(rows[start:start + e]),
+                        t, final_belief=b, partial_score=ps)
+        for loc, pos, s, start, e, t, b, ps in zip(
+            location_ids.tolist(), positive.tolist(), score.tolist(), range(0, count * n, n),
+            n_evaluated.tolist(), tau.tolist(), belief.tolist(), partial.tolist())
+    ]
+    return results, stats
+
+
+def run_location(model: DetectorModel, policy: Policy, provider: ResponseProvider,
+                 location_id: int) -> DetectionResult:
+    """Label one location by querying the policy until it stops."""
+    results, _ = _label(model, policy, provider, np.array([location_id]))
+    return results[0]
 
 
 def run_grid(model: DetectorModel, policy: Policy,
              provider: ResponseProvider) -> tuple[list[DetectionResult], InferenceStats]:
-    """Run every location independently and aggregate evaluation statistics."""
-    results = [run_location(model, policy, provider, loc)
-               for loc in range(provider.n_locations)]
-    non_root = sum(1 for r in results for k in r.parts_evaluated if k > 0)
-    n_positive = sum(1 for r in results if r.label == POS_LABEL)
-    mean_tau = float(np.mean([r.tau for r in results])) if results else 0.0
-    stats = InferenceStats(n_locations=len(results), non_root_evals=non_root,
-                           n_positive=n_positive, mean_tau=mean_tau)
-    return results, stats
+    """Label every location of the provider and aggregate evaluation statistics."""
+    return _label(model, policy, provider, np.arange(provider.n_locations))
 
 
 def full_score(model: DetectorModel, provider: ResponseProvider, location_id: int) -> float:
@@ -200,6 +264,14 @@ def full_score(model: DetectorModel, provider: ResponseProvider, location_id: in
 # Response files: dense CSV (location_id,part_id,score) or a binary matrix
 # with an ASCII "n_locations,n_parts" header line and row-major 8-byte
 # little-endian scores.  Results files: one CSV row per location.
+
+def _reject_nan(scores: np.ndarray, path) -> None:
+    """FormatError naming the first NaN response; ±inf responses are accepted."""
+    # min propagates NaN, so the common case needs no full-size mask
+    if scores.size and np.isnan(scores.min()):
+        loc, part = np.argwhere(np.isnan(scores))[0]
+        raise FormatError(f"{path}: response is NaN at location {loc}, part {part}")
+
 
 def save_responses_csv(scores, path) -> None:
     scores = np.asarray(scores, dtype=float)
@@ -233,6 +305,7 @@ def load_responses_csv(path) -> MatrixResponseProvider:
     scores = np.empty((n_loc, n_parts))
     for (loc, part), value in entries.items():
         scores[loc, part] = value
+    _reject_nan(scores, path)
     return MatrixResponseProvider(scores)
 
 
@@ -255,6 +328,7 @@ def load_responses_bin(path) -> MatrixResponseProvider:
     if len(body) != n_loc * n_parts * 8:
         raise FormatError(f"{path}: payload is {len(body)} bytes, expected {n_loc * n_parts * 8}")
     scores = np.frombuffer(body, dtype="<f8").reshape(n_loc, n_parts).astype(float)
+    _reject_nan(scores, path)
     return MatrixResponseProvider(scores)
 
 

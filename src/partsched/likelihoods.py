@@ -153,13 +153,18 @@ class DiscretePdf:
     def centers(self) -> np.ndarray:
         return self.lo + (np.arange(self.bins.size) + 0.5) * self.bin_width
 
-    def bin_index(self, m: float) -> int:
-        """Bin containing score m; out-of-support scores clamp to the edge bins."""
-        if m <= self.lo:
-            return 0
-        if m >= self.hi:
-            return self.bins.size - 1
-        return min(int((m - self.lo) / self.bin_width), self.bins.size - 1)
+    def bin_index(self, m):
+        """Bin containing score m, elementwise over arrays.
+
+        Out-of-support scores, ±inf included, clamp to the edge bins.  A NaN
+        score has no bin and raises ValueError.
+        """
+        x = (np.asarray(m, dtype=float) - self.lo) / self.bin_width
+        if np.isnan(x).any():
+            raise ValueError("a NaN score has no bin")
+        # clamp before the integer cast, so infinities never reach it
+        idx = np.clip(x, 0, self.bins.size - 1).astype(np.intp)
+        return idx if idx.ndim else int(idx)
 
     def evaluate(self, m: float) -> float:
         return float(self.bins[self.bin_index(m)])

@@ -216,13 +216,17 @@ def simulate_policy(policy: Policy, likelihoods, prior: float, costs: CostParams
     belief is the snapped posterior.  The realized cost charges one unit per
     part plus the terminal misclassification risk; a hidden label drawn from
     the final belief feeds the fp/fn rates.  Deterministic given the seed.
+    A prior outside [0, 1] is clamped; a NaN or infinite prior is rejected.
     """
     if n_trials < 1:
         raise InvalidParameterError(f"n_trials must be >= 1, got {n_trials}")
     likelihoods = list(likelihoods)
     if len(likelihoods) != policy.n_parts:
         raise InvalidParameterError("likelihoods must match the policy's part count")
-    prior = min(max(float(prior), 0.0), 1.0)
+    prior = float(prior)
+    if not math.isfinite(prior):
+        raise InvalidParameterError(f"prior must be finite, got {prior}")
+    prior = min(max(prior, 0.0), 1.0)
     cdf, successors = _chain_tables(likelihoods, policy.grid)
     centers = policy.grid.centers
     start = _nearest_center([float(c) for c in centers], prior)

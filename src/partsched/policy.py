@@ -1,9 +1,12 @@
 """Optimal part-selection policies by backward dynamic programming.
 
 The decision state is a pair (mask of already-used parts, belief that the
-location is foreground).  Beliefs live on a uniform grid over [0, 1] and are
-read by nearest-bin lookup, both while training and at inference time, so
-both phases see identical dynamics.
+location is foreground).  Beliefs live on a uniform grid over [0, 1].
+Training snaps the posterior to its nearest grid bin after every step, so
+the tables are exact for that snapped chain.  Inference carries the exact
+float posterior and only reads the tables at its nearest bin.  The two
+chains can therefore reach different bins, and the DP value is the snapped
+chain's expected cost, not exactly the engine's.
 
 Working backwards from the all-parts-used stage, each state's value is the
 cheapest of: declare background (pays the false-negative risk), declare
@@ -51,8 +54,9 @@ def is_part_action(action: int) -> bool:
     return action >= _PART_BASE
 
 
-def action_part(action: int) -> int:
-    if not is_part_action(action):
+def action_part(action):
+    """Part evaluated by a part action, elementwise over arrays."""
+    if not np.all(is_part_action(action)):
         raise InvalidActionError(f"action {action} is a label, not a part")
     return action - _PART_BASE
 
@@ -151,13 +155,16 @@ def terminal_stage(costs: CostParams, grid: BeliefGrid) -> tuple[np.ndarray, np.
     return values, actions
 
 
-def belief_update(p: float, m: float, lik: ScoreLikelihood) -> float:
-    """Posterior foreground probability after observing score m for this part."""
-    p = min(max(p, 0.0), 1.0)
-    hp = lik.pos.evaluate(m)
-    hn = lik.neg.evaluate(m)
-    num = hp * p
-    return num / (num + hn * (1.0 - p))
+def belief_update(p, m, lik: ScoreLikelihood):
+    """Posterior foreground probability after observing score m for this part.
+
+    Elementwise over arrays of beliefs and scores; pos and neg share one
+    support, so one bin lookup serves both densities.
+    """
+    p = np.clip(p, 0.0, 1.0)
+    j = lik.pos.bin_index(m)
+    num = lik.pos.bins[j] * p
+    return num / (num + lik.neg.bins[j] * (1.0 - p))
 
 
 def belief_update_unnormalized(p: float, m: float, lik: ScoreLikelihood) -> float:

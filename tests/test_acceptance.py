@@ -136,8 +136,13 @@ def test_c4_inference_equivalence():
         model, plain_provider, _ = make_synthetic(spec)
         provider = CountingProvider(plain_provider.scores)
         policy = train_policy(model.likelihoods, CostParams(8.0, 8.0), BeliefGrid(101))
-        results, _ = run_grid(model, policy, provider)
+        results, stats = run_grid(model, policy, provider)
+        # the override sees every fetch once: an empty ledger cannot pass
         assert all(count == 1 for count in provider.requests.values())
+        assert len(provider.requests) == sum(len(r.parts_evaluated) for r in results)
+        # the plain provider takes the gather fast path and must agree exactly
+        assert run_grid(model, policy, MatrixResponseProvider(plain_provider.scores)) == \
+            (results, stats)
         n_positive = 0
         for r in results:
             assert len(set(r.parts_evaluated)) == len(r.parts_evaluated) <= 9

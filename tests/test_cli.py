@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -48,7 +49,42 @@ def run_pipeline(base, samples, responses, tag):
     return liks, policy, results
 
 
+# sha256 digests of the recorded chain's results.csv and stdout.  They were
+# recorded with the per-location inference loop that the batched frontier
+# replaced; the frontier must reproduce them byte for byte.
+RECORDED_RESULTS_SHA256 = "0082229b1bc4985afc83647d14a45c31633bad036b485316ec0cdb1b1c71a477"
+RECORDED_STDOUT_SHA256 = "c6743472e0e818684e9f0ba88d3e9341ff5159d89f362a2aebaffe4bb0016972"
+
+
 class TestPipeline:
+    def test_infer_output_matches_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        # high error costs: multi-step belief chains, ~600 completed positives,
+        # a nonzero bias, and a few out-of-support and infinite responses
+        rng = np.random.default_rng(2024)
+        sets = [ScoreSampleSet(k, rng.standard_normal(300) + 0.3 * (k + 1),
+                               rng.standard_normal(300) - 0.3 * (k + 1)) for k in range(5)]
+        monkeypatch.chdir(tmp_path)
+        save_sample_sets(sets, "samples.csv")
+        truth = rng.random(1500) < 0.4
+        means = 0.3 * np.arange(1, 6)
+        scores = rng.standard_normal((1500, 5)) + np.where(truth[:, None], means, -means)
+        scores[::101, 2] = np.inf
+        scores[::103, 4] = -np.inf
+        scores[::107, 0] = 40.0
+        save_responses_bin(scores, "responses.bin")
+        capsys.readouterr()
+        assert main(["fit", "--samples", "samples.csv", "--out", "liks.json"]) == 0
+        assert main(["train-policy", "--likelihoods", "liks.json", "--lambda-fp", "200",
+                     "--lambda-fn", "150", "--out", "policy.bin"]) == 0
+        assert main(["infer", "--policy", "policy.bin", "--likelihoods", "liks.json",
+                     "--responses", "responses.bin", "--bias", "-0.7",
+                     "--out", "results.csv"]) == 0
+        stdout = capsys.readouterr().out
+        results = (tmp_path / "results.csv").read_bytes()
+        assert "mean_tau=1.6193333333333333" in stdout  # a readable hint when a digest moves
+        assert hashlib.sha256(results).hexdigest() == RECORDED_RESULTS_SHA256
+        assert hashlib.sha256(stdout.encode()).hexdigest() == RECORDED_STDOUT_SHA256
+
     def test_end_to_end_and_rerun_is_byte_identical(self, pipeline_dir, capsys):
         base, samples, responses = pipeline_dir
         liks1, policy1, results1 = run_pipeline(base, samples, responses, "a")
@@ -127,6 +163,29 @@ class TestExitCodes:
         assert code == 5
         err = capsys.readouterr().err
         assert "7" in err and "3" in err
+
+    def test_nan_response_exits_3(self, pipeline_dir, rng, capsys):
+        base, samples, _ = pipeline_dir
+        liks, policy, _ = run_pipeline(base, samples, base / "responses.bin", "n")
+        scores = rng.standard_normal((6, 3))
+        scores[4, 1] = np.nan
+        bad = base / "nan.bin"
+        save_responses_bin(scores, bad)
+        capsys.readouterr()
+        code = main(["infer", "--policy", str(policy), "--likelihoods", str(liks),
+                     "--responses", str(bad), "--out", str(base / "r.csv")])
+        assert code == 3
+        assert "location 4, part 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior", ["nan", "inf", "-inf"])
+    def test_non_finite_prior_exits_4(self, pipeline_dir, prior, capsys):
+        base, samples, responses = pipeline_dir
+        liks, policy, _ = run_pipeline(base, samples, responses, "p")
+        capsys.readouterr()
+        code = main(["simulate", "--policy", str(policy), "--likelihoods", str(liks),
+                     f"--prior={prior}", "--trials", "100"])
+        assert code == 4
+        assert "prior" in capsys.readouterr().err
 
     def test_malformed_likelihoods_exit_3(self, tmp_path):
         bad = tmp_path / "liks.json"

@@ -131,6 +131,16 @@ class TestRunGrid:
             assert len(set(r.parts_evaluated)) == len(r.parts_evaluated)
             assert r.tau <= model.n_parts
 
+    @pytest.mark.parametrize("provider_type", [MatrixResponseProvider, CountingProvider])
+    def test_nan_response_is_a_provider_error(self, rng, provider_type):
+        # the gather fast path and the per-id override path both refuse NaN
+        model = toy_model(3)
+        policy = constant_policy(3, LABEL_POS)
+        scores = rng.standard_normal((5, 3))
+        scores[3, 1] = np.nan
+        with pytest.raises(ProviderError, match="location 3, part 1"):
+            run_grid(model, policy, provider_type(scores))
+
     def test_deterministic(self, rng):
         model = toy_model(3)
         policy = train_policy(model.likelihoods, CostParams(7.0, 3.0), BeliefGrid(31))
@@ -178,6 +188,19 @@ class TestResponseFiles:
         again = tmp_path / "again.bin"
         save_responses_bin(provider.scores, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("save, load, name", [
+        (save_responses_csv, load_responses_csv, "responses.csv"),
+        (save_responses_bin, load_responses_bin, "responses.bin"),
+    ])
+    def test_nan_response_rejected_at_load(self, tmp_path, rng, save, load, name):
+        scores = rng.standard_normal((4, 3))
+        scores[2, 1] = np.nan
+        scores[3, 0] = np.nan
+        scores[0, 2] = np.inf  # infinite responses are accepted
+        save(scores, tmp_path / name)
+        with pytest.raises(FormatError, match="location 2, part 1"):
+            load(tmp_path / name)
 
     def test_bin_size_mismatch(self, tmp_path):
         path = tmp_path / "responses.bin"

@@ -8,17 +8,20 @@ from partsched import (
     DetectorModel,
     InsufficientScriptError,
     MatrixResponseProvider,
+    SyntheticSpec,
     TinyInstance,
     exhaustive_optimal_value,
     exhaustive_value_row,
+    make_synthetic,
     random_tiny_instance,
+    run_grid,
     run_location,
     simulate_policy,
     step_trace,
     train_policy,
 )
 from partsched.inference import POS_LABEL
-from partsched.policy import LABEL_NEG, LABEL_POS, Policy
+from partsched.policy import LABEL_NEG, LABEL_POS, Policy, part_action
 
 from conftest import (
     constant_policy,
@@ -218,22 +221,61 @@ class TestStepTrace:
         with pytest.raises(InsufficientScriptError):
             step_trace(policy, inst.likelihoods, [])
 
+    @pytest.mark.filterwarnings("error")  # infinite responses must not trip numpy casts
     def test_matches_inference_engine_trace(self):
+        for case in ("two-part", "scan", "scan-deep", "tiny-0", "tiny-1", "tiny-2",
+                     "tiny-3", "tiny-4", "tiny-5"):
+            model, policy, scores = engine_trace_case(case)
+            provider = MatrixResponseProvider(scores)
+            results, _ = run_grid(model, policy, provider)
+            for r in results[:20]:
+                assert run_location(model, policy, provider, r.location_id) == r, case
+            for r, row in zip(results, scores):
+                used = r.parts_evaluated[:r.tau]
+                trace = step_trace(policy, model.likelihoods, [row[k] for k in used])
+                label = LABEL_POS if r.label == POS_LABEL else LABEL_NEG
+                where = (case, r.location_id)
+                assert [a for a, _ in trace] == [part_action(k) for k in used] + [label], where
+                assert r.final_belief == trace[-1][1], where
+                partial = 0.0
+                for k in used:
+                    partial += float(row[k])
+                assert r.partial_score == partial, where
+
+
+def with_extremes(scores):
+    """Every 5th row gets one infinite or far out-of-support response."""
+    scores = scores.copy()
+    extremes = (np.inf, -np.inf, 1e6, -1e6)
+    for j, row in enumerate(range(0, scores.shape[0], 5)):
+        scores[row, j % scores.shape[1]] = extremes[j % len(extremes)]
+    return scores
+
+
+def engine_trace_case(case):
+    """(model, policy, response rows) for the engine-vs-step_trace comparison."""
+    if case == "two-part":
         inst = two_part_instance(costs=CostParams(60.0, 60.0))
-        policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        script = [0.93, 0.88]  # high-bin scores, as a positive location would produce
-        trace = step_trace(policy, inst.likelihoods, script)
-        evaluated = [a - 2 for a, _ in trace[:-1]]
-
-        scores = np.zeros((1, 2))
-        for k, m in zip(evaluated, script):
-            scores[0, k] = m
+        # high-bin scores, as a positive location would produce, then mixed rows
+        scores = np.array([[0.93, 0.88], [0.88, 0.93], [0.05, 0.97], [0.5, 0.02], [1.7, -0.4]])
         model = DetectorModel(bias=0.0, likelihoods=inst.likelihoods, costs=inst.costs)
-        result = run_location(model, policy, MatrixResponseProvider(scores), 0)
-
-        assert list(result.parts_evaluated[:len(evaluated)]) == evaluated
-        assert result.final_belief == trace[-1][1]
-        assert (result.label == POS_LABEL) == (trace[-1][0] == LABEL_POS)
+        return model, train_policy(inst.likelihoods, inst.costs, inst.grid), scores
+    if case.startswith("tiny-"):
+        seed = int(case.split("-")[1])
+        inst = random_tiny_instance(seed)
+        # the support is [0, 1]: a third of the draws fall outside it
+        scores = np.random.default_rng(seed).uniform(-0.5, 1.5, size=(400, inst.n_parts))
+        model = DetectorModel(bias=0.0, likelihoods=inst.likelihoods, costs=inst.costs)
+        policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
+        return model, policy, with_extremes(scores)
+    # the two scan regimes at n=9, d=101: headline point and deep chains
+    separation, prior, costs = {"scan": (4.0, 0.01, CostParams(20.0, 5.0)),
+                                "scan-deep": (1.0, 0.3, CostParams(200.0, 200.0))}[case]
+    spec = SyntheticSpec(n_parts=9, separation=separation, prior_positive=prior,
+                         n_locations=2000, seed=31)
+    model, provider, _ = make_synthetic(spec, costs)
+    policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
+    return model, policy, with_extremes(provider.scores)
 
 
 class TestRandomTinyInstance:
