@@ -114,8 +114,7 @@ def cmd_infer(args) -> int:
 def cmd_simulate(args) -> int:
     policy = load_policy(args.policy)
     likelihoods = load_likelihoods(args.likelihoods)
-    estimate = oracle.simulate_policy(policy, likelihoods, args.prior, policy.costs,
-                                      args.trials, args.seed)
+    estimate = oracle.simulate_policy(policy, likelihoods, args.prior, args.trials, args.seed)
     _dump_json({
         "mean_cost": estimate.mean_cost,
         "std_error": estimate.std_error,
@@ -141,8 +140,7 @@ def cmd_verify(args) -> int:
         oracle_row = oracle.exhaustive_value_row(inst)
         diff = float(np.max(np.abs(dp_row - oracle_row)))
         half = inst.grid.nearest_index(0.5)
-        estimate = oracle.simulate_policy(policy, inst.likelihoods, 0.5, inst.costs,
-                                          args.trials, seed)
+        estimate = oracle.simulate_policy(policy, inst.likelihoods, 0.5, args.trials, seed)
         reports.append({
             "seed": seed,
             "optimal_value": float(oracle_row[half]),
@@ -266,8 +264,16 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as invalid parameters (exit 4); argparse would exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="partsched",
         description="Learn score likelihoods, train part-selection policies, and run "
                     "sequential inference for additive-score part-based classifiers.")
@@ -320,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="semicolon-separated fp,fn pairs, e.g. '4,4;8,4'")
     p.add_argument("--belief-bins", type=int, default=101)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="parallel sweep rows; 1 guarantees bit-reproducible output")
+                   help="parallel sweep rows; rows are seeded independently, so any "
+                        "thread count writes the same rows")
     p.add_argument("--out", required=True, help="output sweep CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -332,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

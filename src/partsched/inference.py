@@ -192,7 +192,7 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
         live = np.arange(count)
         while live.size:
             live_mask = mask[live]
-            action = policy.actions[live_mask, policy.grid.nearest_index_array(belief[live])]
+            action = policy.actions[live_mask, policy.grid.nearest_index(belief[live])]
             positive[live[action == LABEL_POS]] = True
             go = is_part_action(action)
             live, live_mask, part = live[go], live_mask[go], action_part(action[go])

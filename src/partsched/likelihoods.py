@@ -76,35 +76,37 @@ def fit_kde(samples, bandwidth: float | None = None) -> GaussianKde:
     return GaussianKde(samples=arr, bandwidth=bandwidth)
 
 
-def _floor_normalize(raw: np.ndarray, width: float, floor: float) -> np.ndarray:
-    """Floor bin densities at `floor` and renormalize to unit mass.
+def _floor_normalize(raw: np.ndarray, width: float) -> np.ndarray:
+    """Floor bin densities at PDF_FLOOR and renormalize to unit mass.
 
-    Solves for the scale c such that max(c * raw, floor) integrates to 1
+    Solves for the scale c such that max(c * raw, PDF_FLOOR) integrates to 1
     under the bin widths, so the result satisfies both the normalization
     and the minimum-density guarantee simultaneously.
     """
     raw = np.maximum(np.asarray(raw, dtype=float), 0.0)
-    if not (floor > 0.0):
-        raise ValueError("floor must be positive")
-    if floor * width * raw.size >= 1.0:
+    if PDF_FLOOR * width * raw.size >= 1.0:
         raise InvalidRangeError("support too wide: floor mass alone exceeds unit mass")
     total = float(raw.sum()) * width
     if total <= 0.0:
         return np.full(raw.size, 1.0 / (width * raw.size))
+    if math.isinf(1.0 / total):
+        # a subnormal total would make the bisection's upper scale infinite
+        raw = raw / raw.max()
+        total = float(raw.sum()) * width
     bins = raw / total
-    if bins.min() >= floor:
+    if bins.min() >= PDF_FLOOR:
         return bins
     # bisect on the scale: mass(c) is nondecreasing, mass(0) < 1 <= mass(1/total)
     c_lo, c_hi = 0.0, 1.0 / total
     for _ in range(80):
         c = 0.5 * (c_lo + c_hi)
-        if float(np.maximum(c * raw, floor).sum()) * width > 1.0:
+        if float(np.maximum(c * raw, PDF_FLOOR).sum()) * width > 1.0:
             c_hi = c
         else:
             c_lo = c
-    bins = np.maximum(c_lo * raw, floor)
+    bins = np.maximum(c_lo * raw, PDF_FLOOR)
     bins = bins / (float(bins.sum()) * width)
-    return np.maximum(bins, floor)
+    return np.maximum(bins, PDF_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,11 @@ class DiscretePdf:
         object.__setattr__(self, "bins", bins)
 
     @classmethod
-    def from_weights(cls, lo, hi, weights, pdf_floor: float = PDF_FLOOR) -> "DiscretePdf":
+    def from_weights(cls, lo, hi, weights) -> "DiscretePdf":
         """Build a pdf whose bin masses are proportional to `weights`."""
         weights = np.asarray(weights, dtype=float)
         width = (hi - lo) / weights.size
-        return cls(lo=float(lo), hi=float(hi), bins=_floor_normalize(weights / width, width, pdf_floor))
+        return cls(lo=float(lo), hi=float(hi), bins=_floor_normalize(weights / width, width))
 
     @property
     def n_bins(self) -> int:
@@ -170,8 +172,7 @@ class DiscretePdf:
         return float(self.bins[self.bin_index(m)])
 
 
-def discretize(density, lo: float, hi: float, n_bins: int = DEFAULT_BINS,
-               pdf_floor: float = PDF_FLOOR) -> DiscretePdf:
+def discretize(density, lo: float, hi: float, n_bins: int = DEFAULT_BINS) -> DiscretePdf:
     """Sample a continuous density at bin centers and normalize into a DiscretePdf."""
     if not (hi > lo):
         raise InvalidRangeError(f"need hi > lo, got [{lo}, {hi}]")
@@ -185,12 +186,7 @@ def discretize(density, lo: float, hi: float, n_bins: int = DEFAULT_BINS,
     if not np.all(np.isfinite(raw)):
         raise ValueError("density evaluated to non-finite values")
     return DiscretePdf(lo=float(lo), hi=float(hi),
-                       bins=_floor_normalize(raw, width, pdf_floor))
-
-
-def eval_pdf(pdf: DiscretePdf, m: float) -> float:
-    """Density of `pdf` at score m (total: clamps out-of-support scores)."""
-    return pdf.evaluate(m)
+                       bins=_floor_normalize(raw, width))
 
 
 @dataclass(frozen=True)
@@ -227,8 +223,7 @@ class ScoreLikelihood:
 
 
 def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = None,
-                        n_bins: int = DEFAULT_BINS,
-                        pdf_floor: float = PDF_FLOOR) -> ScoreLikelihood:
+                        n_bins: int = DEFAULT_BINS) -> ScoreLikelihood:
     """Fit positive/negative KDEs and discretize them onto a shared support.
 
     The support is the pooled sample range padded by 3 pooled standard
@@ -245,8 +240,8 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
     hi = float(pooled.max()) + SUPPORT_PADDING_SIGMAS * sigma
     return ScoreLikelihood(
         part_id=sample_set.part_id,
-        pos=discretize(kde_pos, lo, hi, n_bins, pdf_floor),
-        neg=discretize(kde_neg, lo, hi, n_bins, pdf_floor),
+        pos=discretize(kde_pos, lo, hi, n_bins),
+        neg=discretize(kde_neg, lo, hi, n_bins),
     )
 
 

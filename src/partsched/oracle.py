@@ -30,6 +30,8 @@ MAX_TINY_PARTS = 3
 MAX_TINY_BELIEF_BINS = 21
 MAX_TINY_ACTIVE_BINS = 4
 ENUMERATION_NODE_BUDGET = 10_000_000
+TINY_SCORE_BINS = 8
+SIMULATION_CHUNK = 16384  # trials walked per batch; fixes the RNG draw order
 
 
 def _active_bins(pdf: DiscretePdf) -> int:
@@ -206,17 +208,18 @@ def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray
     return cdf, successors
 
 
-def simulate_policy(policy: Policy, likelihoods, prior: float, costs: CostParams,
-                    n_trials: int, seed: int, chunk: int = 16384) -> PolicyCostEstimate:
+def simulate_policy(policy: Policy, likelihoods, prior: float,
+                    n_trials: int, seed: int) -> PolicyCostEstimate:
     """Estimate a policy's expected cost on the discretized belief chain.
 
     Each trial walks the same chain the training tables describe: the belief
     starts at the grid bin nearest `prior`, outcome bins are drawn by
     inverse-CDF from the belief-weighted score mixture, and the successor
     belief is the snapped posterior.  The realized cost charges one unit per
-    part plus the terminal misclassification risk; a hidden label drawn from
-    the final belief feeds the fp/fn rates.  Deterministic given the seed.
-    A prior outside [0, 1] is clamped; a NaN or infinite prior is rejected.
+    part plus the terminal misclassification risk under `policy.costs`; a
+    hidden label drawn from the final belief feeds the fp/fn rates.
+    Deterministic given the seed.  A prior outside [0, 1] is clamped; a NaN
+    or infinite prior is rejected.
     """
     if n_trials < 1:
         raise InvalidParameterError(f"n_trials must be >= 1, got {n_trials}")
@@ -230,6 +233,7 @@ def simulate_policy(policy: Policy, likelihoods, prior: float, costs: CostParams
     cdf, successors = _chain_tables(likelihoods, policy.grid)
     centers = policy.grid.centers
     start = _nearest_center([float(c) for c in centers], prior)
+    costs = policy.costs
     rng = np.random.default_rng(seed)
 
     cost_sum = 0.0
@@ -239,7 +243,7 @@ def simulate_policy(policy: Policy, likelihoods, prior: float, costs: CostParams
 
     remaining = n_trials
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(SIMULATION_CHUNK, remaining)
         remaining -= m
         mask = np.zeros(m, dtype=np.int64)
         idx = np.full(m, start, dtype=np.int64)
@@ -327,7 +331,7 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
         mask |= 1 << k
 
 
-def random_tiny_instance(seed: int, n_bins: int = 8) -> TinyInstance:
+def random_tiny_instance(seed: int) -> TinyInstance:
     """Seeded random TinyInstance with at most 4 active score bins per pdf."""
     rng = np.random.default_rng(seed)
     n_parts = int(rng.integers(1, MAX_TINY_PARTS + 1))
@@ -337,8 +341,8 @@ def random_tiny_instance(seed: int, n_bins: int = 8) -> TinyInstance:
 
     def random_pdf() -> DiscretePdf:
         n_active = int(rng.integers(1, MAX_TINY_ACTIVE_BINS + 1))
-        active = rng.choice(n_bins, size=n_active, replace=False)
-        weights = np.zeros(n_bins)
+        active = rng.choice(TINY_SCORE_BINS, size=n_active, replace=False)
+        weights = np.zeros(TINY_SCORE_BINS)
         weights[active] = rng.dirichlet(np.ones(n_active))
         return DiscretePdf.from_weights(0.0, 1.0, weights)
 

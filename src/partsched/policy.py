@@ -99,14 +99,18 @@ class BeliefGrid:
         c.flags.writeable = False
         return c
 
-    def nearest_index(self, p: float) -> int:
-        """Nearest bin; exact midpoints resolve to the lower bin."""
-        i = int(math.ceil(p * (self.d - 1) - 0.5))
-        return min(max(i, 0), self.d - 1)
+    def nearest_index(self, p):
+        """Nearest bin, elementwise over arrays; exact midpoints resolve to the lower bin.
 
-    def nearest_index_array(self, p: np.ndarray) -> np.ndarray:
-        i = np.ceil(p * (self.d - 1) - 0.5).astype(np.int64)
-        return np.clip(i, 0, self.d - 1)
+        Beliefs outside [0, 1] clamp to the edge bins.  A NaN belief has no
+        bin and raises ValueError.
+        """
+        x = np.ceil(np.asarray(p, dtype=float) * (self.d - 1) - 0.5)
+        if np.isnan(x).any():
+            raise ValueError("a NaN belief has no bin")
+        # clamp before the integer cast, so infinities never reach it
+        i = np.clip(x, 0, self.d - 1).astype(np.intp)
+        return i if i.ndim else int(i)
 
 
 @dataclass(frozen=True)
@@ -167,19 +171,6 @@ def belief_update(p, m, lik: ScoreLikelihood):
     return num / (num + lik.neg.bins[j] * (1.0 - p))
 
 
-def belief_update_unnormalized(p: float, m: float, lik: ScoreLikelihood) -> float:
-    """Damped ratio update p' = h+/(h+ + h-) * p.
-
-    Compatibility variant for comparison experiments only: it lacks the
-    (1 - p) term in the denominator, is non-increasing in p, and is not a
-    Bayes posterior.  The engine always uses :func:`belief_update`.
-    """
-    p = min(max(p, 0.0), 1.0)
-    hp = lik.pos.evaluate(m)
-    hn = lik.neg.evaluate(m)
-    return hp / (hp + hn) * p
-
-
 def _score_bin_transitions(lik: ScoreLikelihood, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per (belief center, score bin): outcome weight and successor belief bin.
 
@@ -191,29 +182,9 @@ def _score_bin_transitions(lik: ScoreLikelihood, grid: BeliefGrid) -> tuple[np.n
     p = grid.centers[:, None]
     num = hp * p
     mix = num + hn * (1.0 - p)
-    successors = grid.nearest_index_array(num / mix)
+    successors = grid.nearest_index(num / mix)
     weights = mix * lik.pos.bin_width
     return weights, successors
-
-
-def expected_q(mask: int, p: float, k: int, lik: ScoreLikelihood,
-               next_values: np.ndarray, grid: BeliefGrid) -> float:
-    """Expected successor value of evaluating part k from belief p.
-
-    `next_values` is the value row over grid centers for mask | (1 << k);
-    successor beliefs are read from it by nearest-bin lookup.
-    """
-    if (mask >> k) & 1:
-        raise InvalidActionError(f"part {k} already used in mask {mask:b}")
-    next_values = np.asarray(next_values, dtype=float)
-    if next_values.shape != (grid.d,):
-        raise ValueError(f"next_values must have shape ({grid.d},)")
-    hp = lik.pos.bins
-    hn = lik.neg.bins
-    num = hp * p
-    mix = num + hn * (1.0 - p)
-    successors = grid.nearest_index_array(num / mix)
-    return float(((mix * lik.pos.bin_width) * next_values[successors]).sum())
 
 
 def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None) -> Policy:
@@ -311,18 +282,17 @@ def load_policy(path) -> Policy:
     if n_parts < 1 or d < 2:
         raise FormatError(f"{path}: invalid table dimensions {n_parts} x {d}")
     n_states = 1 << n_parts
-    body = data[newline + 1:]
+    body = memoryview(data)[newline + 1:]
     expected = n_states * d * 9
     if len(body) != expected:
         raise FormatError(f"{path}: table payload is {len(body)} bytes, expected {expected}")
-    actions = np.frombuffer(body[:n_states * d], dtype=np.uint8).reshape(n_states, d).copy()
-    values = np.frombuffer(body[n_states * d:], dtype="<f8").reshape(n_states, d).astype(float)
+    actions = np.frombuffer(body[:n_states * d], dtype=np.uint8).reshape(n_states, d)
+    values = np.frombuffer(body[n_states * d:], dtype="<f8").reshape(n_states, d)
     if actions.max() >= _PART_BASE + n_parts:
         raise FormatError(f"{path}: action code {actions.max()} out of range")
-    if n_states * d <= (1 << 22):
-        masks = np.arange(n_states, dtype=np.uint32)[:, None]
-        parts = actions.astype(np.int64) - _PART_BASE
-        used = (masks >> np.maximum(parts, 0)) & 1
-        if bool(((parts >= 0) & (used == 1)).any()):
+    # rows whose mask has bit k set must not name part k; one view per part,
+    # so the only temporary is a boolean half-table
+    for k in range(n_parts):
+        if (actions.reshape(-1, 2, 1 << k, d)[:, 1] == part_action(k)).any():
             raise FormatError(f"{path}: table names an already-used part")
     return Policy(n_parts=n_parts, grid=BeliefGrid(d), costs=costs, actions=actions, values=values)

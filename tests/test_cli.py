@@ -177,13 +177,17 @@ class TestExitCodes:
         assert code == 3
         assert "location 4, part 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("prior", ["nan", "inf", "-inf"])
+    # "--prior -inf" reads -inf as an option, and "--prior" alone lacks its
+    # value: both are usage errors, which exit 4 too
+    @pytest.mark.parametrize("prior", [["--prior=nan"], ["--prior=inf"], ["--prior=-inf"],
+                                       ["--prior", "-inf"], ["--prior"]],
+                             ids=["nan", "inf", "-inf", "spaced--inf", "missing"])
     def test_non_finite_prior_exits_4(self, pipeline_dir, prior, capsys):
         base, samples, responses = pipeline_dir
         liks, policy, _ = run_pipeline(base, samples, responses, "p")
         capsys.readouterr()
         code = main(["simulate", "--policy", str(policy), "--likelihoods", str(liks),
-                     f"--prior={prior}", "--trials", "100"])
+                     *prior, "--trials", "100"])
         assert code == 4
         assert "prior" in capsys.readouterr().err
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsched import (
@@ -12,7 +12,6 @@ from partsched import (
     InvalidRangeError,
     ScoreSampleSet,
     discretize,
-    eval_pdf,
     fit_kde,
     fit_part_likelihood,
     load_likelihoods,
@@ -97,19 +96,19 @@ class TestDiscretize:
 class TestEvalPdf:
     def test_uniform_midpoint(self):
         pdf = discretize(lambda x: np.ones_like(x), 0.0, 1.0)
-        assert eval_pdf(pdf, 0.5) == pytest.approx(1.0, abs=1e-6)
+        assert pdf.evaluate(0.5) == pytest.approx(1.0, abs=1e-6)
 
     def test_out_of_support_clamps_to_edges(self):
         pdf = DiscretePdf.from_weights(0.0, 1.0, np.arange(1, 6, dtype=float))
-        assert eval_pdf(pdf, pdf.hi + 100.0) == pdf.bins[-1]
-        assert eval_pdf(pdf, pdf.lo - 100.0) == pdf.bins[0]
-        assert eval_pdf(pdf, math.inf) == pdf.bins[-1]
-        assert eval_pdf(pdf, -math.inf) == pdf.bins[0]
+        assert pdf.evaluate(pdf.hi + 100.0) == pdf.bins[-1]
+        assert pdf.evaluate(pdf.lo - 100.0) == pdf.bins[0]
+        assert pdf.evaluate(math.inf) == pdf.bins[-1]
+        assert pdf.evaluate(-math.inf) == pdf.bins[0]
 
     def test_gaussian_peak_lookup(self):
         density = lambda x: GAUSS_PEAK * np.exp(-0.5 * np.asarray(x) ** 2)
         pdf = discretize(density, -5.0, 5.0)
-        assert eval_pdf(pdf, 0.0) == pytest.approx(GAUSS_PEAK, rel=0.02)
+        assert pdf.evaluate(0.0) == pytest.approx(GAUSS_PEAK, rel=0.02)
 
 
 class TestFitPartLikelihood:
@@ -170,6 +169,7 @@ def test_discretized_kde_invariants(samples, bandwidth, pad):
 
 @settings(deadline=None, max_examples=40)
 @given(masses=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=32))
+@example(masses=[0.0, 2.2250738585e-313])  # subnormal total: 1 / total overflows
 def test_from_weights_invariants(masses):
     pdf = DiscretePdf.from_weights(-1.0, 3.0, masses)
     assert abs(pdf.bins.sum() * pdf.bin_width - 1.0) <= 1e-9

@@ -121,7 +121,7 @@ class TestExhaustiveOptimalValue:
         for theta_lo, theta_hi, order in [(0.2, 0.8, (0, 1)), (0.4, 0.6, (1, 0)),
                                           (0.05, 0.95, (0, 1)), (0.5, 0.5, (1, 0))]:
             policy = threshold_policy(inst, theta_lo, theta_hi, order)
-            est = simulate_policy(policy, inst.likelihoods, 0.5, inst.costs, 40000, seed=9)
+            est = simulate_policy(policy, inst.likelihoods, 0.5, 40000, seed=9)
             assert est.mean_cost >= optimum - 3.0 * est.std_error - 1e-4
 
 
@@ -153,7 +153,7 @@ class TestSimulatePolicy:
     def test_forced_negative(self):
         inst = two_part_instance(costs=CostParams(7.0, 3.0))
         policy = constant_policy(2, LABEL_NEG, d=inst.grid.d, costs=inst.costs)
-        est = simulate_policy(policy, inst.likelihoods, 1.0, inst.costs, 5000, seed=1)
+        est = simulate_policy(policy, inst.likelihoods, 1.0, 5000, seed=1)
         assert est.fn_rate == 1.0
         assert est.mean_tau == 0.0
         assert est.mean_cost == pytest.approx(3.0, abs=1e-12)
@@ -162,22 +162,22 @@ class TestSimulatePolicy:
     def test_forced_positive(self):
         inst = two_part_instance(costs=CostParams(7.0, 3.0))
         policy = constant_policy(2, LABEL_POS, d=inst.grid.d, costs=inst.costs)
-        est = simulate_policy(policy, inst.likelihoods, 0.0, inst.costs, 5000, seed=1)
+        est = simulate_policy(policy, inst.likelihoods, 0.0, 5000, seed=1)
         assert est.fp_rate == 1.0
         assert est.mean_cost == pytest.approx(7.0, abs=1e-12)
 
     def test_consistent_with_dp_value(self):
         inst = random_tiny_instance(7)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        est = simulate_policy(policy, inst.likelihoods, 0.5, inst.costs, 200000, seed=5)
+        est = simulate_policy(policy, inst.likelihoods, 0.5, 200000, seed=5)
         dp = policy.values[0, inst.grid.nearest_index(0.5)]
         assert abs(est.mean_cost - dp) <= 4.0 * est.std_error + 1e-9
 
     def test_seeded_reproducibility(self):
         inst = random_tiny_instance(2)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        a = simulate_policy(policy, inst.likelihoods, 0.5, inst.costs, 30000, seed=3)
-        b = simulate_policy(policy, inst.likelihoods, 0.5, inst.costs, 30000, seed=3)
+        a = simulate_policy(policy, inst.likelihoods, 0.5, 30000, seed=3)
+        b = simulate_policy(policy, inst.likelihoods, 0.5, 30000, seed=3)
         assert a == b
 
     def test_doubling_trials_shrinks_std_error(self):
@@ -188,8 +188,8 @@ class TestSimulatePolicy:
             likelihoods=(mixed_likelihood(0), mixed_likelihood(1)),
             costs=CostParams(12.0, 12.0), grid=BeliefGrid(11))
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        small = simulate_policy(policy, inst.likelihoods, 0.5, inst.costs, 50000, seed=11)
-        big = simulate_policy(policy, inst.likelihoods, 0.5, inst.costs, 100000, seed=11)
+        small = simulate_policy(policy, inst.likelihoods, 0.5, 50000, seed=11)
+        big = simulate_policy(policy, inst.likelihoods, 0.5, 100000, seed=11)
         ratio = big.std_error / small.std_error
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.2)
 

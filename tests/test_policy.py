@@ -7,19 +7,17 @@ from partsched import (
     BeliefGrid,
     CapacityError,
     CostParams,
-    InvalidActionError,
+    FormatError,
     InvalidParameterError,
     InvalidStateError,
     belief_update,
-    belief_update_unnormalized,
-    expected_q,
     load_policy,
     query_policy,
     save_policy,
     terminal_stage,
     train_policy,
 )
-from partsched.policy import LABEL_NEG, LABEL_POS
+from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
 from conftest import (
     overlapping_likelihood,
@@ -67,8 +65,10 @@ class TestBeliefGrid:
     def test_scalar_and_array_agree(self):
         grid = BeliefGrid(21)
         ps = np.linspace(0, 1, 997)
-        arr = grid.nearest_index_array(ps)
+        arr = grid.nearest_index(ps)
         assert all(arr[i] == grid.nearest_index(float(p)) for i, p in enumerate(ps))
+        with pytest.raises(ValueError):
+            grid.nearest_index(np.array([0.5, np.nan]))
 
 
 class TestTerminalStage:
@@ -128,10 +128,14 @@ class TestBeliefUpdate:
         lik = overlapping_likelihood(0)
         assert 0.0 <= belief_update(p, m, lik) <= 1.0
 
-    def test_unnormalized_variant_is_damped(self):
-        lik = uninformative_likelihood(0)
-        # prints as p' = h+/(h+ + h-) * p = p/2 for equal densities
-        assert belief_update_unnormalized(0.8, 0.3, lik) == pytest.approx(0.4, abs=1e-12)
+
+def expected_q(lik, grid, next_values):
+    """Expected successor value of evaluating a part from each grid belief.
+
+    The same contraction of `_score_bin_transitions` rows that train_policy does.
+    """
+    weights, successors = _score_bin_transitions(lik, grid)
+    return (weights * next_values[successors]).sum(axis=1)
 
 
 class TestExpectedQ:
@@ -139,20 +143,15 @@ class TestExpectedQ:
         lik = uninformative_likelihood(0)
         grid = BeliefGrid(11)
         next_values = np.linspace(3.0, 9.0, 11)
-        for i, p in enumerate(grid.centers):
-            q = expected_q(0, float(p), 0, lik, next_values, grid)
-            assert q == pytest.approx(next_values[i], abs=1e-12)
+        q = expected_q(lik, grid, next_values)
+        for i in range(grid.d):
+            assert q[i] == pytest.approx(next_values[i], abs=1e-12)
 
     def test_constant_values_pass_through(self):
         lik = separable_likelihood(0)
         grid = BeliefGrid(21)
-        q = expected_q(0, 0.37, 0, lik, np.full(21, 4.25), grid)
-        assert q == pytest.approx(4.25, abs=1e-12)
-
-    def test_used_part_rejected(self):
-        lik = separable_likelihood(1)
-        with pytest.raises(InvalidActionError):
-            expected_q(0b10, 0.5, 1, lik, np.zeros(11), BeliefGrid(11))
+        q = expected_q(lik, grid, np.full(21, 4.25))
+        assert q == pytest.approx(np.full(21, 4.25), abs=1e-12)
 
     def test_separable_part_reaches_near_zero_risk(self):
         # from p=0.5 a perfectly separating part leaves almost no label risk
@@ -160,7 +159,7 @@ class TestExpectedQ:
         costs = CostParams(4.0, 4.0)
         grid = BeliefGrid(11)
         next_values, _ = terminal_stage(costs, grid)
-        q = expected_q(0, 0.5, 0, lik, next_values, grid)
+        q = expected_q(lik, grid, next_values)[grid.nearest_index(0.5)]
         # independent two-bin enumeration with the same nearest-bin dynamics
         expected = 0.0
         width = lik.pos.bin_width
@@ -323,4 +322,16 @@ class TestPersistence:
         data[header_len] = 200  # part code far out of range
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
+            load_policy(path)
+
+    @pytest.mark.parametrize("d", [11, (1 << 20) + 1])
+    def test_used_part_rejected_at_every_size(self, tmp_path, d):
+        # part 0 asked for at mask 0b01, where it is already used; the larger
+        # table has more entries than any size limit on the check
+        actions = np.zeros((4, d), dtype=np.uint8)
+        actions[0b01, 0] = part_action(0)
+        path = tmp_path / "p.bin"
+        header = b'{"d":%d,"lambda_fn":1.0,"lambda_fp":1.0,"n_parts":2}\n' % d
+        path.write_bytes(header + actions.tobytes() + np.zeros(actions.shape, "<f8").tobytes())
+        with pytest.raises(FormatError, match="already-used part"):
             load_policy(path)

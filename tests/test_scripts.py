@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import partsched
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("name,args,summary", [
+    ("savings_demo.py", ["--locations", "2000"], "rnpe="),
+    ("tradeoff_sweep.py", ["--locations", "2000", "--lambdas", "2", "8", "--out", "sweep.csv"],
+     "error non-increasing:"),
+])
+def test_script_runs(tmp_path, name, args, summary):
+    src = str(Path(partsched.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert summary in proc.stdout
