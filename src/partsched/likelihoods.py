@@ -317,4 +317,11 @@ def load_likelihoods(path) -> list[ScoreLikelihood]:
             ))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed part entry: {exc}") from exc
-    return sorted(out, key=lambda l: l.part_id)
+    out.sort(key=lambda l: l.part_id)
+    ids = [lik.part_id for lik in out]
+    if ids != list(range(len(out))):
+        raise FormatError(f"{path}: part ids must be 0..{len(out) - 1}, got {ids}")
+    bin_counts = sorted({lik.pos.n_bins for lik in out})
+    if len(bin_counts) > 1:
+        raise FormatError(f"{path}: parts must share one bin count, got {bin_counts}")
+    return out

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +13,19 @@ from partsched import (
     FormatError,
     InvalidParameterError,
     InvalidStateError,
+    Policy,
+    SyntheticSpec,
     belief_update,
+    exhaustive_value_row,
     load_policy,
+    make_synthetic,
     query_policy,
+    random_tiny_instance,
     save_policy,
     terminal_stage,
     train_policy,
 )
+from partsched.cli import VERIFY_TOLERANCE
 from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
 from conftest import (
@@ -324,6 +333,22 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_policy(path)
 
+    def test_tables_are_read_only_views(self, tmp_path, trained_three_part):
+        policy, _, _ = trained_three_part
+        path = tmp_path / "p.bin"
+        save_policy(policy, path)
+        loaded = load_policy(path)
+        for table in (policy.actions, policy.values, loaded.actions, loaded.values):
+            assert not table.flags.writeable
+        # the loaded tables view the file's bytes; a constructed policy views its inputs
+        assert not loaded.actions.flags.owndata and not loaded.values.flags.owndata
+        actions = np.zeros((2, 5), dtype=np.uint8)
+        values = np.zeros((2, 5))
+        built = Policy(n_parts=1, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
+                       actions=actions, values=values)
+        assert np.shares_memory(built.actions, actions)
+        assert np.shares_memory(built.values, values)
+
     @pytest.mark.parametrize("d", [11, (1 << 20) + 1])
     def test_used_part_rejected_at_every_size(self, tmp_path, d):
         # part 0 asked for at mask 0b01, where it is already used; the larger
@@ -335,3 +360,57 @@ class TestPersistence:
         path.write_bytes(header + actions.tobytes() + np.zeros(actions.shape, "<f8").tobytes())
         with pytest.raises(FormatError, match="already-used part"):
             load_policy(path)
+
+
+def digest_case(case):
+    """(likelihoods, costs, grid) of a seeded instance with a recorded action digest."""
+    if case == "repeated":
+        # one fitted likelihood under six part ids: every part ties with every
+        # other, so the tables exercise the lowest-index tie rule
+        spec = SyntheticSpec(n_parts=1, separation=1.5, prior_positive=0.5,
+                             n_locations=10, seed=7)
+        lik = make_synthetic(spec)[0].likelihoods[0]
+        liks = [dataclasses.replace(lik, part_id=k) for k in range(6)]
+        return liks, CostParams(40.0, 40.0), BeliefGrid(101)
+    # n=9 in the two scan regimes, and a fitted n=12 instance at the CLI
+    # pipeline's operating point
+    n_parts, separation, prior, costs = {
+        "scan": (9, 4.0, 0.01, CostParams(20.0, 5.0)),
+        "scan-deep": (9, 1.0, 0.3, CostParams(200.0, 200.0)),
+        "fitted-12": (12, 2.0, 0.3, CostParams(20.0, 5.0)),
+    }[case]
+    spec = SyntheticSpec(n_parts=n_parts, separation=separation, prior_positive=prior,
+                         n_locations=10, seed=31)
+    return make_synthetic(spec, costs)[0].likelihoods, costs, BeliefGrid(101)
+
+
+# sha256 of the trained action tables, recorded with the per-mask trainer
+# that the stage-batched matrix products replaced.  Actions are decided by
+# exact float comparisons, so a moved digest means a changed policy, not
+# rounding noise: fix the trainer, do not re-record.
+RECORDED_ACTION_SHA256 = {
+    "scan": "78c6c5abe0077c87bc1ee2c939178cd05d908cc602855b99fe0ffc9484160c98",
+    "scan-deep": "e058548c6ed768b213e8ed593e61f78c3deb00d17588a524664e838f6ea8ae27",
+    "fitted-12": "4c0b42091ec73cea0d42bec81c4b068cfc613f036e7021b7c1b9207761dd6d63",
+    "repeated": "9c9a2079aa4b19ff40157ef666da43a059287ce15f21a932d01cd10fd4e34402",
+    "tiny-0..49": "564cce8563acaa07691e4e823ac156f8d019e47f493af18337f60d437b1146f8",
+}
+
+
+@pytest.mark.parametrize("case", list(RECORDED_ACTION_SHA256))
+def test_action_tables_match_recorded_digests(case):
+    digest = hashlib.sha256()
+    if case == "tiny-0..49":
+        for seed in range(50):
+            inst = random_tiny_instance(seed)
+            policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
+            digest.update(policy.actions.tobytes())
+            assert np.max(np.abs(policy.values[0] - exhaustive_value_row(inst))) <= VERIFY_TOLERANCE
+    else:
+        policy = train_policy(*digest_case(case))
+        digest.update(policy.actions.tobytes())
+    if case == "repeated":
+        # ties between parts go to the lowest-indexed part
+        asked = policy.actions[0][policy.actions[0] > LABEL_POS]
+        assert asked.size and np.all(asked == part_action(0))
+    assert digest.hexdigest() == RECORDED_ACTION_SHA256[case]
