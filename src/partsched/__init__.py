@@ -24,7 +24,6 @@ from .likelihoods import (
     DEFAULT_BINS,
     PDF_FLOOR,
     DiscretePdf,
-    GaussianKde,
     ScoreLikelihood,
     ScoreSampleSet,
     discretize,
@@ -57,6 +56,7 @@ from .inference import (
     NEG_LABEL,
     POS_LABEL,
     DetectionResult,
+    DetectionResults,
     DetectorModel,
     InferenceStats,
     MatrixResponseProvider,
@@ -73,7 +73,6 @@ from .inference import (
     save_results_csv,
 )
 from .oracle import (
-    PolicyCostEstimate,
     TinyInstance,
     exhaustive_optimal_value,
     exhaustive_value_row,
@@ -82,10 +81,6 @@ from .oracle import (
     step_trace,
 )
 from .synth import (
-    ClassificationCounts,
-    PrCurve,
-    SweepResult,
-    SweepRow,
     SyntheticSpec,
     classification_counts,
     compute_rnpe,

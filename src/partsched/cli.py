@@ -21,6 +21,7 @@ from .errors import (
     FormatError,
     InsufficientDataError,
     InvalidParameterError,
+    InvalidRangeError,
 )
 from .inference import DetectorModel, load_responses, run_grid, save_results_csv
 from .likelihoods import fit_part_likelihood, load_likelihoods, read_sample_sets, save_likelihoods
@@ -55,8 +56,9 @@ def _dump_json(payload, out_path=None) -> None:
 def cmd_fit(args) -> int:
     if args.bins < 2:
         raise InvalidParameterError(f"--bins must be >= 2, got {args.bins}")
-    if args.bandwidth is not None and not args.bandwidth > 0:
-        raise InvalidParameterError(f"--bandwidth must be positive, got {args.bandwidth}")
+    if args.bandwidth is not None and not 0 < args.bandwidth < float("inf"):
+        raise InvalidParameterError(f"--bandwidth must be positive and finite, "
+                                    f"got {args.bandwidth}")
     sample_sets = read_sample_sets(args.samples)
     if not sample_sets:
         raise FormatError(f"{args.samples}: no samples found")
@@ -345,7 +347,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (FormatError, InsufficientDataError, FileNotFoundError) as exc:
+    except (FormatError, InsufficientDataError, InvalidRangeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ArityMismatchError as exc:

@@ -12,12 +12,19 @@ Each round looks up every live location's action at once, retires the ones
 that got a label, and fetches the requested responses with one provider
 call per part.  The arithmetic per location is the same sequence of float
 operations as evaluating that location alone.
+
+A pass returns one `DetectionResults`: the frontier's arrays, read-only,
+one row per location.  It reads as a sequence of `DetectionResult`s that are
+built only when indexed or iterated, and the results CSV is written from and
+read back into the arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +42,10 @@ from .policy import (
 
 POS_LABEL = "pos"
 NEG_LABEL = "neg"
+# DetectionResults' one-value-per-location fields; the uint8 order matrix is the other
+RESULT_COLUMNS = {"location_id": np.int64, "positive": bool, "score": float, "tau": np.int64,
+                  "n_evaluated": np.int64, "final_belief": float, "partial_score": float}
+INT64 = np.iinfo(np.int64)
 
 
 class ResponseProvider:
@@ -136,6 +147,80 @@ class DetectionResult:
     partial_score: float
 
 
+@dataclass(frozen=True, eq=False)
+class DetectionResults(Sequence):
+    """Outcomes at many locations, one read-only array per field.
+
+    Row i describes the i-th location of a pass: `positive` is its label
+    mask, `n_evaluated` the length of its `parts_evaluated` and row i of the
+    uint8 `order` matrix lists those parts in evaluation order, with zeros
+    after them.  As a sequence it reads like a list of `DetectionResult`s:
+    indexing (negative indices included) and iteration build them on demand,
+    a slice returns a list, and equality compares location by location, with
+    NaN diagnostics equal to each other.
+    """
+
+    location_id: np.ndarray
+    positive: np.ndarray
+    score: np.ndarray
+    tau: np.ndarray
+    n_evaluated: np.ndarray
+    order: np.ndarray
+    final_belief: np.ndarray
+    partial_score: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in {**RESULT_COLUMNS, "order": np.uint8}.items():
+            # read-only views, not copies: the frontier hands over arrays no one else writes
+            arr = np.asarray(getattr(self, name), dtype=dtype).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if (any(getattr(self, name).shape != (len(self),) for name in RESULT_COLUMNS)
+                or self.order.ndim != 2 or self.order.shape[0] != len(self)):
+            raise ValueError("fields must be 1-D arrays of one length and an order matrix "
+                             "with one row per location")
+        if len(self) and not 0 <= self.n_evaluated.min() <= self.n_evaluated.max() \
+                <= self.order.shape[1]:
+            raise ValueError(f"n_evaluated must be in 0..{self.order.shape[1]}")
+
+    def __len__(self) -> int:
+        return self.location_id.size
+
+    def __iter__(self) -> Iterator[DetectionResult]:
+        width = self.order.shape[1]
+        rows = self.order.tobytes()
+        return (DetectionResult(loc, POS_LABEL if pos else NEG_LABEL, s,
+                                tuple(rows[start:start + e]), t, b, ps)
+                for loc, pos, s, start, e, t, b, ps in zip(
+                    self.location_id.tolist(), self.positive.tolist(), self.score.tolist(),
+                    itertools.count(0, width), self.n_evaluated.tolist(),
+                    self.tau.tolist(), self.final_belief.tolist(), self.partial_score.tolist()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._select(index))
+        i = range(len(self))[index]  # IndexError out of range, counts back when negative
+        return next(iter(self._select(slice(i, i + 1))))
+
+    def _select(self, rows: slice) -> DetectionResults:
+        return DetectionResults(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def _parts(self) -> np.ndarray:
+        """Every location's parts_evaluated, concatenated in location order."""
+        return self.order[np.arange(self.order.shape[1]) < self.n_evaluated[:, None]]
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, DetectionResults):
+            return NotImplemented
+        return (len(self) == len(other)
+                and all(np.array_equal(getattr(self, name), getattr(other, name),
+                                       equal_nan=dtype is float)
+                        for name, dtype in RESULT_COLUMNS.items())
+                and np.array_equal(self._parts(), other._parts()))
+
+
 @dataclass(frozen=True)
 class InferenceStats:
     """Aggregates over one inference pass; non_root_evals excludes part 0."""
@@ -173,7 +258,7 @@ def _fetch(provider: ResponseProvider, location_ids: np.ndarray, part_id: int) -
 
 
 def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
-           location_ids: np.ndarray) -> tuple[list[DetectionResult], InferenceStats]:
+           location_ids: np.ndarray) -> tuple[DetectionResults, InferenceStats]:
     """Label `location_ids` with one frontier; results come back in the same order."""
     n = model.n_parts
     if policy.n_parts != n:
@@ -228,15 +313,8 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
                            non_root_evals=int(n_evaluated.sum() - (mask & 1).sum()),
                            n_positive=int(completing.size),
                            mean_tau=float(tau.mean()) if count else 0.0)
-    rows = order.tobytes()
-    results = [
-        DetectionResult(loc, POS_LABEL if pos else NEG_LABEL, s, tuple(rows[start:start + e]),
-                        t, final_belief=b, partial_score=ps)
-        for loc, pos, s, start, e, t, b, ps in zip(
-            location_ids.tolist(), positive.tolist(), score.tolist(), range(0, count * n, n),
-            n_evaluated.tolist(), tau.tolist(), belief.tolist(), partial.tolist())
-    ]
-    return results, stats
+    return DetectionResults(location_ids, positive, score, tau, n_evaluated, order,
+                            final_belief=belief, partial_score=partial), stats
 
 
 def run_location(model: DetectorModel, policy: Policy, provider: ResponseProvider,
@@ -247,7 +325,7 @@ def run_location(model: DetectorModel, policy: Policy, provider: ResponseProvide
 
 
 def run_grid(model: DetectorModel, policy: Policy,
-             provider: ResponseProvider) -> tuple[list[DetectionResult], InferenceStats]:
+             provider: ResponseProvider) -> tuple[DetectionResults, InferenceStats]:
     """Label every location of the provider and aggregate evaluation statistics."""
     return _label(model, policy, provider, np.arange(provider.n_locations))
 
@@ -339,23 +417,33 @@ def load_responses(path) -> MatrixResponseProvider:
     return load_responses_bin(path)
 
 
-def save_results_csv(results, path) -> None:
+def save_results_csv(results: DetectionResults, path) -> None:
+    """One row per location; only scores other than -inf go through repr."""
+    score = np.full(len(results), "-inf", dtype=object)
+    scored = results.score != -math.inf
+    score[scored] = [repr(v) for v in results.score[scored].tolist()]
+    width = results.order.shape[1]
+    rows = results.order.tobytes()
+    parts = [";".join(map(str, rows[start:start + e]))
+             for start, e in zip(itertools.count(0, width), results.n_evaluated.tolist())]
     lines = ["location_id,label,score,tau,parts_order"]
-    for r in results:
-        parts = ";".join(str(k) for k in r.parts_evaluated)
-        lines.append(f"{r.location_id},{r.label},{float(r.score)!r},{r.tau},{parts}")
+    lines.extend(f"{loc},{POS_LABEL if pos else NEG_LABEL},{s},{t},{p}"
+                 for loc, pos, s, t, p in zip(results.location_id.tolist(),
+                                              results.positive.tolist(), score.tolist(),
+                                              results.tau.tolist(), parts))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_results_csv(path) -> list[DetectionResult]:
+def load_results_csv(path) -> DetectionResults:
     """Read back a results file.
 
     Belief and partial-score diagnostics are not part of the schema and come
-    back as NaN.
+    back as NaN.  Part ids must fit the uint8 order matrix (0..255) and
+    location ids and taus int64.
     """
     import csv
 
-    out = []
+    location_id, positive, score, tau, parts = [], [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"location_id", "label", "score", "tau", "parts_order"}
@@ -366,16 +454,22 @@ def load_results_csv(path) -> list[DetectionResult]:
                 label = row["label"]
                 if label not in (POS_LABEL, NEG_LABEL):
                     raise ValueError(f"bad label {label!r}")
-                parts = tuple(int(v) for v in row["parts_order"].split(";") if v != "")
-                out.append(DetectionResult(
-                    location_id=int(row["location_id"]),
-                    label=label,
-                    score=float(row["score"]),
-                    parts_evaluated=parts,
-                    tau=int(row["tau"]),
-                    final_belief=math.nan,
-                    partial_score=math.nan,
-                ))
+                loc, t = int(row["location_id"]), int(row["tau"])
+                if not INT64.min <= min(loc, t) <= max(loc, t) <= INT64.max:
+                    raise ValueError("location id or tau outside int64")
+                # bytes() raises ValueError for a part id outside 0..255
+                parts.append(bytes(int(v) for v in row["parts_order"].split(";") if v != ""))
+                location_id.append(loc)
+                positive.append(label == POS_LABEL)
+                score.append(float(row["score"]))
+                tau.append(t)
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-    return out
+    n_evaluated = np.array([len(p) for p in parts], dtype=np.int64)
+    order = np.zeros((n_evaluated.size, int(n_evaluated.max(initial=0))), dtype=np.uint8)
+    order[np.arange(order.shape[1]) < n_evaluated[:, None]] = np.frombuffer(b"".join(parts),
+                                                                            dtype=np.uint8)
+    absent = np.full(n_evaluated.size, math.nan)
+    return DetectionResults(np.array(location_id, dtype=np.int64), np.array(positive, dtype=bool),
+                            np.array(score, dtype=float), np.array(tau, dtype=np.int64),
+                            n_evaluated, order, final_belief=absent, partial_score=absent)

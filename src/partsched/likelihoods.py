@@ -45,7 +45,8 @@ class GaussianKde:
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 1.06 * sigma * N^(-1/5)."""
-    sigma = float(np.std(samples, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by fit_kde
+        sigma = float(np.std(samples, ddof=1))
     return 1.06 * sigma * samples.size ** (-0.2)
 
 
@@ -68,6 +69,9 @@ def fit_kde(samples, bandwidth: float | None = None) -> GaussianKde:
             raise InsufficientDataError(
                 "samples have zero spread; supply an explicit bandwidth"
             )
+        if not math.isfinite(bandwidth):
+            raise InvalidRangeError("sample spread overflows float range; "
+                                    "no finite bandwidth")
     bandwidth = float(bandwidth)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -248,6 +252,12 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
 # ---------------------------------------------------------------------------
 # Persistence: samples CSV (part_id,label,score) and likelihoods JSON.
 
+def _check_part_ids(ids, path) -> None:
+    """FormatError unless the sorted part ids of a samples or likelihood file are 0..n-1."""
+    if list(ids) != list(range(len(ids))):
+        raise FormatError(f"{path}: part ids must be 0..{len(ids) - 1}, got {list(ids)}")
+
+
 def read_sample_sets(path) -> list[ScoreSampleSet]:
     """Read labeled samples from a CSV with header part_id,label,score."""
     pos: dict[int, list[float]] = {}
@@ -272,6 +282,7 @@ def read_sample_sets(path) -> list[ScoreSampleSet]:
                 pos.setdefault(part, [])
             else:
                 raise FormatError(f"{path}:{lineno}: label must be pos or neg, got {label!r}")
+    _check_part_ids(sorted(pos), path)
     return [ScoreSampleSet(part_id=k, positives=pos[k], negatives=neg[k]) for k in sorted(pos)]
 
 
@@ -318,9 +329,7 @@ def load_likelihoods(path) -> list[ScoreLikelihood]:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed part entry: {exc}") from exc
     out.sort(key=lambda l: l.part_id)
-    ids = [lik.part_id for lik in out]
-    if ids != list(range(len(out))):
-        raise FormatError(f"{path}: part ids must be 0..{len(out) - 1}, got {ids}")
+    _check_part_ids([lik.part_id for lik in out], path)
     bin_counts = sorted({lik.pos.n_bins for lik in out})
     if len(bin_counts) > 1:
         raise FormatError(f"{path}: parts must share one bin count, got {bin_counts}")

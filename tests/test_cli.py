@@ -237,6 +237,36 @@ class TestExitCodes:
         assert main([command, "--likelihoods", str(bad), *argv]) == 3
         assert "part" in capsys.readouterr().err
 
+    # samples that fit cannot turn into a usable likelihood file: part ids 0
+    # and 2, a support too wide for the density floor, and a spread that
+    # overflows the float range
+    @pytest.mark.parametrize("defect, message", [
+        ("ids-0-2", "part ids must be 0..1, got [0, 2]"),
+        ("span-1e6", "support too wide"),
+        ("extreme-1e308", "overflows float range"),
+    ], ids=["ids-0-2", "span-1e6", "extreme-1e308"])
+    def test_unfittable_samples_exit_3(self, tmp_path, rng, defect, message, capsys):
+        pos, neg = rng.standard_normal(20) + 1.0, rng.standard_normal(20) - 1.0
+        sets = {
+            "ids-0-2": [ScoreSampleSet(0, pos, neg), ScoreSampleSet(2, pos, neg)],
+            "span-1e6": [ScoreSampleSet(0, np.append(pos, 1e6), neg)],
+            "extreme-1e308": [ScoreSampleSet(0, np.append(pos, [1e308, -1e308]), neg)],
+        }[defect]
+        samples = tmp_path / "samples.csv"
+        save_sample_sets(sets, samples)
+        capsys.readouterr()
+        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "l.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0"])
+    def test_non_finite_bandwidth_exits_4(self, pipeline_dir, bandwidth, capsys):
+        base, samples, _ = pipeline_dir
+        code = main(["fit", "--samples", str(samples), "--bandwidth", bandwidth,
+                     "--out", str(base / "l.json")])
+        assert code == 4
+        assert "--bandwidth" in capsys.readouterr().err
+
     def test_malformed_likelihoods_exit_3(self, tmp_path):
         bad = tmp_path / "liks.json"
         bad.write_text("{\"oops\": 1}")

@@ -7,6 +7,8 @@ from partsched import (
     ArityMismatchError,
     BeliefGrid,
     CostParams,
+    DetectionResult,
+    DetectionResults,
     DetectorModel,
     FormatError,
     MatrixResponseProvider,
@@ -22,10 +24,11 @@ from partsched import (
     save_results_csv,
     train_policy,
 )
+from partsched import inference
 from partsched.inference import NEG_LABEL, POS_LABEL
 from partsched.policy import LABEL_NEG, LABEL_POS
 
-from conftest import constant_policy, separable_likelihood
+from conftest import constant_policy, engine_trace_case, separable_likelihood
 
 
 class CountingProvider(MatrixResponseProvider):
@@ -151,6 +154,72 @@ class TestRunGrid:
         assert stats_a == stats_b
 
 
+class TestDetectionResults:
+    @pytest.mark.parametrize("case", ["scan", "scan-deep"])
+    def test_arrays_match_iteration_and_run_location(self, case):
+        model, policy, scores = engine_trace_case(case)
+        provider = MatrixResponseProvider(scores)
+        results, _ = run_grid(model, policy, provider)
+        assert isinstance(results, DetectionResults)
+        assert len(results) == scores.shape[0]
+        for i, r in enumerate(results):
+            single = run_location(model, policy, provider, i)
+            for each in (r, single):
+                assert each == r, (case, i)
+                assert results.location_id[i] == each.location_id == i
+                assert results.positive[i] == (each.label == POS_LABEL)
+                assert results.score[i] == each.score
+                assert results.tau[i] == each.tau
+                assert results.n_evaluated[i] == len(each.parts_evaluated)
+                assert tuple(results.order[i, :results.n_evaluated[i]]) == each.parts_evaluated
+                assert not results.order[i, results.n_evaluated[i]:].any()
+                assert results.final_belief[i] == each.final_belief
+                assert results.partial_score[i] == each.partial_score
+
+    def test_indexing_and_slicing_behave_as_a_list(self, rng):
+        model = toy_model(3)
+        policy = train_policy(model.likelihoods, CostParams(7.0, 3.0), BeliefGrid(31))
+        results, _ = run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((12, 3))))
+        as_list = list(results)
+        assert results == as_list and as_list == results
+        for i in (0, 5, 11, -1, -12, np.int64(3)):
+            assert results[i] == as_list[i]
+        for rows in (slice(2, 5), slice(None, None, -3), slice(-4, None), slice(9, 2), slice(None)):
+            part = results[rows]
+            assert type(part) is list
+            assert part == as_list[rows]
+        for i in (12, -13):
+            with pytest.raises(IndexError):
+                results[i]
+            with pytest.raises(IndexError):
+                as_list[i]
+
+    def test_arrays_are_read_only(self, rng):
+        model = toy_model(3)
+        policy = constant_policy(3, LABEL_POS)
+        results, _ = run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((4, 3))))
+        for name in ("location_id", "positive", "score", "tau", "n_evaluated", "order",
+                     "final_belief", "partial_score"):
+            arr = getattr(results, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_run_grid_builds_no_per_location_objects(self, rng, monkeypatch):
+        built = []
+
+        def counting_result(*args, **kwargs):
+            built.append(args)
+            return DetectionResult(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "DetectionResult", counting_result)
+        model = toy_model(4)
+        policy = train_policy(model.likelihoods, CostParams(6.0, 6.0), BeliefGrid(21))
+        results, _ = run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((50, 4))))
+        assert len(built) == 0
+        assert len(list(results)) == len(built) == len(results)
+
+
 class TestFullScore:
     def test_zero_responses_leave_bias(self):
         model = toy_model(3, bias=-1.0)
@@ -231,3 +300,25 @@ class TestResultsFiles:
         loaded = load_results_csv(path)
         assert loaded[0].score == -math.inf
         assert loaded[0].parts_evaluated == ()
+
+    def test_load_returns_detection_results(self, tmp_path, rng):
+        model = toy_model(3, bias=0.5)
+        policy = train_policy(model.likelihoods, CostParams(8.0, 2.0), BeliefGrid(21))
+        results, _ = run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((25, 3))))
+        path = tmp_path / "r.csv"
+        save_results_csv(results, path)
+        loaded = load_results_csv(path)
+        assert isinstance(loaded, DetectionResults)
+        for name in ("location_id", "positive", "score", "tau", "n_evaluated"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(results, name))
+        assert [r.parts_evaluated for r in loaded] == [r.parts_evaluated for r in results]
+        assert np.isnan(loaded.final_belief).all() and np.isnan(loaded.partial_score).all()
+        assert loaded == load_results_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,maybe,-inf,0,", "0,pos,1.5,1,0;256",
+                                     "0,pos,1.5,1,0;-1", "99999999999999999999,neg,-inf,0,"])
+    def test_bad_row_is_a_format_error_naming_its_line(self, tmp_path, row):
+        path = tmp_path / "r.csv"
+        path.write_text(f"location_id,label,score,tau,parts_order\n1,neg,-inf,0,\n{row}\n")
+        with pytest.raises(FormatError, match=":3: bad row"):
+            load_results_csv(path)

@@ -5,14 +5,11 @@ from partsched import (
     BeliefGrid,
     CapacityError,
     CostParams,
-    DetectorModel,
     InsufficientScriptError,
     MatrixResponseProvider,
-    SyntheticSpec,
     TinyInstance,
     exhaustive_optimal_value,
     exhaustive_value_row,
-    make_synthetic,
     random_tiny_instance,
     run_grid,
     run_location,
@@ -25,6 +22,7 @@ from partsched.policy import LABEL_NEG, LABEL_POS, Policy, part_action
 
 from conftest import (
     constant_policy,
+    engine_trace_case,
     overlapping_likelihood,
     separable_likelihood,
     two_part_instance,
@@ -241,41 +239,6 @@ class TestStepTrace:
                 for k in used:
                     partial += float(row[k])
                 assert r.partial_score == partial, where
-
-
-def with_extremes(scores):
-    """Every 5th row gets one infinite or far out-of-support response."""
-    scores = scores.copy()
-    extremes = (np.inf, -np.inf, 1e6, -1e6)
-    for j, row in enumerate(range(0, scores.shape[0], 5)):
-        scores[row, j % scores.shape[1]] = extremes[j % len(extremes)]
-    return scores
-
-
-def engine_trace_case(case):
-    """(model, policy, response rows) for the engine-vs-step_trace comparison."""
-    if case == "two-part":
-        inst = two_part_instance(costs=CostParams(60.0, 60.0))
-        # high-bin scores, as a positive location would produce, then mixed rows
-        scores = np.array([[0.93, 0.88], [0.88, 0.93], [0.05, 0.97], [0.5, 0.02], [1.7, -0.4]])
-        model = DetectorModel(bias=0.0, likelihoods=inst.likelihoods, costs=inst.costs)
-        return model, train_policy(inst.likelihoods, inst.costs, inst.grid), scores
-    if case.startswith("tiny-"):
-        seed = int(case.split("-")[1])
-        inst = random_tiny_instance(seed)
-        # the support is [0, 1]: a third of the draws fall outside it
-        scores = np.random.default_rng(seed).uniform(-0.5, 1.5, size=(400, inst.n_parts))
-        model = DetectorModel(bias=0.0, likelihoods=inst.likelihoods, costs=inst.costs)
-        policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        return model, policy, with_extremes(scores)
-    # the two scan regimes at n=9, d=101: headline point and deep chains
-    separation, prior, costs = {"scan": (4.0, 0.01, CostParams(20.0, 5.0)),
-                                "scan-deep": (1.0, 0.3, CostParams(200.0, 200.0))}[case]
-    spec = SyntheticSpec(n_parts=9, separation=separation, prior_positive=prior,
-                         n_locations=2000, seed=31)
-    model, provider, _ = make_synthetic(spec, costs)
-    policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
-    return model, policy, with_extremes(provider.scores)
 
 
 class TestRandomTinyInstance:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import partsched
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 @pytest.mark.parametrize("name,args,summary", [
@@ -23,3 +25,12 @@ def test_script_runs(tmp_path, name, args, summary):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert summary in proc.stdout
+
+
+def test_readme_library_block_runs():
+    section = README.read_text().split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert len(namespace["results"]) == 1000
+    assert isinstance(namespace["results"], partsched.DetectionResults)
