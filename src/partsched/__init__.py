@@ -2,7 +2,8 @@
 
 Fits per-part score likelihoods, computes an optimal part-ordering-and-
 stopping policy by backward dynamic programming over (used-parts bitmask,
-belief), and runs sequential inference that evaluates parts on demand.
+belief bin), and runs sequential inference on that same snapped belief chain,
+evaluating parts on demand.
 """
 
 from .errors import (
@@ -43,7 +44,6 @@ from .policy import (
     Policy,
     action_name,
     action_part,
-    belief_update,
     is_part_action,
     load_policy,
     part_action,

@@ -1,7 +1,8 @@
 """Command-line front door wiring the modules into reproducible pipelines.
 
 Exit codes, stable for scripting: 0 success, 1 verification failure,
-2 capacity, 3 input format, 4 invalid parameter, 5 arity mismatch.
+2 capacity, 3 input format or a file that cannot be read or written,
+4 invalid parameter, 5 arity mismatch.
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (FormatError, InsufficientDataError, InvalidRangeError, FileNotFoundError) as exc:
+    except (FormatError, InsufficientDataError, InvalidRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ArityMismatchError as exc:

@@ -1,17 +1,17 @@
 """Sequential inference over candidate locations.
 
-Each location starts from an uninformative belief and repeatedly asks the
-policy what to do: evaluate some part (pay for it, add its response to the
-running score, update the belief) or stop with a label.  A foreground stop
-evaluates whatever parts remain so the reported score is the complete
-additive score; a background stop reports negative infinity.
+A location's state is the policy table's own (used mask, belief bin).  It
+starts at the bin nearest 0.5 and repeatedly reads its action: evaluate some
+part (pay for it, add its response to the running score, move to the
+successor bin from `policy._successor`, which also builds the training
+tables) or stop with a label.  A foreground stop evaluates whatever parts
+remain so the reported score is the complete additive score; a background
+stop reports negative infinity.
 
-All locations of a pass advance together as one frontier over arrays (used
-mask, exact float posterior, running score, evaluation count and order).
-Each round looks up every live location's action at once, retires the ones
-that got a label, and fetches the requested responses with one provider
-call per part.  The arithmetic per location is the same sequence of float
-operations as evaluating that location alone.
+All locations of a pass advance together as one frontier over arrays.  Each
+round reads every live location's action, retires the labelled ones, and
+fetches the requested responses with one provider call per part.  The
+arithmetic per location is the same as evaluating that location alone.
 
 A pass returns one `DetectionResults`: the frontier's arrays, read-only,
 one row per location.  It reads as a sequence of `DetectionResult`s that are
@@ -35,8 +35,8 @@ from .policy import (
     LABEL_POS,
     CostParams,
     Policy,
+    _successor,
     action_part,
-    belief_update,
     is_part_action,
 )
 
@@ -265,7 +265,8 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
         raise ArityMismatchError(f"policy has {policy.n_parts} parts, model has {n}")
     count = location_ids.size
     mask = np.zeros(count, dtype=np.int64)
-    belief = np.full(count, 0.5)
+    grid = policy.grid
+    belief = np.full(count, grid.nearest_index(0.5))  # belief bins
     score = np.zeros(count)
     tau = np.zeros(count, dtype=np.int64)
     order = np.zeros((count, n), dtype=np.uint8)  # row i: parts in evaluation order
@@ -277,7 +278,7 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
         live = np.arange(count)
         while live.size:
             live_mask = mask[live]
-            action = policy.actions[live_mask, policy.grid.nearest_index(belief[live])]
+            action = policy.actions[live_mask, belief[live]]
             positive[live[action == LABEL_POS]] = True
             go = is_part_action(action)
             live, live_mask, part = live[go], live_mask[go], action_part(action[go])
@@ -292,7 +293,8 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
                 score[sel] += m
                 order[sel, tau[sel]] = k
                 tau[sel] += 1
-                belief[sel] = belief_update(belief[sel], m, model.likelihoods[k])
+                lik = model.likelihoods[k]
+                belief[sel] = _successor(lik, grid, belief[sel], lik.pos.bin_index(m))[0]
                 mask[sel] |= 1 << k
 
         # Positives complete their remaining parts in index order, then add the bias.
@@ -314,7 +316,7 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
                            n_positive=int(completing.size),
                            mean_tau=float(tau.mean()) if count else 0.0)
     return DetectionResults(location_ids, positive, score, tau, n_evaluated, order,
-                            final_belief=belief, partial_score=partial), stats
+                            final_belief=grid.centers[belief], partial_score=partial), stats
 
 
 def run_location(model: DetectorModel, policy: Policy, provider: ResponseProvider,
@@ -370,9 +372,15 @@ def load_responses_csv(path) -> MatrixResponseProvider:
             raise FormatError(f"{path}: expected header location_id,part_id,score")
         for lineno, row in enumerate(reader, start=2):
             try:
-                entries[(int(row["location_id"]), int(row["part_id"]))] = float(row["score"])
+                key = int(row["location_id"]), int(row["part_id"])
+                value = float(row["score"])
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: bad row {row!r}") from exc
+            if min(key) < 0:
+                raise FormatError(f"{path}:{lineno}: negative id in row {row!r}")
+            if key in entries:
+                raise FormatError(f"{path}:{lineno}: duplicate location {key[0]}, part {key[1]}")
+            entries[key] = value
     if not entries:
         return MatrixResponseProvider(np.empty((0, 0)))
     n_loc = max(loc for loc, _ in entries) + 1

@@ -89,7 +89,8 @@ def _floor_normalize(raw: np.ndarray, width: float) -> np.ndarray:
     """
     raw = np.maximum(np.asarray(raw, dtype=float), 0.0)
     if PDF_FLOOR * width * raw.size >= 1.0:
-        raise InvalidRangeError("support too wide: floor mass alone exceeds unit mass")
+        raise InvalidRangeError(f"support too wide: it spans {width * raw.size:.6g}, and the "
+                                f"density floor needs a span below 1/PDF_FLOOR = {1 / PDF_FLOOR:.0e}")
     total = float(raw.sum()) * width
     if total <= 0.0:
         return np.full(raw.size, 1.0 / (width * raw.size))
@@ -242,11 +243,12 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
         raise InsufficientDataError(f"pooled samples have zero spread (part {sample_set.part_id})")
     lo = float(pooled.min()) - SUPPORT_PADDING_SIGMAS * sigma
     hi = float(pooled.max()) + SUPPORT_PADDING_SIGMAS * sigma
-    return ScoreLikelihood(
-        part_id=sample_set.part_id,
-        pos=discretize(kde_pos, lo, hi, n_bins),
-        neg=discretize(kde_neg, lo, hi, n_bins),
-    )
+    try:
+        pos = discretize(kde_pos, lo, hi, n_bins)
+        neg = discretize(kde_neg, lo, hi, n_bins)
+    except InvalidRangeError as exc:
+        raise InvalidRangeError(f"part {sample_set.part_id}: {exc}") from exc
+    return ScoreLikelihood(part_id=sample_set.part_id, pos=pos, neg=neg)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ by top-down recursion over every reachable (used-parts, belief-bin) decision
 node, with its own scalar transition math, so agreement with the trained
 tables certifies the backward induction rather than restating it.  The
 Monte Carlo simulator replays a policy on the same discretized belief chain
-and estimates its cost and error rates.
+and estimates its cost and error rates, and `step_trace` replays one
+location's walk along that chain, as the inference engine takes it.  Both
+snap posteriors with their own distance-based nearest-center math.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .policy import (
     BeliefGrid,
     CostParams,
     Policy,
-    query_policy,
 )
 
 MAX_TINY_PARTS = 3
@@ -203,7 +204,12 @@ def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray
         num = p * lik.pos.bins[None, :]
         mix = num + (1.0 - p) * lik.neg.bins[None, :]
         posterior = num / mix
-        successors[k] = np.abs(posterior[:, :, None] - centers[None, None, :]).argmin(axis=2)
+        # distance to the sorted centers falls, then rises: the nearest is one
+        # of the two around the posterior, and the lower one wins a tie
+        above = np.clip(np.searchsorted(centers, posterior), 1, d - 1)
+        below = above - 1
+        successors[k] = np.where(np.abs(posterior - centers[below])
+                                 <= np.abs(posterior - centers[above]), below, above)
         cdf[k] = np.cumsum(mix * lik.pos.bin_width, axis=1)
     return cdf, successors
 
@@ -302,19 +308,22 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
 
 
 def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, float]]:
-    """Replay the stop-or-evaluate loop on scripted scores.
+    """Replay the stop-or-evaluate loop on scripted scores along the snapped chain.
 
-    Returns the (action, belief-at-query) sequence, consuming one scripted
-    score per part evaluation; must match the inference engine's trace on an
-    equivalent provider.
+    The belief starts at the center nearest 0.5 and moves to the center
+    nearest each posterior.  Returns the (action, belief center at query)
+    sequence, consuming one scripted score per part evaluation; must match
+    the inference engine's trace on an equivalent provider.
     """
     likelihoods = list(likelihoods)
     scripts = iter(scripted_scores)
+    centers = [float(c) for c in policy.grid.centers]
     mask = 0
-    p = 0.5
+    i = _nearest_center(centers, 0.5)
     trace: list[tuple[int, float]] = []
     while True:
-        action = query_policy(policy, mask, p)
+        p = centers[i]
+        action = int(policy.actions[mask, i])
         trace.append((action, p))
         if action in (LABEL_NEG, LABEL_POS):
             return trace
@@ -327,7 +336,7 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
             ) from None
         hp = likelihoods[k].pos.evaluate(m)
         hn = likelihoods[k].neg.evaluate(m)
-        p = hp * p / (hp * p + hn * (1.0 - p))
+        i = _nearest_center(centers, hp * p / (hp * p + hn * (1.0 - p)))
         mask |= 1 << k
 
 

@@ -1,12 +1,11 @@
 """Optimal part-selection policies by backward dynamic programming.
 
-The decision state is a pair (mask of already-used parts, belief that the
-location is foreground).  Beliefs live on a uniform grid over [0, 1].
-Training snaps the posterior to its nearest grid bin after every step, so
-the tables are exact for that snapped chain.  Inference carries the exact
-float posterior and only reads the tables at its nearest bin.  The two
-chains can therefore reach different bins, and the DP value is the snapped
-chain's expected cost, not exactly the engine's.
+The decision state is a pair (mask of already-used parts, belief bin).
+Beliefs live on a uniform grid over [0, 1], and after every part the
+posterior snaps to its nearest grid bin.  That snapped chain is the only
+one: `_successor` holds its math, training builds its tables from it, and
+inference calls it on each fetched response, so the engine walks the chain
+whose expected cost the DP value is.
 
 Working backwards from the all-parts-used stage, each state's value is the
 cheapest of: declare background (pays the false-negative risk), declare
@@ -171,16 +170,17 @@ def terminal_stage(costs: CostParams, grid: BeliefGrid) -> tuple[np.ndarray, np.
     return values, actions
 
 
-def belief_update(p, m, lik: ScoreLikelihood):
-    """Posterior foreground probability after observing score m for this part.
+def _successor(lik: ScoreLikelihood, grid: BeliefGrid, i, j):
+    """Snapped posterior bin and mixture density after score bin j from belief bin i.
 
-    Elementwise over arrays of beliefs and scores; pos and neg share one
-    support, so one bin lookup serves both densities.
+    Elementwise over broadcastable index arrays.  The mixture density is
+    p*h+ + (1-p)*h- at the bin-i belief p; pos and neg share one support, so
+    one score bin indexes both densities.
     """
-    p = np.clip(p, 0.0, 1.0)
-    j = lik.pos.bin_index(m)
+    p = grid.centers[i]
     num = lik.pos.bins[j] * p
-    return num / (num + lik.neg.bins[j] * (1.0 - p))
+    mix = num + lik.neg.bins[j] * (1.0 - p)
+    return grid.nearest_index(num / mix), mix
 
 
 def _score_bin_transitions(lik: ScoreLikelihood, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -189,14 +189,9 @@ def _score_bin_transitions(lik: ScoreLikelihood, grid: BeliefGrid) -> tuple[np.n
     The outcome weight is the belief-weighted mixture mass of the bin,
     (p*h+ + (1-p)*h-) * bin_width; weights over bins sum to 1 for each belief.
     """
-    hp = lik.pos.bins[None, :]
-    hn = lik.neg.bins[None, :]
-    p = grid.centers[:, None]
-    num = hp * p
-    mix = num + hn * (1.0 - p)
-    successors = grid.nearest_index(num / mix)
-    weights = mix * lik.pos.bin_width
-    return weights, successors
+    successors, mix = _successor(lik, grid, np.arange(grid.d)[:, None],
+                                 np.arange(lik.pos.n_bins)[None, :])
+    return mix * lik.pos.bin_width, successors
 
 
 def _transition_matrix(lik: ScoreLikelihood, grid: BeliefGrid) -> np.ndarray:

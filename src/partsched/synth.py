@@ -45,22 +45,20 @@ class SyntheticSpec:
     train_samples: int = 2000
 
     def __post_init__(self):
-        if self.n_parts < 1:
-            raise InvalidParameterError(f"n_parts must be >= 1, got {self.n_parts}")
-        if self.n_locations < 1:
-            raise InvalidParameterError(f"n_locations must be >= 1, got {self.n_locations}")
+        for name, least in (("n_parts", 1), ("n_locations", 1), ("seed", 0), ("train_samples", 2)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise InvalidParameterError(f"{name} must be an integer >= {least}, got {v!r}")
         if not (self.separation >= 0.0 and math.isfinite(self.separation)):
             raise InvalidParameterError(f"separation must be >= 0, got {self.separation}")
         if not (0.0 <= self.prior_positive <= 1.0):
             raise InvalidParameterError(f"prior_positive must be in [0, 1], got {self.prior_positive}")
-        if self.train_samples < 2:
-            raise InvalidParameterError("train_samples must be >= 2")
         if self.informativeness_profile is not None:
             profile = tuple(float(v) for v in self.informativeness_profile)
             if len(profile) != self.n_parts:
                 raise InvalidParameterError("informativeness_profile must have one multiplier per part")
-            if any(v < 0.0 for v in profile):
-                raise InvalidParameterError("informativeness multipliers must be >= 0")
+            if not all(0.0 <= v < math.inf for v in profile):
+                raise InvalidParameterError("informativeness_profile multipliers must be finite and >= 0")
             object.__setattr__(self, "informativeness_profile", profile)
 
     @property
@@ -128,19 +126,9 @@ class ClassificationCounts:
 
 
 def classification_counts(results, truth) -> ClassificationCounts:
-    truth = np.asarray(truth, dtype=bool)
-    tp = fp = tn = fn = 0
-    for r in results:
-        predicted_pos = r.label == POS_LABEL
-        actual_pos = bool(truth[r.location_id])
-        if predicted_pos and actual_pos:
-            tp += 1
-        elif predicted_pos:
-            fp += 1
-        elif actual_pos:
-            fn += 1
-        else:
-            tn += 1
+    predicted = np.array([r.label == POS_LABEL for r in results], dtype=bool)
+    actual = np.asarray(truth, dtype=bool)[np.array([r.location_id for r in results], dtype=np.intp)]
+    tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
     return ClassificationCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
@@ -236,12 +224,6 @@ def evaluate_operating_point(model: DetectorModel, provider, truth,
     )
 
 
-def _sweep_job(args):
-    model, provider, truth, lam_fp, lam_fn, d = args
-    return evaluate_operating_point(model, provider, truth,
-                                    CostParams(lam_fp, lam_fn), BeliefGrid(d))
-
-
 def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None,
                  threads: int = 1) -> SweepResult:
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
@@ -276,8 +258,10 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
 
 
 def _try_sweep_job(args):
+    model, provider, truth, lam_fp, lam_fn, d = args
     try:
-        return _sweep_job(args), None
+        return evaluate_operating_point(model, provider, truth,
+                                        CostParams(lam_fp, lam_fn), BeliefGrid(d)), None
     except Exception as exc:  # sweep rows fail independently
         return None, f"{type(exc).__name__}: {exc}"
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -106,10 +108,28 @@ def with_extremes(scores):
     return scores
 
 
+# the two scan regimes at n=9: headline point and deep chains
+SCAN_REGIMES = {"scan": (4.0, 0.01, CostParams(20.0, 5.0)),
+                "scan-deep": (1.0, 0.3, CostParams(200.0, 200.0))}
+# an even grid has no center at 0.5: the start belief is the lower nearest one
+ENGINE_TRACE_CASES = ("two-part", "two-part-even", "scan", "scan-deep",
+                      "tiny-0", "tiny-1", "tiny-2", "tiny-3", "tiny-4", "tiny-5")
+
+
+@functools.lru_cache(maxsize=None)
+def scan_synthetic(case):
+    """(model, provider) of one scan regime: 2000 locations, n=9."""
+    separation, prior, costs = SCAN_REGIMES[case]
+    spec = SyntheticSpec(n_parts=9, separation=separation, prior_positive=prior,
+                         n_locations=2000, seed=31)
+    model, provider, _ = make_synthetic(spec, costs)
+    return model, provider
+
+
 def engine_trace_case(case):
     """(model, policy, response rows) for the engine-vs-step_trace comparison."""
-    if case == "two-part":
-        inst = two_part_instance(costs=CostParams(60.0, 60.0))
+    if case.startswith("two-part"):
+        inst = two_part_instance(costs=CostParams(60.0, 60.0), d=10 if case.endswith("even") else 11)
         # high-bin scores, as a positive location would produce, then mixed rows
         scores = np.array([[0.93, 0.88], [0.88, 0.93], [0.05, 0.97], [0.5, 0.02], [1.7, -0.4]])
         model = DetectorModel(bias=0.0, likelihoods=inst.likelihoods, costs=inst.costs)
@@ -122,13 +142,8 @@ def engine_trace_case(case):
         model = DetectorModel(bias=0.0, likelihoods=inst.likelihoods, costs=inst.costs)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
         return model, policy, with_extremes(scores)
-    # the two scan regimes at n=9, d=101: headline point and deep chains
-    separation, prior, costs = {"scan": (4.0, 0.01, CostParams(20.0, 5.0)),
-                                "scan-deep": (1.0, 0.3, CostParams(200.0, 200.0))}[case]
-    spec = SyntheticSpec(n_parts=9, separation=separation, prior_positive=prior,
-                         n_locations=2000, seed=31)
-    model, provider, _ = make_synthetic(spec, costs)
-    policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
+    model, provider = scan_synthetic(case)
+    policy = train_policy(model.likelihoods, model.costs, BeliefGrid(101))
     return model, policy, with_extremes(provider.scores)
 
 

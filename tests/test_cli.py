@@ -56,13 +56,15 @@ def run_pipeline(base, samples, responses, tag):
 
 
 # sha256 digests of the recorded chain's results.csv and stdout.  They were
-# recorded with the per-location inference loop that the batched frontier
-# replaced; the frontier must reproduce them byte for byte.  The stdout
-# digest masks train-policy's printed V(empty, 0.5): the trainer's matrix
-# products sum in another order than the per-mask loop that recorded it, so
-# that value is compared to the recorded one with a relative tolerance.
-RECORDED_RESULTS_SHA256 = "0082229b1bc4985afc83647d14a45c31633bad036b485316ec0cdb1b1c71a477"
-RECORDED_MASKED_STDOUT_SHA256 = "c363f5973517deb1a073a0ae3bac9c81d167b19ccb965efe1803a5b892bfc16e"
+# recorded when inference moved onto the training tables' snapped belief
+# chain (8 of the 1500 locations changed from the float-posterior engine,
+# one of them from pos to neg); the engine must reproduce them byte for
+# byte.  The stdout digest masks train-policy's printed V(empty, 0.5): the
+# trainer's matrix products sum in another order than the per-mask loop
+# that recorded it, so that value is compared to the recorded one with a
+# relative tolerance.
+RECORDED_RESULTS_SHA256 = "a0c3674eeabd6a35e7506f2a349ec19194acd8767b1ae0d948ddb5b3cce62c51"
+RECORDED_MASKED_STDOUT_SHA256 = "416263dbb0897e325c7f8a3af50845e45291b87a6c8d81640ef7650bb33e5e4d"
 RECORDED_V_EMPTY_HALF = 3.7888104187270377
 V_EMPTY_HALF = re.compile(r"(?<=V\(empty, 0\.5\)=)\S+")
 
@@ -240,12 +242,12 @@ class TestExitCodes:
     # samples that fit cannot turn into a usable likelihood file: part ids 0
     # and 2, a support too wide for the density floor, and a spread that
     # overflows the float range
-    @pytest.mark.parametrize("defect, message", [
-        ("ids-0-2", "part ids must be 0..1, got [0, 2]"),
-        ("span-1e6", "support too wide"),
-        ("extreme-1e308", "overflows float range"),
+    @pytest.mark.parametrize("defect, messages", [
+        ("ids-0-2", ["part ids must be 0..1, got [0, 2]"]),
+        ("span-1e6", ["part 0: support too wide", "1/PDF_FLOOR = 1e+06"]),
+        ("extreme-1e308", ["overflows float range"]),
     ], ids=["ids-0-2", "span-1e6", "extreme-1e308"])
-    def test_unfittable_samples_exit_3(self, tmp_path, rng, defect, message, capsys):
+    def test_unfittable_samples_exit_3(self, tmp_path, rng, defect, messages, capsys):
         pos, neg = rng.standard_normal(20) + 1.0, rng.standard_normal(20) - 1.0
         sets = {
             "ids-0-2": [ScoreSampleSet(0, pos, neg), ScoreSampleSet(2, pos, neg)],
@@ -257,7 +259,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "l.json")]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and all(message in err for message in messages)
 
     @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0"])
     def test_non_finite_bandwidth_exits_4(self, pipeline_dir, bandwidth, capsys):
@@ -266,6 +268,40 @@ class TestExitCodes:
                      "--out", str(base / "l.json")])
         assert code == 4
         assert "--bandwidth" in capsys.readouterr().err
+
+    # a negative id would wrap around to the last location or part, and a
+    # repeated (location, part) row would overwrite the first
+    @pytest.mark.parametrize("rows, message", [
+        ("-1,0,7\n0,0,1\n", ":2: negative id"),
+        ("0,-1,7\n0,0,1\n", ":2: negative id"),
+        ("0,0,1\n0,0,5\n0,1,2\n", ":3: duplicate location 0, part 0"),
+    ], ids=["negative-location", "negative-part", "duplicate"])
+    def test_malformed_responses_csv_exits_3(self, pipeline_dir, rows, message, capsys):
+        base, samples, responses = pipeline_dir
+        liks, policy, _ = run_pipeline(base, samples, responses, "c")
+        bad = base / "bad.csv"
+        bad.write_text("location_id,part_id,score\n" + rows)
+        capsys.readouterr()
+        code = main(["infer", "--policy", str(policy), "--likelihoods", str(liks),
+                     "--responses", str(bad), "--out", str(base / "r.csv")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["fit --samples", "infer --policy",
+                                        "infer --responses", "infer --out"])
+    def test_directory_path_exits_3(self, pipeline_dir, option, capsys):
+        base, samples, responses = pipeline_dir
+        liks, policy, _ = run_pipeline(base, samples, responses, "d")
+        command, flag = option.split()
+        argv = {
+            "fit": {"--samples": samples, "--out": base / "l.json"},
+            "infer": {"--policy": policy, "--likelihoods": liks, "--responses": responses,
+                      "--out": base / "r.csv"},
+        }[command]
+        argv[flag] = base
+        capsys.readouterr()
+        assert main([command, *(str(v) for pair in argv.items() for v in pair)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_likelihoods_exit_3(self, tmp_path):
         bad = tmp_path / "liks.json"
@@ -351,6 +387,21 @@ class TestSweepAndInspect:
         code = main(["sweep", "--spec", str(spec_path), "--grid", "4,4",
                      "--out", str(tmp_path / "s.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5),
+                                              ("n_locations", 10.5), ("train_samples", 300.5),
+                                              ("informativeness_profile", [float("nan"), 1.0])],
+                             ids=["seed--1", "seed-1.5", "n_locations-10.5",
+                                  "train_samples-300.5", "informativeness_profile-nan"])
+    def test_sweep_invalid_spec_field_exits_4(self, tmp_path, field, value, capsys):
+        spec = {"n_parts": 2, "separation": 1.0, "prior_positive": 0.5,
+                "n_locations": 10, "seed": 1, "train_samples": 300, field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = main(["sweep", "--spec", str(spec_path), "--grid", "4,4", "--threads", "1",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 4
+        assert field in capsys.readouterr().err
 
     def test_sweep_bad_grid_exits_4(self, tmp_path):
         spec_path = tmp_path / "spec.json"

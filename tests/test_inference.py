@@ -26,9 +26,9 @@ from partsched import (
 )
 from partsched import inference
 from partsched.inference import NEG_LABEL, POS_LABEL
-from partsched.policy import LABEL_NEG, LABEL_POS
+from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions
 
-from conftest import constant_policy, engine_trace_case, separable_likelihood
+from conftest import ENGINE_TRACE_CASES, constant_policy, engine_trace_case, separable_likelihood
 
 
 class CountingProvider(MatrixResponseProvider):
@@ -61,6 +61,9 @@ class TestRunLocation:
         assert result.score == -math.inf
         assert result.partial_score == 0.0
         assert result.final_belief == 0.5
+        # an even grid has no center at 0.5: the start is the lower nearest one
+        even = constant_policy(3, LABEL_NEG, d=10)
+        assert run_location(model, even, provider, 1).final_belief == even.grid.centers[4]
 
     def test_immediate_positive_evaluates_everything(self, rng):
         model = toy_model(3, bias=-0.75)
@@ -152,6 +155,20 @@ class TestRunGrid:
         b, stats_b = run_grid(model, policy, MatrixResponseProvider(scores))
         assert a == b
         assert stats_a == stats_b
+
+
+@pytest.mark.parametrize("case", ENGINE_TRACE_CASES)
+def test_engine_walks_the_training_chain(case):
+    # walk training's successor table from bin(0.5) along each location's parts
+    model, policy, scores = engine_trace_case(case)
+    results, _ = run_grid(model, policy, MatrixResponseProvider(scores))
+    grid = policy.grid
+    successors = [_score_bin_transitions(lik, grid)[1] for lik in model.likelihoods]
+    for r, row in zip(results, scores):
+        i = grid.nearest_index(0.5)
+        for k in r.parts_evaluated[:r.tau]:
+            i = successors[k][i, model.likelihoods[k].pos.bin_index(row[k])]
+        assert r.final_belief == grid.centers[i], (case, r.location_id)
 
 
 class TestDetectionResults:

@@ -18,13 +18,16 @@ from partsched import (
     train_policy,
 )
 from partsched.inference import POS_LABEL
-from partsched.policy import LABEL_NEG, LABEL_POS, Policy, part_action
+from partsched.oracle import _chain_tables
+from partsched.policy import LABEL_NEG, LABEL_POS, Policy, _score_bin_transitions, part_action
 
 from conftest import (
+    ENGINE_TRACE_CASES,
     constant_policy,
     engine_trace_case,
     overlapping_likelihood,
     separable_likelihood,
+    scan_synthetic,
     two_part_instance,
     uninformative_likelihood,
 )
@@ -192,12 +195,37 @@ class TestSimulatePolicy:
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.2)
 
 
+def training_successors(likelihoods, grid):
+    return [_score_bin_transitions(lik, grid)[1] for lik in likelihoods]
+
+
+class TestChainTables:
+    """The simulator's distance-based snap agrees with training's rounding formula."""
+
+    @pytest.mark.parametrize("d", [11, 21, 101, 201, 1001])
+    @pytest.mark.parametrize("regime", ["scan", "scan-deep"])
+    def test_scan_successors_match_training(self, regime, d):
+        likelihoods = scan_synthetic(regime)[0].likelihoods
+        grid = BeliefGrid(d)
+        _, successors = _chain_tables(likelihoods, grid)
+        assert np.array_equal(successors, training_successors(likelihoods, grid))
+
+    def test_tiny_successors_match_training(self):
+        for seed in range(200):
+            inst = random_tiny_instance(seed)
+            _, successors = _chain_tables(inst.likelihoods, inst.grid)
+            assert np.array_equal(successors, training_successors(inst.likelihoods, inst.grid)), seed
+
+
 class TestStepTrace:
     def test_immediate_label_ignores_script(self):
         inst = two_part_instance()
         policy = constant_policy(2, LABEL_NEG, d=inst.grid.d, costs=inst.costs)
         trace = step_trace(policy, inst.likelihoods, [])
         assert trace == [(LABEL_NEG, 0.5)]
+        # an even grid has no center at 0.5: the start is the lower nearest one
+        even = constant_policy(2, LABEL_NEG, d=10, costs=inst.costs)
+        assert step_trace(even, inst.likelihoods, []) == [(LABEL_NEG, even.grid.centers[4])]
 
     def test_uninformative_likelihoods_keep_belief_flat(self):
         liks = (uninformative_likelihood(0, n_bins=4), uninformative_likelihood(1, n_bins=4))
@@ -221,8 +249,7 @@ class TestStepTrace:
 
     @pytest.mark.filterwarnings("error")  # infinite responses must not trip numpy casts
     def test_matches_inference_engine_trace(self):
-        for case in ("two-part", "scan", "scan-deep", "tiny-0", "tiny-1", "tiny-2",
-                     "tiny-3", "tiny-4", "tiny-5"):
+        for case in ENGINE_TRACE_CASES:
             model, policy, scores = engine_trace_case(case)
             provider = MatrixResponseProvider(scores)
             results, _ = run_grid(model, policy, provider)
