@@ -9,7 +9,9 @@ can evaluate them with a single bin lookup.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -37,9 +39,12 @@ class GaussianKde:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.samples) / self.bandwidth
+        z = np.subtract(x[..., None], self.samples)  # in place from here: -0.5 * z * z
+        z /= self.bandwidth
+        t = z * -0.5
+        t *= z
         norm = self.samples.size * self.bandwidth * math.sqrt(2.0 * math.pi)
-        out = np.exp(-0.5 * z * z).sum(axis=-1) / norm
+        out = np.exp(t, out=t).sum(axis=-1) / norm
         return float(out) if out.ndim == 0 else out
 
 
@@ -260,32 +265,62 @@ def _check_part_ids(ids, path) -> None:
         raise FormatError(f"{path}: part ids must be 0..{len(ids) - 1}, got {list(ids)}")
 
 
+def _read_csv(path, columns: dict, check) -> np.ndarray:
+    """Records of the named `columns` (name: dtype) of a headed CSV, one np.loadtxt pass.
+
+    `check(records)` raises ValueError for a bad row, or returns a function
+    that words the first bad record's defect from its {column: text} row.  A
+    failure is a FormatError "path:LINE:", found by bisecting on line prefixes.
+    """
+    try:
+        stream = io.StringIO(Path(path).read_text())
+        header = next(reader := csv.reader(stream), [])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    index = {name: i for i, name in enumerate(header)}  # a repeated name: the last one
+    if not set(columns) <= set(index):
+        raise FormatError(f"{path}: expected header {','.join(columns)}")
+    dtype = np.dtype(list(columns.items()))
+
+    def parse(body: str):
+        """The records of the lines in `body`, or how the last of them fails."""
+        try:
+            if "\0" in body:  # fixed-width numpy strings drop a trailing NUL
+                raise ValueError("NUL character")
+            records = (np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None,
+                                  quotechar='"', usecols=[index[c] for c in columns], ndmin=1)
+                       if body.strip("\n") else np.empty(0, dtype))  # no "no data" warning
+            defect = check(records)
+        except ValueError:
+            return lambda row: f"bad row {row!r}"
+        return defect if callable(defect) else records
+
+    if not callable(records := parse(rest := stream.read())):
+        return records
+    lines = io.StringIO(rest).readlines()
+    bad = bisect.bisect_left(range(len(lines) + 1), True,
+                             key=lambda n: callable(parse("".join(lines[:n]))))
+    try:
+        row = next(csv.DictReader(lines[bad - 1:bad], fieldnames=header))
+    except csv.Error:  # a field over the csv module's size limit
+        row = lines[bad - 1]
+    raise FormatError(f"{path}:{reader.line_num + bad}: {parse(''.join(lines[:bad]))(row)}")
+
+
+def _sample_defect(records):
+    if not np.isin(records["label"], ("pos", "neg")).all():
+        return lambda row: f"label must be pos or neg, got {row['label']!r}"
+    if not np.isfinite(records["score"]).all():
+        return lambda row: f"score must be finite, got {row['score']!r}"
+
+
 def read_sample_sets(path) -> list[ScoreSampleSet]:
     """Read labeled samples from a CSV with header part_id,label,score."""
-    pos: dict[int, list[float]] = {}
-    neg: dict[int, list[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"part_id", "label", "score"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(f"{path}: expected header part_id,label,score")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                part = int(row["part_id"])
-                score = float(row["score"])
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-            label = row["label"]
-            if label == "pos":
-                pos.setdefault(part, []).append(score)
-                neg.setdefault(part, [])
-            elif label == "neg":
-                neg.setdefault(part, []).append(score)
-                pos.setdefault(part, [])
-            else:
-                raise FormatError(f"{path}:{lineno}: label must be pos or neg, got {label!r}")
-    _check_part_ids(sorted(pos), path)
-    return [ScoreSampleSet(part_id=k, positives=pos[k], negatives=neg[k]) for k in sorted(pos)]
+    records = _read_csv(path, {"part_id": np.int64, "label": "U4", "score": float},
+                        _sample_defect)  # U4: a label longer than "pos" stays a bad one
+    part, score, neg = records["part_id"], records["score"], records["label"] == "neg"
+    _check_part_ids(parts := np.unique(part).tolist(), path)
+    return [ScoreSampleSet(k, score[(part == k) & ~neg], score[(part == k) & neg]) for k in parts]
 
 
 def save_sample_sets(sets, path) -> None:

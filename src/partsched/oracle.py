@@ -214,6 +214,17 @@ def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray
     return cdf, successors
 
 
+def _outcome_bins(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(count of cdf[rows[i]] entries <= u[i], n_bins - 1), bisecting the nondecreasing rows."""
+    last = cdf.shape[1] - 1
+    flat, base = cdf.ravel(), rows * cdf.shape[1] - 1  # flat[base + j]: entry j - 1
+    j = np.zeros(rows.size, dtype=np.int64)
+    for shift in range(last.bit_length(), -1, -1):
+        cand = np.minimum(j + (1 << shift), last)
+        j = np.where(flat[base + cand] <= u, cand, j)
+    return j
+
+
 def simulate_policy(policy: Policy, likelihoods, prior: float,
                     n_trials: int, seed: int) -> PolicyCostEstimate:
     """Estimate a policy's expected cost on the discretized belief chain.
@@ -279,9 +290,8 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
             sel = live[act >= 2]
             if sel.size:
                 k = act[act >= 2].astype(np.int64) - 2
-                rows = cdf[k, idx[sel]]
                 u = rng.random(sel.size)
-                j = np.minimum((rows <= u[:, None]).sum(axis=1), rows.shape[1] - 1)
+                j = _outcome_bins(cdf.reshape(-1, cdf.shape[2]), k * policy.grid.d + idx[sel], u)
                 idx[sel] = successors[k, idx[sel], j]
                 mask[sel] |= np.left_shift(1, k)
                 tau[sel] += 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, UndefinedMetricError
+from .errors import InvalidParameterError, InvalidRangeError, UndefinedMetricError
 from .inference import (
     DetectorModel,
     InferenceStats,
@@ -86,7 +86,10 @@ def make_synthetic(spec: SyntheticSpec,
     for k in range(spec.n_parts):
         pos = rng.standard_normal(spec.train_samples) + means[k]
         neg = rng.standard_normal(spec.train_samples) - means[k]
-        likelihoods.append(fit_part_likelihood(ScoreSampleSet(k, pos, neg)))
+        try:
+            likelihoods.append(fit_part_likelihood(ScoreSampleSet(k, pos, neg)))
+        except InvalidRangeError as exc:  # the spec's scale, not a file, is at fault
+            raise InvalidParameterError(f"separation {spec.separation!r} too wide: {exc}") from exc
     model = DetectorModel(bias=0.0, likelihoods=tuple(likelihoods),
                           costs=costs or CostParams(20.0, 5.0))
     return model, MatrixResponseProvider(scores), truth

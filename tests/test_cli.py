@@ -1,21 +1,29 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import partsched
 from partsched import (
+    FormatError,
     ScoreSampleSet,
     SyntheticSpec,
     fit_part_likelihood,
     load_likelihoods,
+    load_responses_csv,
     make_synthetic,
+    read_sample_sets,
     save_likelihoods,
     save_responses_bin,
     save_sample_sets,
@@ -69,22 +77,42 @@ RECORDED_V_EMPTY_HALF = 3.7888104187270377
 V_EMPTY_HALF = re.compile(r"(?<=V\(empty, 0\.5\)=)\S+")
 
 
+# sha256 digests of the recorded chain's likelihoods.json and of its
+# simulate.json at two priors (40000 trials, seed 7), recorded before the
+# samples reader, the KDE and the simulator's outcome draw were vectorized.
+# simulate.json's dp_value is masked like V(empty, 0.5) above: it comes from
+# the trainer's matrix products, not from the simulator, and is compared to
+# the recorded value with a relative tolerance.
+RECORDED_LIKELIHOODS_SHA256 = "7c5f393fc46c356658f48278e90488ccb327e239071384fcf2a24a3ef4333483"
+RECORDED_MASKED_SIMULATE_SHA256 = {
+    "0.5": "44a6678bddb294b432738aa062eff366cd908e7127be73a6747468f30440932e",
+    "0.37": "59210fd310f56c09b783b2a78df50bfa164f83bfed5bc5e757380b91d6444673",
+}
+RECORDED_DP_VALUE = {"0.5": 3.788810418727038, "0.37": 3.6215133152576815}
+DP_VALUE = re.compile(r'(?<="dp_value":)[^,}]+')
+
+
+def write_recorded_inputs():
+    """The recorded chain's samples.csv and responses.bin, in the working directory."""
+    # high error costs: multi-step belief chains, ~600 completed positives,
+    # a nonzero bias, and a few out-of-support and infinite responses
+    rng = np.random.default_rng(2024)
+    sets = [ScoreSampleSet(k, rng.standard_normal(300) + 0.3 * (k + 1),
+                           rng.standard_normal(300) - 0.3 * (k + 1)) for k in range(5)]
+    save_sample_sets(sets, "samples.csv")
+    truth = rng.random(1500) < 0.4
+    means = 0.3 * np.arange(1, 6)
+    scores = rng.standard_normal((1500, 5)) + np.where(truth[:, None], means, -means)
+    scores[::101, 2] = np.inf
+    scores[::103, 4] = -np.inf
+    scores[::107, 0] = 40.0
+    save_responses_bin(scores, "responses.bin")
+
+
 class TestPipeline:
     def test_infer_output_matches_recorded_digests(self, tmp_path, monkeypatch, capsys):
-        # high error costs: multi-step belief chains, ~600 completed positives,
-        # a nonzero bias, and a few out-of-support and infinite responses
-        rng = np.random.default_rng(2024)
-        sets = [ScoreSampleSet(k, rng.standard_normal(300) + 0.3 * (k + 1),
-                               rng.standard_normal(300) - 0.3 * (k + 1)) for k in range(5)]
         monkeypatch.chdir(tmp_path)
-        save_sample_sets(sets, "samples.csv")
-        truth = rng.random(1500) < 0.4
-        means = 0.3 * np.arange(1, 6)
-        scores = rng.standard_normal((1500, 5)) + np.where(truth[:, None], means, -means)
-        scores[::101, 2] = np.inf
-        scores[::103, 4] = -np.inf
-        scores[::107, 0] = 40.0
-        save_responses_bin(scores, "responses.bin")
+        write_recorded_inputs()
         capsys.readouterr()
         assert main(["fit", "--samples", "samples.csv", "--out", "liks.json"]) == 0
         assert main(["train-policy", "--likelihoods", "liks.json", "--lambda-fp", "200",
@@ -100,6 +128,24 @@ class TestPipeline:
         assert float(value) == pytest.approx(RECORDED_V_EMPTY_HALF, rel=1e-12, abs=0.0)
         masked = V_EMPTY_HALF.sub("*", stdout)
         assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_STDOUT_SHA256
+
+    @pytest.mark.parametrize("prior", ["0.5", "0.37"])
+    def test_fit_and_simulate_match_recorded_digests(self, tmp_path, monkeypatch, prior):
+        monkeypatch.chdir(tmp_path)
+        write_recorded_inputs()
+        assert main(["fit", "--samples", "samples.csv", "--out", "liks.json"]) == 0
+        assert main(["train-policy", "--likelihoods", "liks.json", "--lambda-fp", "200",
+                     "--lambda-fn", "150", "--out", "policy.bin"]) == 0
+        assert main(["simulate", "--policy", "policy.bin", "--likelihoods", "liks.json",
+                     "--prior", prior, "--trials", "40000", "--seed", "7",
+                     "--out", "simulate.json"]) == 0
+        liks = (tmp_path / "liks.json").read_bytes()
+        assert hashlib.sha256(liks).hexdigest() == RECORDED_LIKELIHOODS_SHA256
+        report = (tmp_path / "simulate.json").read_text()
+        (value,) = DP_VALUE.findall(report)
+        assert float(value) == pytest.approx(RECORDED_DP_VALUE[prior], rel=1e-12, abs=0.0)
+        masked = DP_VALUE.sub("*", report)
+        assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_SIMULATE_SHA256[prior]
 
     def test_end_to_end_and_rerun_is_byte_identical(self, pipeline_dir, capsys):
         base, samples, responses = pipeline_dir
@@ -261,6 +307,66 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(message in err for message in messages)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_score_exits_3(self, tmp_path, score, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("part_id,label,score\n0,pos,1.0\n0,pos,2.0\n0,neg,-1.0\n"
+                           f"0,neg,{score}\n0,neg,-2.0\n")
+        capsys.readouterr()
+        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "l.json")]) == 3
+        assert f"samples.csv:5: score must be finite, got '{score}'" in capsys.readouterr().err
+
+    # LINE in "samples.csv:LINE:" counts physical lines, the header and
+    # skipped blank lines included
+    @pytest.mark.parametrize("body, message", [
+        ("0,pos,1.0\n0,pos,x\n", ":3: bad row {'part_id': '0', 'label': 'pos', 'score': 'x'}"),
+        ("0,pos,1.0\n0,pos,2.0\n0,maybe,3\n", ":4: label must be pos or neg, got 'maybe'"),
+        ("0,pos,1.0\n0,pos\n", ":3: bad row {'part_id': '0', 'label': 'pos', 'score': None}"),
+        ("0,pos,1.0\n#0,pos,3\n", ":3: bad row {'part_id': '#0', 'label': 'pos', 'score': '3'}"),
+        ("0,pos,1.0\n\n0,pos,1.5\n\n0,bad,3\n", ":6: label must be pos or neg, got 'bad'"),
+        ("", ": no samples found"),
+    ], ids=["bad-score-line-3", "bad-label-line-4", "short-row", "comment-row",
+            "blank-lines-counted", "header-only"])
+    def test_malformed_samples_csv_exits_3(self, tmp_path, body, message, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("part_id,label,score\n" + body
+                           + "0,pos,2.5\n0,neg,-1.0\n0,neg,-2.0\n" * bool(body))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "l.json")])
+        assert code == 3
+        assert "error: " + str(samples) + message in capsys.readouterr().err
+        assert caught == []
+
+    @pytest.mark.parametrize("variant", ["quoted", "crlf", "cr", "reordered", "extra-columns",
+                                         "blank-lines", "spaces-and-plus"])
+    def test_samples_csv_variants_load(self, tmp_path, variant):
+        rows = [(0, "pos", "1.5"), (0, "neg", "-1.0"), (1, "neg", "-0.5"), (0, "pos", "2.25"),
+                (1, "pos", "0.75"), (0, "neg", "-2.0"), (1, "pos", "1e-3"), (1, "neg", "-3")]
+        plain = "part_id,label,score\n" + "".join(f"{k},{l},{v}\n" for k, l, v in rows)
+        text = {
+            "quoted": '"part_id","label","score"\n' + "".join(f'"{k}","{l}","{v}"\n'
+                                                              for k, l, v in rows),
+            "crlf": plain.replace("\n", "\r\n"),
+            "cr": plain.replace("\n", "\r"),
+            "reordered": "score,part_id,label\n" + "".join(f"{v},{k},{l}\n" for k, l, v in rows),
+            "extra-columns": "note,part_id,label,score,weight\n"
+                             + "".join(f"x,{k},{l},{v},1\n" for k, l, v in rows),
+            "blank-lines": plain.replace("\n", "\n\n"),
+            "spaces-and-plus": "part_id,label,score\n" + "".join(f" +{k} ,{l}, {v} \n"
+                                                                  for k, l, v in rows),
+        }[variant]
+        (tmp_path / "plain.csv").write_text(plain)
+        (tmp_path / "variant.csv").write_bytes(text.encode())
+        expected = read_sample_sets(tmp_path / "plain.csv")
+        got = read_sample_sets(tmp_path / "variant.csv")
+        assert [s.part_id for s in got] == [0, 1]
+        assert [s.positives.tolist() for s in got] == [[1.5, 2.25], [0.75, 1e-3]]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.positives, b.positives)
+            assert np.array_equal(a.negatives, b.negatives)
+
     @pytest.mark.parametrize("bandwidth", ["inf", "nan", "0"])
     def test_non_finite_bandwidth_exits_4(self, pipeline_dir, bandwidth, capsys):
         base, samples, _ = pipeline_dir
@@ -313,6 +419,109 @@ class TestExitCodes:
     def test_missing_file_exits_3(self, tmp_path):
         code = main(["inspect", "--policy", str(tmp_path / "nope.bin")])
         assert code == 3
+
+
+class TestCsvReaders:
+    """The samples and responses CSV readers: loaded, or a documented exit code."""
+
+    # a blank line is skipped; LINE still counts it
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1\n\n0,1,5\n0,1,2\n", ":5: duplicate location 0, part 1"),
+        ("0,0,1\n\n0,1,x\n", ":4: bad row"),
+    ], ids=["duplicate", "bad-row"])
+    def test_responses_csv_lines_count_blank_lines(self, tmp_path, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("location_id,part_id,score\n" + rows)
+        with pytest.raises(FormatError, match=re.escape(str(bad) + message)):
+            load_responses_csv(bad)
+
+    @pytest.mark.parametrize("line", ["1_0,0,2.5", "1,0,2_5", "1,0,2.5\0", "   ", "1,0"],
+                             ids=["underscore-id", "underscore-score", "nul", "spaces-only",
+                                  "short"])
+    def test_responses_csv_bad_rows(self, tmp_path, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"location_id,part_id,score\n0,0,1\n{line}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{bad}:3: bad row")):
+            load_responses_csv(bad)
+
+    def test_responses_csv_variants_load(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b'score,note,part_id,location_id\r\n"2.5",a,1,0\r\n\r\n'
+                         b'-inf,b,0,1\r\n1e3,c,1,1\r\n"-4",d,"0","0"\r\n')
+        assert load_responses_csv(path).scores.tolist() == [[-4.0, 2.5], [-np.inf, 1000.0]]
+        path.write_text("location_id,part_id,score\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_responses_csv(path).scores.shape == (0, 0)
+
+
+# bodies after a valid header: mostly rows of three fields drawn per column,
+# else rows of any tokens, or raw characters that CSV and number parsing treat
+# specially
+CSV_IDS = ["0", "1", "2", "-1", "+1", " 0", '"0"', "3.0", "0x1", "#0", "99999999999999999999", ""]
+CSV_LABELS = ["pos", "neg", '"pos"', "maybe", "posx", " neg", "pos\x00", ""]
+CSV_SCORES = ["1.5", "-2e3", "0", "nan", "inf", "-inf", "1e999", "1_0", '"1,5"', "x", ""]
+
+
+def csv_bodies(middle):
+    row = st.one_of(
+        st.tuples(st.sampled_from(CSV_IDS), st.sampled_from(middle),
+                  st.sampled_from(CSV_SCORES)).map(",".join),
+        st.lists(st.sampled_from(CSV_IDS + CSV_LABELS + CSV_SCORES + ['"', "\t"]),
+                 max_size=5).map(",".join))
+    rows = st.lists(row, max_size=12).map(lambda lines: "\n".join(lines) + "\n")
+    raw = st.text(alphabet=st.sampled_from(list('0123-+.e,;"# \t\r\nposneginf\x00')),
+                  max_size=60)
+    return st.one_of(rows, raw)
+
+
+@pytest.fixture(scope="module")
+def two_part_artifacts(tmp_path_factory):
+    """A two-part likelihood file and policy for infer runs on generated responses."""
+    base = tmp_path_factory.mktemp("readers")
+    rng = np.random.default_rng(3)
+    liks = base / "liks.json"
+    save_likelihoods([fit_part_likelihood(ScoreSampleSet(
+        k, rng.standard_normal(40) + 1.0, rng.standard_normal(40) - 1.0), n_bins=16)
+        for k in range(2)], liks)
+    policy = base / "policy.bin"
+    assert main(["train-policy", "--likelihoods", str(liks), "--lambda-fp", "4",
+                 "--lambda-fn", "4", "--belief-bins", "11", "--out", str(policy)]) == 0
+    return base, liks, policy
+
+
+@settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
+@given(body=csv_bodies(CSV_LABELS))
+def test_any_samples_body_loads_or_fit_exits_3_or_4(two_part_artifacts, body):
+    base, _, _ = two_part_artifacts
+    samples = base / "samples.csv"
+    samples.write_bytes(("part_id,label,score\n" + body).encode())
+    try:
+        read_sample_sets(samples)
+        loaded = True
+    except FormatError:
+        loaded = False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["fit", "--samples", str(samples), "--out", str(base / "fit.json")])
+    assert code in ((0, 3, 4) if loaded else (3,))
+
+
+@settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
+@given(body=csv_bodies(CSV_IDS))
+def test_any_responses_body_loads_or_infer_exits_3_or_4(two_part_artifacts, body):
+    base, liks, policy = two_part_artifacts
+    responses = base / "x.csv"
+    responses.write_bytes(("location_id,part_id,score\n" + body).encode())
+    try:
+        load_responses_csv(responses)
+        loaded = True
+    except FormatError:
+        loaded = False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["infer", "--policy", str(policy), "--likelihoods", str(liks),
+                     "--responses", str(responses), "--out", str(base / "results.csv")])
+    # a loaded file may still hold another part count than the policy (exit 5)
+    assert code in ((0, 5) if loaded else (3,))
 
 
 def test_train_policy_bytes_independent_of_blas_threads(tmp_path):
@@ -388,11 +597,15 @@ class TestSweepAndInspect:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 3
 
+    # a separation too wide for the density floor or for a finite bandwidth
+    # is the spec's fault, not a file's
     @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5),
                                               ("n_locations", 10.5), ("train_samples", 300.5),
-                                              ("informativeness_profile", [float("nan"), 1.0])],
+                                              ("informativeness_profile", [float("nan"), 1.0]),
+                                              ("separation", 1e6), ("separation", 1e308)],
                              ids=["seed--1", "seed-1.5", "n_locations-10.5",
-                                  "train_samples-300.5", "informativeness_profile-nan"])
+                                  "train_samples-300.5", "informativeness_profile-nan",
+                                  "separation-1e6", "separation-1e308"])
     def test_sweep_invalid_spec_field_exits_4(self, tmp_path, field, value, capsys):
         spec = {"n_parts": 2, "separation": 1.0, "prior_positive": 0.5,
                 "n_locations": 10, "seed": 1, "train_samples": 300, field: value}

@@ -61,6 +61,14 @@ class TestFitKde:
         samples = rng.standard_normal(1000)
         assert fit_kde(samples)(0.0) == pytest.approx(GAUSS_PEAK, abs=0.05)
 
+    def test_equals_the_expression_it_evaluates_in_place(self, rng):
+        density = fit_kde(rng.standard_normal(300) * 3.0)
+        for x in (0.25, rng.uniform(-20.0, 20.0, 201), rng.uniform(-1e3, 1e3, (3, 7))):
+            z = (np.asarray(x)[..., None] - density.samples) / density.bandwidth
+            norm = density.samples.size * density.bandwidth * math.sqrt(2.0 * math.pi)
+            expected = np.exp(-0.5 * z * z).sum(axis=-1) / norm
+            assert np.array_equal(density(x), expected)
+
     def test_integrates_to_one(self, rng):
         density = fit_kde(rng.standard_normal(50))
         xs = np.linspace(-8, 8, 4001)

@@ -18,7 +18,7 @@ from partsched import (
     train_policy,
 )
 from partsched.inference import POS_LABEL
-from partsched.oracle import _chain_tables
+from partsched.oracle import _chain_tables, _outcome_bins
 from partsched.policy import LABEL_NEG, LABEL_POS, Policy, _score_bin_transitions, part_action
 
 from conftest import (
@@ -193,6 +193,45 @@ class TestSimulatePolicy:
         big = simulate_policy(policy, inst.likelihoods, 0.5, 100000, seed=11)
         ratio = big.std_error / small.std_error
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.2)
+
+
+class TestOutcomeBins:
+    """The bisection draw equals the count draw min((row <= u).sum(), n_bins - 1)."""
+
+    @staticmethod
+    def counted(cdf, rows, u):
+        return np.minimum((cdf[rows] <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 7, 8, 9, 201])
+    def test_adversarial_rows(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        cdf = np.cumsum(rng.random((40, n_bins)), axis=1)
+        cdf /= cdf[:, -1:]
+        cdf[1] = np.cumsum(np.where(np.arange(n_bins) % 3 == 1, 0.0, 1.0)) / n_bins  # zero-mass runs
+        cdf[2] = 0.0  # all mass in one bin: every entry is equal
+        cdf[2, -1] = 1.0
+        cdf[3] = 0.5  # a last entry below 1, drawn above it
+        cdf[4] = np.minimum(np.arange(1, n_bins + 1) / n_bins, 1.0 - 1e-9)
+        rows = np.repeat(np.arange(cdf.shape[0]), 2 * n_bins + 4)
+        u = rng.random(rows.size)
+        # u exactly at each entry of its row, and above every entry
+        at_entry = np.concatenate([np.arange(r * (2 * n_bins + 4), r * (2 * n_bins + 4) + n_bins)
+                                   for r in range(cdf.shape[0])])
+        u[at_entry] = cdf[rows[at_entry], np.tile(np.arange(n_bins), cdf.shape[0])]
+        u[rows == 3] = 0.75
+        u[:: 2 * n_bins + 4] = 1.0
+        u[1:: 2 * n_bins + 4] = 0.0
+        assert np.array_equal(_outcome_bins(cdf, rows, u), self.counted(cdf, rows, u))
+
+    def test_chain_table_rows(self):
+        likelihoods = scan_synthetic("scan-deep")[0].likelihoods
+        cdf, _ = _chain_tables(likelihoods, BeliefGrid(101))
+        cdf = cdf.reshape(-1, cdf.shape[2])
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, cdf.shape[0], 50_000)
+        u = rng.random(rows.size)
+        u[:1000] = cdf[rows[:1000], rng.integers(0, cdf.shape[1], 1000)]
+        assert np.array_equal(_outcome_bins(cdf, rows, u), self.counted(cdf, rows, u))
 
 
 def training_successors(likelihoods, grid):

@@ -85,6 +85,18 @@ class TestMakeSynthetic:
         error = float(np.mean(predicted != truth))
         assert error == pytest.approx(gauss_cdf(-2.0), abs=0.006)
 
+    # the fitted support spans about 4 x separation: 1e5 fits under the
+    # density floor's 1e6 limit, 1e6 does not and is the spec's fault
+    @pytest.mark.parametrize("separation, fits", [(1e5, True), (1e6, False), (1e308, False)])
+    def test_separation_too_wide_to_fit_is_invalid(self, separation, fits):
+        spec = SyntheticSpec(n_parts=2, separation=separation, prior_positive=0.5,
+                             n_locations=10, seed=1, train_samples=300)
+        if fits:
+            assert len(make_synthetic(spec)[0].likelihoods) == 2
+        else:
+            with pytest.raises(InvalidParameterError, match="separation"):
+                make_synthetic(spec)
+
     def test_first_part_is_most_informative_choice(self):
         spec = SyntheticSpec(n_parts=5, separation=3.0, prior_positive=0.5,
                              n_locations=10, seed=2, train_samples=1500)
