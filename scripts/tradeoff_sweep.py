@@ -22,14 +22,12 @@ def main():
     parser.add_argument("--separation", type=float, default=3.0)
     parser.add_argument("--lambdas", type=float, nargs="+",
                         default=[0.5, 2.0, 8.0, 32.0, 128.0])
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     spec = SyntheticSpec(n_parts=args.parts, separation=args.separation,
                          prior_positive=0.5, n_locations=args.locations,
                          seed=args.seed)
-    sweep = lambda_sweep(spec, [(l, l) for l in args.lambdas],
-                         BeliefGrid(101), threads=args.threads)
+    sweep = lambda_sweep(spec, [(l, l) for l in args.lambdas], BeliefGrid(101))
     save_sweep_csv(sweep, args.out)
     Path(args.out + ".meta.json").write_text(json.dumps(
         {"seed": args.seed, "lambdas": args.lambdas, "locations": args.locations,

@@ -8,8 +8,8 @@ Exit codes, stable for scripting: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,11 +18,10 @@ import numpy as np
 from . import oracle, synth
 from .errors import (
     ArityMismatchError,
-    CapacityError,
     FormatError,
     InsufficientDataError,
     InvalidParameterError,
-    InvalidRangeError,
+    PartschedError,
 )
 from .inference import DetectorModel, load_responses, run_grid, save_results_csv
 from .likelihoods import fit_part_likelihood, load_likelihoods, read_sample_sets, save_likelihoods
@@ -38,10 +37,6 @@ from .policy import (
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_CAPACITY = 2
-EXIT_FORMAT = 3
-EXIT_PARAMETER = 4
-EXIT_ARITY = 5
 
 VERIFY_TOLERANCE = 1e-6
 
@@ -131,15 +126,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds < 1:
+        raise InvalidParameterError(f"--seeds must be >= 1, got {args.seeds}")
     reports = []
     worst = 0.0
     failing_seed = None
     for seed in range(args.seeds):
         inst = oracle.random_tiny_instance(seed)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        dp_row = policy.values[0].copy()
-        if args.perturb_values:
-            dp_row = dp_row + args.perturb_values
+        dp_row = policy.values[0]
         oracle_row = oracle.exhaustive_value_row(inst)
         diff = float(np.max(np.abs(dp_row - oracle_row)))
         half = inst.grid.nearest_index(0.5)
@@ -188,13 +183,11 @@ def _parse_lambda_grid(text: str) -> list[tuple[float, float]]:
 def _load_spec(path) -> synth.SyntheticSpec:
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise FormatError(f"{path}: not a valid spec file: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
-    known = {"n_parts", "separation", "prior_positive", "n_locations", "seed",
-             "informativeness_profile", "train_samples"}
-    unknown = set(payload) - known
+    unknown = set(payload) - {f.name for f in dataclasses.fields(synth.SyntheticSpec)}
     if unknown:
         raise FormatError(f"{path}: unknown spec fields {sorted(unknown)}")
     try:
@@ -209,19 +202,10 @@ def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
     points = _parse_lambda_grid(args.grid)
     grid = BeliefGrid(args.belief_bins)
-    result = synth.lambda_sweep(spec, points, grid, threads=args.threads)
+    result = synth.lambda_sweep(spec, points, grid)
     synth.save_sweep_csv(result, args.out)
     meta = {
-        "spec": {
-            "n_parts": spec.n_parts,
-            "separation": spec.separation,
-            "prior_positive": spec.prior_positive,
-            "n_locations": spec.n_locations,
-            "seed": spec.seed,
-            "informativeness_profile": (list(spec.informativeness_profile)
-                                        if spec.informativeness_profile else None),
-            "train_samples": spec.train_samples,
-        },
+        "spec": dataclasses.asdict(spec),
         "grid": [[fp, fn] for fp, fn in points],
         "belief_bins": grid.d,
         "failures": [[fp, fn, msg] for fp, fn, msg in result.failures],
@@ -319,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify the trained tables against exhaustive enumeration")
     p.add_argument("--seeds", type=int, default=20, help="number of seeded tiny instances")
     p.add_argument("--trials", type=int, default=20000, help="Monte Carlo trials per instance")
-    p.add_argument("--perturb-values", type=float, default=0.0,
-                   help="fault-injection offset added to the trained values (test hook)")
     p.add_argument("--out", default=None, help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
@@ -328,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="synthetic spec JSON")
     p.add_argument("--grid", required=True, help="semicolon-separated fp,fn pairs, e.g. '4,4;8,4'")
     p.add_argument("--belief-bins", type=int, default=101)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="parallel sweep rows; rows are seeded independently, so any "
-                        "thread count writes the same rows")
     p.add_argument("--out", required=True, help="output sweep CSV")
     p.set_defaults(func=cmd_sweep)
 
@@ -345,18 +324,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CapacityError as exc:
+    except (PartschedError, OSError) as exc:  # an unreadable or unwritable file is a format error
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (FormatError, InsufficientDataError, InvalidRangeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ArityMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARITY
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
+        return exc.exit_code if isinstance(exc, PartschedError) else FormatError.exit_code
 
 
 if __name__ == "__main__":

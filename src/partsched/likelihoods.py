@@ -349,7 +349,7 @@ def save_likelihoods(likelihoods, path) -> None:
 def load_likelihoods(path) -> list[ScoreLikelihood]:
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise FormatError(f"{path}: not a valid likelihood file: {exc}") from exc
     if not isinstance(payload, list) or not payload:
         raise FormatError(f"{path}: expected a non-empty JSON array of parts")
@@ -363,7 +363,7 @@ def load_likelihoods(path) -> list[ScoreLikelihood]:
                 neg=DiscretePdf(lo=float(entry["lo"]), hi=float(entry["hi"]),
                                 bins=np.asarray(entry["neg"], dtype=float)),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise FormatError(f"{path}: malformed part entry: {exc}") from exc
     out.sort(key=lambda l: l.part_id)
     _check_part_ids([lik.part_id for lik in out], path)

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InsufficientScriptError, InvalidParameterError
+from .errors import (
+    ArityMismatchError,
+    CapacityError,
+    InsufficientScriptError,
+    InvalidParameterError,
+)
 from .likelihoods import DiscretePdf, ScoreLikelihood
 from .policy import (
     LABEL_NEG,
@@ -235,14 +240,17 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
     belief is the snapped posterior.  The realized cost charges one unit per
     part plus the terminal misclassification risk under `policy.costs`; a
     hidden label drawn from the final belief feeds the fp/fn rates.
-    Deterministic given the seed.  A prior outside [0, 1] is clamped; a NaN
-    or infinite prior is rejected.
+    Deterministic given the seed, a non-negative integer.  A prior outside
+    [0, 1] is clamped; a NaN or infinite prior is rejected.
     """
     if n_trials < 1:
         raise InvalidParameterError(f"n_trials must be >= 1, got {n_trials}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}")
     likelihoods = list(likelihoods)
     if len(likelihoods) != policy.n_parts:
-        raise InvalidParameterError("likelihoods must match the policy's part count")
+        raise ArityMismatchError(f"{len(likelihoods)} likelihoods for a "
+                                 f"{policy.n_parts}-part policy")
     prior = float(prior)
     if not math.isfinite(prior):
         raise InvalidParameterError(f"prior must be finite, got {prior}")

@@ -299,7 +299,7 @@ def load_policy(path) -> Policy:
         n_parts = int(header["n_parts"])
         d = int(header["d"])
         costs = CostParams(float(header["lambda_fp"]), float(header["lambda_fn"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed policy header: {exc}") from exc
     if n_parts > MAX_PARTS:
         raise CapacityError(f"{path}: {n_parts} parts exceeds the {MAX_PARTS}-part budget")

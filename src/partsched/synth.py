@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidRangeError, UndefinedMetricError
 from .inference import (
+    DetectionResults,
     DetectorModel,
     InferenceStats,
     MatrixResponseProvider,
@@ -128,9 +128,20 @@ class ClassificationCounts:
         return (self.fp + self.fn) / total if total else 0.0
 
 
+def _columns(results) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(location_id, positive, score) of results: a DetectionResults's own
+    columns, or read object by object from any other iterable of results."""
+    if isinstance(results, DetectionResults):
+        return results.location_id, results.positive, results.score
+    results = list(results)
+    return (np.array([r.location_id for r in results], dtype=np.intp),
+            np.array([r.label == POS_LABEL for r in results], dtype=bool),
+            np.array([r.score for r in results]))
+
+
 def classification_counts(results, truth) -> ClassificationCounts:
-    predicted = np.array([r.label == POS_LABEL for r in results], dtype=bool)
-    actual = np.asarray(truth, dtype=bool)[np.array([r.location_id for r in results], dtype=np.intp)]
+    location_id, predicted, _ = _columns(results)
+    actual = np.asarray(truth, dtype=bool)[location_id]
     tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
     return ClassificationCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
@@ -155,8 +166,8 @@ def precision_recall(results, truth) -> PrCurve:
     n_positive = int(truth.sum())
     if n_positive == 0:
         raise UndefinedMetricError("precision/recall needs at least one positive location")
-    scores = np.array([r.score for r in results])
-    labels = truth[np.array([r.location_id for r in results])]
+    location_id, _, scores = _columns(results)
+    labels = truth[location_id]
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
     labels = labels[order]
@@ -227,8 +238,7 @@ def evaluate_operating_point(model: DetectorModel, provider, truth,
     )
 
 
-def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None,
-                 threads: int = 1) -> SweepResult:
+def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> SweepResult:
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
 
     All points share the same synthetic likelihoods and response grid.  A
@@ -242,31 +252,18 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
     grid = grid or BeliefGrid()
     model, provider, truth = make_synthetic(spec)
     out = SweepResult()
-    jobs = [(model, provider, truth, fp, fn, grid.d) for fp, fn in points]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            settled = list(pool.map(_try_sweep_job, jobs))
-    else:
-        settled = [_try_sweep_job(job) for job in jobs]
-    for (fp, fn), (row, error) in zip(points, settled):
-        if row is not None:
-            out.rows.append(row)
-        else:
+    for fp, fn in points:
+        try:
+            out.rows.append(evaluate_operating_point(model, provider, truth,
+                                                     CostParams(fp, fn), grid))
+        except Exception as exc:  # sweep rows fail independently
+            error = f"{type(exc).__name__}: {exc}"
             log.warning("sweep point (%s, %s) failed: %s", fp, fn, error)
             out.failures.append((fp, fn, error))
     diag = out.diagonal_diagnostics()
     if len(diag["lambdas"]) > 1:
         log.info("diagonal diagnostics: %s", diag)
     return out
-
-
-def _try_sweep_job(args):
-    model, provider, truth, lam_fp, lam_fn, d = args
-    try:
-        return evaluate_operating_point(model, provider, truth,
-                                        CostParams(lam_fp, lam_fn), BeliefGrid(d)), None
-    except Exception as exc:  # sweep rows fail independently
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 def save_sweep_csv(result: SweepResult, path) -> None:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,13 +17,19 @@ from hypothesis import strategies as st
 
 import partsched
 from partsched import (
+    CapacityError,
     FormatError,
+    PartschedError,
     ScoreSampleSet,
     SyntheticSpec,
+    cli,
     fit_part_likelihood,
     load_likelihoods,
+    load_policy,
     load_responses_csv,
+    load_results_csv,
     make_synthetic,
+    oracle,
     read_sample_sets,
     save_likelihoods,
     save_responses_bin,
@@ -90,6 +97,15 @@ RECORDED_MASKED_SIMULATE_SHA256 = {
 }
 RECORDED_DP_VALUE = {"0.5": 3.788810418727038, "0.37": 3.6215133152576815}
 DP_VALUE = re.compile(r'(?<="dp_value":)[^,}]+')
+
+
+# sha256 digests of sweep.csv.meta.json for a three-part spec without and
+# with an informativeness_profile, recorded while cmd_sweep still listed the
+# spec's fields by hand
+RECORDED_SWEEP_META_SHA256 = {
+    None: "e41100dd29024597caa856236c6f225552a8b1d7497a2988d7852706d234f0ab",
+    (1.0, 0.5, 0.25): "b64dea3073de2c3b6d89210ab352e5a3777da15a6bcdffa080b14457dfcc2b50",
+}
 
 
 def write_recorded_inputs():
@@ -409,6 +425,78 @@ class TestExitCodes:
         assert main([command, *(str(v) for pair in argv.items() for v in pair)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_simulate_seed_exits_4(self, pipeline_dir, capsys):
+        base, samples, responses = pipeline_dir
+        liks, policy, _ = run_pipeline(base, samples, responses, "seed")
+        capsys.readouterr()
+        code = main(["simulate", "--policy", str(policy), "--likelihoods", str(liks),
+                     "--seed", "-1", "--trials", "100"])
+        assert code == 4
+        assert "seed" in capsys.readouterr().err
+
+    def test_simulate_arity_mismatch_exits_5(self, pipeline_dir, rng, capsys):
+        # the same pair infer rejects with exit 5: a 3-part policy, 2 likelihoods
+        base, samples, responses = pipeline_dir
+        _, policy, _ = run_pipeline(base, samples, responses, "arity")
+        narrow = base / "narrow.json"
+        save_likelihoods([fit_part_likelihood(ScoreSampleSet(
+            k, rng.standard_normal(50) + 1.0, rng.standard_normal(50) - 1.0)) for k in range(2)],
+            narrow)
+        capsys.readouterr()
+        code = main(["simulate", "--policy", str(policy), "--likelihoods", str(narrow),
+                     "--trials", "100"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "2" in err and "3" in err
+
+    # json.loads reads Infinity, and int(inf) raises OverflowError
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 10 ** 400],
+                             ids=["Infinity", "-Infinity", "1e400"])
+    def test_unrepresentable_likelihood_field_exits_3(self, tmp_path, rng, value, capsys):
+        good = tmp_path / "good.json"
+        save_likelihoods([fit_part_likelihood(ScoreSampleSet(
+            k, rng.standard_normal(50) + 1.0, rng.standard_normal(50) - 1.0), n_bins=16)
+            for k in range(2)], good)
+        payload = json.loads(good.read_text())
+        for field in ("part_id", "lo", "pos"):
+            bad = [dict(entry) for entry in payload]
+            bad[1][field] = [value] * 16 if field == "pos" else value
+            path = tmp_path / f"bad_{field}.json"
+            path.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main(["train-policy", "--likelihoods", str(path), "--lambda-fp", "4",
+                         "--lambda-fn", "4", "--out", str(tmp_path / "p.bin")]) == 3, field
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("field", ["n_parts", "d"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["Infinity", "-Infinity"])
+    def test_infinite_policy_header_field_exits_3(self, pipeline_dir, field, value, capsys):
+        base, samples, responses = pipeline_dir
+        _, policy, _ = run_pipeline(base, samples, responses, "hdr")
+        header, body = policy.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        fields[field] = value
+        bad = base / "bad.bin"
+        bad.write_bytes(json.dumps(fields).encode() + b"\n" + body)
+        capsys.readouterr()
+        assert main(["inspect", "--policy", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: malformed policy header")
+
+    # invalid UTF-8, and nesting deeper than json's recursion limit
+    @pytest.mark.parametrize("text", [b"\xff[]", b"[" * 100_000], ids=["utf-8", "deep"])
+    @pytest.mark.parametrize("command", ["train-policy", "sweep", "inspect"])
+    def test_undecodable_json_exits_3(self, tmp_path, command, text, capsys):
+        bad = tmp_path / "bad"
+        bad.write_bytes(text + b"\n" * (command == "inspect"))
+        argv = {
+            "train-policy": ["--likelihoods", str(bad), "--lambda-fp", "4", "--lambda-fn", "4",
+                             "--out", str(tmp_path / "p.bin")],
+            "sweep": ["--spec", str(bad), "--grid", "4,4", "--out", str(tmp_path / "s.csv")],
+            "inspect": ["--policy", str(bad)],
+        }[command]
+        assert main([command, *argv]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_malformed_likelihoods_exit_3(self, tmp_path):
         bad = tmp_path / "liks.json"
         bad.write_text("{\"oops\": 1}")
@@ -461,12 +549,12 @@ class TestCsvReaders:
 CSV_IDS = ["0", "1", "2", "-1", "+1", " 0", '"0"', "3.0", "0x1", "#0", "99999999999999999999", ""]
 CSV_LABELS = ["pos", "neg", '"pos"', "maybe", "posx", " neg", "pos\x00", ""]
 CSV_SCORES = ["1.5", "-2e3", "0", "nan", "inf", "-inf", "1e999", "1_0", '"1,5"', "x", ""]
+CSV_ORDERS = ["", "0", "0;1", "2;0;1", ";", "0;;1", "255", "256", "-1", "1;x", "3.0", '"0;1"']
 
 
-def csv_bodies(middle):
+def csv_bodies(*columns):
     row = st.one_of(
-        st.tuples(st.sampled_from(CSV_IDS), st.sampled_from(middle),
-                  st.sampled_from(CSV_SCORES)).map(",".join),
+        st.tuples(*map(st.sampled_from, columns)).map(",".join),
         st.lists(st.sampled_from(CSV_IDS + CSV_LABELS + CSV_SCORES + ['"', "\t"]),
                  max_size=5).map(",".join))
     rows = st.lists(row, max_size=12).map(lambda lines: "\n".join(lines) + "\n")
@@ -491,7 +579,7 @@ def two_part_artifacts(tmp_path_factory):
 
 
 @settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
-@given(body=csv_bodies(CSV_LABELS))
+@given(body=csv_bodies(CSV_IDS, CSV_LABELS, CSV_SCORES))
 def test_any_samples_body_loads_or_fit_exits_3_or_4(two_part_artifacts, body):
     base, _, _ = two_part_artifacts
     samples = base / "samples.csv"
@@ -507,7 +595,7 @@ def test_any_samples_body_loads_or_fit_exits_3_or_4(two_part_artifacts, body):
 
 
 @settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
-@given(body=csv_bodies(CSV_IDS))
+@given(body=csv_bodies(CSV_IDS, CSV_IDS, CSV_SCORES))
 def test_any_responses_body_loads_or_infer_exits_3_or_4(two_part_artifacts, body):
     base, liks, policy = two_part_artifacts
     responses = base / "x.csv"
@@ -522,6 +610,122 @@ def test_any_responses_body_loads_or_infer_exits_3_or_4(two_part_artifacts, body
                      "--responses", str(responses), "--out", str(base / "results.csv")])
     # a loaded file may still hold another part count than the policy (exit 5)
     assert code in ((0, 5) if loaded else (3,))
+
+
+@settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
+@given(body=csv_bodies(CSV_IDS, CSV_LABELS, CSV_SCORES, CSV_IDS, CSV_ORDERS))
+def test_any_results_body_loads_or_raises_format_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("results") / "results.csv"
+    path.write_bytes(("location_id,label,score,tau,parts_order\n" + body).encode())
+    try:
+        results = load_results_csv(path)
+    except FormatError:
+        return
+    assert len(results) == len(results.location_id)
+
+
+# JSON values a field may hold instead of its own: numbers json.loads reads
+# but int() and float() cannot take, wrong types and nested containers
+JSON_ODD = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.sampled_from([math.inf, -math.inf, math.nan]),
+              st.integers(-2, 30), st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 64]),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def likelihood_files(draw, base):
+    """A two-part likelihood file with one field of one part replaced, or any JSON text."""
+    if draw(st.booleans()):
+        return json.dumps(draw(JSON_ODD))
+    payload = json.loads(base)
+    entry = payload[draw(st.sampled_from([0, 1]))]
+    key = draw(st.sampled_from(["part_id", "lo", "hi", "pos", "neg", "extra"]))
+    if key in ("pos", "neg") and draw(st.booleans()):
+        entry[key][draw(st.integers(0, len(entry[key]) - 1))] = draw(JSON_ODD)
+    elif draw(st.booleans()):
+        entry.pop(key, None)
+    else:
+        entry[key] = draw(JSON_ODD)
+    return json.dumps(payload)
+
+
+@settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_likelihood_file_loads_or_exits_3(two_part_artifacts, data):
+    base, liks, _ = two_part_artifacts
+    path = base / "odd_liks.json"
+    path.write_text(data.draw(likelihood_files(liks.read_text())))
+    try:
+        load_likelihoods(path)
+        loaded = True
+    except FormatError:
+        loaded = False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["train-policy", "--likelihoods", str(path), "--lambda-fp", "4",
+                     "--lambda-fn", "4", "--belief-bins", "5", "--out", str(base / "odd.bin")])
+    assert code == (0 if loaded else 3)
+
+
+@st.composite
+def policy_files(draw, base):
+    """A policy file with one header field replaced, or any header line, before some body."""
+    header, body = base.split(b"\n", 1)
+    fields = json.loads(header)
+    choice = draw(st.sampled_from(["field", "header", "raw"]))
+    if choice == "field":
+        key = draw(st.sampled_from(["n_parts", "d", "lambda_fp", "lambda_fn", "extra"]))
+        fields[key] = draw(JSON_ODD)
+        header = json.dumps(fields).encode()
+    elif choice == "header":
+        header = json.dumps(draw(JSON_ODD)).encode()
+    else:
+        header = draw(st.binary(max_size=20))
+    if draw(st.booleans()):
+        body = draw(st.binary(max_size=64))
+    return header + b"\n" * draw(st.booleans()) + body
+
+
+@settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_policy_file_loads_or_exits_2_or_3(two_part_artifacts, data):
+    base, _, policy = two_part_artifacts
+    path = base / "odd_policy.bin"
+    path.write_bytes(data.draw(policy_files(policy.read_bytes())))
+    try:
+        load_policy(path)
+        expected = (0,)
+    except (FormatError, CapacityError):
+        expected = (2, 3)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["inspect", "--policy", str(path)])
+    assert code in expected
+
+
+def error_classes(cls=PartschedError):
+    """Every subclass of `cls`, depth first."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+def test_every_error_class_declares_a_documented_exit_code():
+    classes = list(error_classes())
+    assert len(classes) == 12
+    for cls in classes:
+        assert "exit_code" in vars(cls) and cls.exit_code in {2, 3, 4, 5}, cls.__name__
+
+
+@pytest.mark.parametrize("error", list(error_classes()), ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_error_class_code(error, monkeypatch, capsys):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    assert main(["inspect", "--policy", "policy.bin"]) == error.exit_code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_train_policy_bytes_independent_of_blas_threads(tmp_path):
@@ -558,11 +762,19 @@ class TestVerify:
         assert {"optimal_value", "dp_value", "abs_diff", "trials",
                 "mean_cost", "std_error"} <= set(payload["seeds"][0])
 
-    def test_fault_injection_fails(self, tmp_path, capsys):
+    def test_fault_injection_fails(self, tmp_path, capsys, monkeypatch):
+        exhaustive = oracle.exhaustive_value_row
+        monkeypatch.setattr(oracle, "exhaustive_value_row",
+                            lambda inst: exhaustive(inst) + 0.01)
         code = main(["verify", "--seeds", "3", "--trials", "500",
-                     "--perturb-values", "0.01", "--out", str(tmp_path / "r.json")])
+                     "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_exits_4(self, seeds, capsys):
+        assert main(["verify", "--seeds", seeds, "--trials", "500"]) == 4
+        assert "--seeds" in capsys.readouterr().err
 
     def test_report_bytes_reproducible(self, tmp_path):
         a = tmp_path / "a.json"
@@ -581,7 +793,7 @@ class TestSweepAndInspect:
         }))
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--spec", str(spec_path), "--grid", "8,4",
-                     "--belief-bins", "21", "--threads", "1", "--out", str(out)])
+                     "--belief-bins", "21", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "lambda_fp,lambda_fn,ap,rnpe,mean_tau,fp_rate,fn_rate"
@@ -589,6 +801,21 @@ class TestSweepAndInspect:
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert meta["spec"]["seed"] == 8
         assert meta["grid"] == [[8.0, 4.0]]
+
+    @pytest.mark.parametrize("profile", list(RECORDED_SWEEP_META_SHA256),
+                             ids=["no-profile", "profile"])
+    def test_sweep_meta_matches_recorded_digest(self, tmp_path, profile):
+        spec = {"n_parts": 3, "separation": 3.0, "prior_positive": 0.5,
+                "n_locations": 200, "seed": 8, "train_samples": 300}
+        if profile:
+            spec["informativeness_profile"] = list(profile)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--grid", "8,4;4,4",
+                     "--belief-bins", "21", "--out", str(out)]) == 0
+        meta = (tmp_path / "sweep.csv.meta.json").read_bytes()
+        assert hashlib.sha256(meta).hexdigest() == RECORDED_SWEEP_META_SHA256[profile]
 
     def test_sweep_malformed_spec_exits_3(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -611,7 +838,7 @@ class TestSweepAndInspect:
                 "n_locations": 10, "seed": 1, "train_samples": 300, field: value}
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
-        code = main(["sweep", "--spec", str(spec_path), "--grid", "4,4", "--threads", "1",
+        code = main(["sweep", "--spec", str(spec_path), "--grid", "4,4",
                      "--out", str(tmp_path / "s.csv")])
         assert code == 4
         assert field in capsys.readouterr().err

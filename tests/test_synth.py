@@ -22,6 +22,7 @@ from partsched import (
     simulate_policy,
     train_policy,
 )
+from partsched import inference
 from partsched.inference import DetectionResult, NEG_LABEL, POS_LABEL
 from partsched.policy import LABEL_NEG, LABEL_POS, part_action
 
@@ -162,6 +163,31 @@ class TestPrecisionRecall:
             precision_recall([result_stub(0, POS_LABEL, 1.0)], np.array([False]))
 
 
+def test_metrics_read_result_columns(small_spec, monkeypatch):
+    # on a DetectionResults the metrics read its arrays and build no
+    # DetectionResult, and agree with the same results read object by object
+    model, provider, truth = make_synthetic(small_spec)
+    policy = train_policy(model.likelihoods, CostParams(8.0, 4.0), BeliefGrid(21))
+    results, _ = run_grid(model, policy, provider)
+    as_objects = list(results)
+    built = []
+
+    def counting_result(*args, **kwargs):
+        built.append(args)
+        return DetectionResult(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "DetectionResult", counting_result)
+    counts = classification_counts(results, truth)
+    curve = precision_recall(results, truth)
+    assert built == []
+    assert counts == classification_counts(as_objects, truth)
+    expected = precision_recall(as_objects, truth)
+    for name in ("precision", "recall", "thresholds"):
+        np.testing.assert_array_equal(getattr(curve, name), getattr(expected, name))
+    assert curve.average_precision == expected.average_precision
+    assert 0 < counts.tp < len(results) and np.isinf(curve.thresholds[-1])
+
+
 @pytest.fixture(scope="module")
 def small_spec():
     return SyntheticSpec(n_parts=4, separation=3.0, prior_positive=0.5,
@@ -196,14 +222,12 @@ class TestLambdaSweep:
             se = math.sqrt(max(a * (1 - a), 1e-9) / n) + math.sqrt(max(b * (1 - b), 1e-9) / n)
             assert b <= a + 2.0 * se
 
-    def test_parallel_rows_match_serial(self, small_spec):
+    def test_rows_independent_of_other_points(self, small_spec):
         grid = BeliefGrid(21)
         points = [(4.0, 4.0), (16.0, 8.0)]
-        serial = lambda_sweep(small_spec, points, grid, threads=1)
-        rerun = lambda_sweep(small_spec, points, grid, threads=1)
-        parallel = lambda_sweep(small_spec, points, grid, threads=2)
-        assert serial.rows == rerun.rows
-        assert serial.rows == parallel.rows
+        rows = lambda_sweep(small_spec, points, grid).rows
+        assert rows == lambda_sweep(small_spec, points, grid).rows
+        assert rows == [lambda_sweep(small_spec, [p], grid).rows[0] for p in points]
 
     def test_triangular_grid_reproduces_cost_ratio_pattern(self):
         # raising lambda_fp at fixed lambda_fn buys fewer false positives and
