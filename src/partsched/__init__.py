@@ -49,7 +49,6 @@ from .policy import (
     part_action,
     query_policy,
     save_policy,
-    terminal_stage,
     train_policy,
 )
 from .inference import (

@@ -16,18 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, synth
-from .errors import (
-    ArityMismatchError,
-    FormatError,
-    InsufficientDataError,
-    InvalidParameterError,
-    PartschedError,
-)
+from .errors import FormatError, InvalidParameterError, PartschedError
 from .inference import DetectorModel, load_responses, run_grid, save_results_csv
 from .likelihoods import fit_part_likelihood, load_likelihoods, read_sample_sets, save_likelihoods
 from .policy import (
     BeliefGrid,
     CostParams,
+    _popcount,
     action_name,
     load_policy,
     query_policy,
@@ -58,12 +53,6 @@ def cmd_fit(args) -> int:
     sample_sets = read_sample_sets(args.samples)
     if not sample_sets:
         raise FormatError(f"{args.samples}: no samples found")
-    for s in sample_sets:
-        for name, arr in (("pos", s.positives), ("neg", s.negatives)):
-            if arr.size < 2:
-                raise InsufficientDataError(
-                    f"part {s.part_id}: needs >= 2 '{name}' samples, got {arr.size}"
-                )
     likelihoods = [fit_part_likelihood(s, bandwidth=args.bandwidth, n_bins=args.bins)
                    for s in sample_sets]
     save_likelihoods(likelihoods, args.out)
@@ -93,12 +82,6 @@ def cmd_infer(args) -> int:
     policy = load_policy(args.policy)
     likelihoods = load_likelihoods(args.likelihoods)
     provider = load_responses(args.responses)
-    if len(likelihoods) != policy.n_parts:
-        raise ArityMismatchError(f"likelihood file has {len(likelihoods)} parts, "
-                                 f"policy has {policy.n_parts}")
-    if provider.n_locations and provider.n_parts != policy.n_parts:
-        raise ArityMismatchError(f"responses file has {provider.n_parts} parts, "
-                                 f"policy has {policy.n_parts}")
     model = DetectorModel(bias=args.bias, likelihoods=tuple(likelihoods), costs=policy.costs)
     results, stats = run_grid(model, policy, provider)
     save_results_csv(results, args.out)
@@ -191,8 +174,6 @@ def _load_spec(path) -> synth.SyntheticSpec:
     if unknown:
         raise FormatError(f"{path}: unknown spec fields {sorted(unknown)}")
     try:
-        if payload.get("informativeness_profile") is not None:
-            payload["informativeness_profile"] = tuple(payload["informativeness_profile"])
         return synth.SyntheticSpec(**payload)
     except TypeError as exc:
         raise FormatError(f"{path}: incomplete spec: {exc}") from exc
@@ -208,7 +189,7 @@ def cmd_sweep(args) -> int:
         "spec": dataclasses.asdict(spec),
         "grid": [[fp, fn] for fp, fn in points],
         "belief_bins": grid.d,
-        "failures": [[fp, fn, msg] for fp, fn, msg in result.failures],
+        "failures": [[fp, fn, f"{type(exc).__name__}: {exc}"] for fp, fn, exc in result.failures],
     }
     Path(str(args.out) + ".meta.json").write_text(
         json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
@@ -218,6 +199,8 @@ def cmd_sweep(args) -> int:
               f"rnpe_nonincreasing={diag['rnpe_nonincreasing']}")
     print(f"wrote {len(result.rows)} rows to {args.out} "
           f"({len(result.failures)} failures)")
+    if not result.rows:
+        raise result.failures[0][2]  # every point failed: exit with the first one's code
     return EXIT_OK
 
 
@@ -240,8 +223,9 @@ def cmd_inspect(args) -> int:
             print(f"mask {bits}: at p=0.5 -> {at_half}; "
                   + " ".join(f"{k}={v}" for k, v in sorted(summary.items())))
     else:
+        popcount = _popcount(policy.n_parts)
         for used in range(policy.n_parts + 1):
-            masks = [m for m in range(policy.n_states) if m.bit_count() == used]
+            masks = np.flatnonzero(popcount == used)
             rows = policy.actions[masks]
             n_label = int((rows <= 1).sum())
             n_part = int(rows.size - n_label)

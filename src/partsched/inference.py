@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArityMismatchError, FormatError, InvalidActionError, ProviderError
-from .likelihoods import ScoreLikelihood, _read_csv
+from .likelihoods import ScoreLikelihood, _check_part_set, _read_csv
 from .policy import (
     LABEL_POS,
     CostParams,
@@ -114,11 +114,7 @@ class DetectorModel:
 
     def __post_init__(self):
         likelihoods = tuple(self.likelihoods)
-        if not likelihoods:
-            raise ValueError("model needs at least one part")
-        for k, lik in enumerate(likelihoods):
-            if lik.part_id != k:
-                raise ValueError(f"likelihoods must be ordered by part_id 0..n, got {lik.part_id} at {k}")
+        _check_part_set(likelihoods)
         object.__setattr__(self, "likelihoods", likelihoods)
 
     @property
@@ -258,10 +254,14 @@ def _fetch(provider: ResponseProvider, location_ids: np.ndarray, part_id: int) -
 
 def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
            location_ids: np.ndarray) -> tuple[DetectionResults, InferenceStats]:
-    """Label `location_ids` with one frontier; results come back in the same order."""
+    """Label `location_ids` with one frontier; results come back in the same order.
+
+    The model, the policy and a provider holding any location share one part count."""
     n = model.n_parts
     if policy.n_parts != n:
         raise ArityMismatchError(f"policy has {policy.n_parts} parts, model has {n}")
+    if provider.n_locations and provider.n_parts != n:
+        raise ArityMismatchError(f"responses have {provider.n_parts} parts, policy has {n}")
     count = location_ids.size
     mask = np.zeros(count, dtype=np.int64)
     grid = policy.grid
@@ -396,10 +396,12 @@ def load_responses_bin(path) -> MatrixResponseProvider:
         n_loc, n_parts = (int(v) for v in data[:newline].decode().split(","))
     except (UnicodeDecodeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header line") from exc
-    body = data[newline + 1:]
+    if min(n_loc, n_parts) < 0:
+        raise FormatError(f"{path}: negative dimension in header {n_loc},{n_parts}")
+    body = memoryview(data)[newline + 1:]
     if len(body) != n_loc * n_parts * 8:
         raise FormatError(f"{path}: payload is {len(body)} bytes, expected {n_loc * n_parts * 8}")
-    scores = np.frombuffer(body, dtype="<f8").reshape(n_loc, n_parts).astype(float)
+    scores = np.frombuffer(body, dtype="<f8").reshape(n_loc, n_parts)
     _reject_nan(scores, path)
     return MatrixResponseProvider(scores)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InsufficientDataError, InvalidRangeError
+from .errors import ConfigurationError, FormatError, InsufficientDataError, InvalidRangeError
 
 DEFAULT_BINS = 201
 PDF_FLOOR = 1e-6
@@ -232,6 +232,17 @@ class ScoreLikelihood:
             raise ValueError(f"pos/neg pdfs must share support and bin count (part {self.part_id})")
 
 
+def _check_part_set(likelihoods) -> None:
+    """ConfigurationError unless `likelihoods` are parts 0..n-1 in order, n >= 1, with one bin
+    count: part k is bit k of a policy's masks, action 2+k and column k of the responses."""
+    ids = [lik.part_id for lik in likelihoods]
+    if not ids or ids != list(range(len(ids))):
+        raise ConfigurationError(f"part ids must be 0..n-1 in order with n >= 1, got {ids}")
+    bin_counts = sorted({lik.pos.n_bins for lik in likelihoods})
+    if len(bin_counts) > 1:
+        raise ConfigurationError(f"parts must share one bin count, got {bin_counts}")
+
+
 def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = None,
                         n_bins: int = DEFAULT_BINS) -> ScoreLikelihood:
     """Fit positive/negative KDEs and discretize them onto a shared support.
@@ -240,8 +251,12 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
     deviations on each side, so both densities stay evaluable at any score
     seen in training and at moderate extrapolations.
     """
-    kde_pos = fit_kde(sample_set.positives, bandwidth)
-    kde_neg = fit_kde(sample_set.negatives, bandwidth)
+    kdes = []
+    for name, samples in (("pos", sample_set.positives), ("neg", sample_set.negatives)):
+        try:
+            kdes.append(fit_kde(samples, bandwidth))
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(f"part {sample_set.part_id} '{name}' samples: {exc}") from exc
     pooled = np.concatenate([sample_set.positives, sample_set.negatives])
     sigma = float(np.std(pooled, ddof=1))
     if sigma == 0.0:
@@ -249,8 +264,7 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
     lo = float(pooled.min()) - SUPPORT_PADDING_SIGMAS * sigma
     hi = float(pooled.max()) + SUPPORT_PADDING_SIGMAS * sigma
     try:
-        pos = discretize(kde_pos, lo, hi, n_bins)
-        neg = discretize(kde_neg, lo, hi, n_bins)
+        pos, neg = (discretize(kde, lo, hi, n_bins) for kde in kdes)
     except InvalidRangeError as exc:
         raise InvalidRangeError(f"part {sample_set.part_id}: {exc}") from exc
     return ScoreLikelihood(part_id=sample_set.part_id, pos=pos, neg=neg)
@@ -259,10 +273,12 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
 # ---------------------------------------------------------------------------
 # Persistence: samples CSV (part_id,label,score) and likelihoods JSON.
 
-def _check_part_ids(ids, path) -> None:
-    """FormatError unless the sorted part ids of a samples or likelihood file are 0..n-1."""
-    if list(ids) != list(range(len(ids))):
-        raise FormatError(f"{path}: part ids must be 0..{len(ids) - 1}, got {list(ids)}")
+def _json_int(value) -> int:
+    """A JSON number with an integral value as an int; TypeError for booleans,
+    strings and fractions, so that a persisted count or id is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _read_csv(path, columns: dict, check) -> np.ndarray:
@@ -319,7 +335,8 @@ def read_sample_sets(path) -> list[ScoreSampleSet]:
     records = _read_csv(path, {"part_id": np.int64, "label": "U4", "score": float},
                         _sample_defect)  # U4: a label longer than "pos" stays a bad one
     part, score, neg = records["part_id"], records["score"], records["label"] == "neg"
-    _check_part_ids(parts := np.unique(part).tolist(), path)
+    if (parts := np.unique(part).tolist()) != list(range(len(parts))):
+        raise FormatError(f"{path}: part ids must be 0..{len(parts) - 1}, got {parts}")
     return [ScoreSampleSet(k, score[(part == k) & ~neg], score[(part == k) & neg]) for k in parts]
 
 
@@ -351,13 +368,13 @@ def load_likelihoods(path) -> list[ScoreLikelihood]:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise FormatError(f"{path}: not a valid likelihood file: {exc}") from exc
-    if not isinstance(payload, list) or not payload:
-        raise FormatError(f"{path}: expected a non-empty JSON array of parts")
+    if not isinstance(payload, list):
+        raise FormatError(f"{path}: expected a JSON array of parts")
     out = []
     for entry in payload:
         try:
             out.append(ScoreLikelihood(
-                part_id=int(entry["part_id"]),
+                part_id=_json_int(entry["part_id"]),
                 pos=DiscretePdf(lo=float(entry["lo"]), hi=float(entry["hi"]),
                                 bins=np.asarray(entry["pos"], dtype=float)),
                 neg=DiscretePdf(lo=float(entry["lo"]), hi=float(entry["hi"]),
@@ -366,8 +383,8 @@ def load_likelihoods(path) -> list[ScoreLikelihood]:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise FormatError(f"{path}: malformed part entry: {exc}") from exc
     out.sort(key=lambda l: l.part_id)
-    _check_part_ids([lik.part_id for lik in out], path)
-    bin_counts = sorted({lik.pos.n_bins for lik in out})
-    if len(bin_counts) > 1:
-        raise FormatError(f"{path}: parts must share one bin count, got {bin_counts}")
+    try:
+        _check_part_set(out)
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return out

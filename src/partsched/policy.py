@@ -37,13 +37,12 @@ import numpy as np
 
 from .errors import (
     CapacityError,
-    ConfigurationError,
     FormatError,
     InvalidActionError,
     InvalidParameterError,
     InvalidStateError,
 )
-from .likelihoods import ScoreLikelihood
+from .likelihoods import ScoreLikelihood, _check_part_set, _json_int
 
 MAX_PARTS = 24
 DEFAULT_BELIEF_BINS = 101
@@ -124,7 +123,10 @@ class BeliefGrid:
 
 @dataclass(frozen=True)
 class Policy:
-    """Lookup tables mapping (used-parts mask, belief bin) to action and value."""
+    """Lookup tables mapping (used-parts mask, belief bin) to action and value.
+
+    An action code past the last part, or one naming a part its mask already
+    uses, is an InvalidActionError."""
 
     n_parts: int
     grid: BeliefGrid
@@ -140,8 +142,13 @@ class Policy:
         values = np.asarray(self.values, dtype=float)
         if actions.shape != shape or values.shape != shape:
             raise ValueError(f"tables must have shape {shape}")
-        if actions[-1].max() > LABEL_POS:
-            raise ValueError("full-mask row must contain labels only")
+        if actions.max() >= _PART_BASE + self.n_parts:
+            raise InvalidActionError(f"action code {actions.max()} out of range")
+        # rows whose mask has bit k set must not name part k; one view per part,
+        # so the only temporary is a boolean half-table
+        for k in range(self.n_parts):
+            if (actions.reshape(-1, 2, 1 << k, shape[1])[:, 1] == part_action(k)).any():
+                raise InvalidActionError("table names an already-used part")
         # read-only views, not copies: the tables are the policy's largest
         # allocation, and the trainer and the loader hand over arrays no one else writes
         actions = actions.view()
@@ -156,18 +163,10 @@ class Policy:
         return 1 << self.n_parts
 
 
-def terminal_stage(costs: CostParams, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Values and labels once every part has been used.
-
-    The only remaining choice is the label; its expected cost is the belief-
-    weighted risk of being wrong, and ties go to the background label.
-    """
-    p = grid.centers
-    stop_neg = costs.lambda_fn * p
-    stop_pos = costs.lambda_fp * (1.0 - p)
-    values = np.minimum(stop_neg, stop_pos)
-    actions = np.where(stop_neg <= stop_pos, LABEL_NEG, LABEL_POS).astype(np.uint8)
-    return values, actions
+def _popcount(n_parts: int) -> np.ndarray:
+    """Number of used parts, i.e. the stage, of every mask 0..2^n_parts - 1."""
+    masks = np.arange(1 << n_parts)
+    return sum((masks >> k) & 1 for k in range(n_parts))
 
 
 def _successor(lik: ScoreLikelihood, grid: BeliefGrid, i, j):
@@ -212,38 +211,28 @@ def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None)
     Stages run from the all-used mask down to the empty mask.  A stage is the
     set of masks with one popcount; for each part it takes one matrix product
     over all of them.  Ties resolve deterministically: background label, then
-    foreground label, then the lowest-indexed part.
+    foreground label, then the lowest-indexed part.  At the all-used mask no
+    part is free, so its value is the cheaper label's belief-weighted risk.
     """
     likelihoods = list(likelihoods)
-    if not likelihoods:
-        raise ValueError("need at least one part likelihood")
     n_parts = len(likelihoods)
     if n_parts > MAX_PARTS:
         raise CapacityError(f"{n_parts} parts exceeds the {MAX_PARTS}-part table budget")
-    for k, lik in enumerate(likelihoods):
-        if lik.part_id != k:
-            raise ConfigurationError(f"likelihoods must be ordered by part_id 0..n, got {lik.part_id} at {k}")
-        if lik.pos.n_bins != likelihoods[0].pos.n_bins:
-            raise ConfigurationError("all likelihoods must share one bin count")
+    _check_part_set(likelihoods)
     grid = grid or BeliefGrid()
 
     d = grid.d
     n_states = 1 << n_parts
     values = np.empty((n_states, d))
     actions = np.empty((n_states, d), dtype=np.uint8)
-    values[-1], actions[-1] = terminal_stage(costs, grid)
 
     transitions_t = [_transition_matrix(lik, grid).T for lik in likelihoods]
     p = grid.centers
     stop_neg = costs.lambda_fn * p
     stop_pos = costs.lambda_fp * (1.0 - p)
 
-    all_masks = np.arange(n_states)
-    popcount = np.zeros(n_states, dtype=np.intp)
-    for k in range(n_parts):
-        popcount += (all_masks >> k) & 1
-
-    for t in range(n_parts - 1, -1, -1):
+    popcount = _popcount(n_parts)
+    for t in range(n_parts, -1, -1):
         stage = np.flatnonzero(popcount == t)
         best_q = np.full((stage.size, d), np.inf)
         best_k = np.zeros((stage.size, d), dtype=np.intp)
@@ -296,8 +285,8 @@ def load_policy(path) -> Policy:
         raise FormatError(f"{path}: missing header line")
     try:
         header = json.loads(data[:newline])
-        n_parts = int(header["n_parts"])
-        d = int(header["d"])
+        n_parts = _json_int(header["n_parts"])
+        d = _json_int(header["d"])
         costs = CostParams(float(header["lambda_fp"]), float(header["lambda_fn"]))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed policy header: {exc}") from exc
@@ -312,11 +301,8 @@ def load_policy(path) -> Policy:
         raise FormatError(f"{path}: table payload is {len(body)} bytes, expected {expected}")
     actions = np.frombuffer(body[:n_states * d], dtype=np.uint8).reshape(n_states, d)
     values = np.frombuffer(body[n_states * d:], dtype="<f8").reshape(n_states, d)
-    if actions.max() >= _PART_BASE + n_parts:
-        raise FormatError(f"{path}: action code {actions.max()} out of range")
-    # rows whose mask has bit k set must not name part k; one view per part,
-    # so the only temporary is a boolean half-table
-    for k in range(n_parts):
-        if (actions.reshape(-1, 2, 1 << k, d)[:, 1] == part_action(k)).any():
-            raise FormatError(f"{path}: table names an already-used part")
-    return Policy(n_parts=n_parts, grid=BeliefGrid(d), costs=costs, actions=actions, values=values)
+    try:
+        return Policy(n_parts=n_parts, grid=BeliefGrid(d), costs=costs, actions=actions,
+                      values=values)
+    except InvalidActionError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

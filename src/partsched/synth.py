@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,12 @@ log = logging.getLogger(__name__)
 DEFAULT_PROFILE_RATIO = 0.8
 
 
+def _is_finite(v) -> bool:
+    """Whether v is a number, not a bool, within the float range (an int may lie beyond it)."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Configuration of one synthetic detector + location grid."""
@@ -49,17 +56,19 @@ class SyntheticSpec:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
                 raise InvalidParameterError(f"{name} must be an integer >= {least}, got {v!r}")
-        if not (self.separation >= 0.0 and math.isfinite(self.separation)):
-            raise InvalidParameterError(f"separation must be >= 0, got {self.separation}")
-        if not (0.0 <= self.prior_positive <= 1.0):
-            raise InvalidParameterError(f"prior_positive must be in [0, 1], got {self.prior_positive}")
+        if not (_is_finite(self.separation) and self.separation >= 0.0):
+            raise InvalidParameterError(f"separation must be finite and >= 0, got {self.separation!r}")
+        if not (_is_finite(self.prior_positive) and 0.0 <= self.prior_positive <= 1.0):
+            raise InvalidParameterError(f"prior_positive must be in [0, 1], got {self.prior_positive!r}")
         if self.informativeness_profile is not None:
-            profile = tuple(float(v) for v in self.informativeness_profile)
+            profile = self.informativeness_profile
+            if not (isinstance(profile, (list, tuple, np.ndarray))
+                    and all(_is_finite(v) and v >= 0.0 for v in profile)):
+                raise InvalidParameterError("informativeness_profile must be a list of finite "
+                                            f"multipliers >= 0, got {profile!r}")
             if len(profile) != self.n_parts:
                 raise InvalidParameterError("informativeness_profile must have one multiplier per part")
-            if not all(0.0 <= v < math.inf for v in profile):
-                raise InvalidParameterError("informativeness_profile multipliers must be finite and >= 0")
-            object.__setattr__(self, "informativeness_profile", profile)
+            object.__setattr__(self, "informativeness_profile", tuple(float(v) for v in profile))
 
     @property
     def multipliers(self) -> np.ndarray:
@@ -200,7 +209,7 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
-    failures: list[tuple[float, float, str]] = field(default_factory=list)
+    failures: list[tuple[float, float, Exception]] = field(default_factory=list)
 
     def diagonal_rows(self) -> list[SweepRow]:
         return sorted((r for r in self.rows if r.lambda_fp == r.lambda_fn),
@@ -242,7 +251,7 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
 
     All points share the same synthetic likelihoods and response grid.  A
-    failing point is recorded and skipped rather than aborting the sweep.
+    failing point is recorded, with its exception, and skipped.
     """
     points = [(float(fp), float(fn)) for fp, fn in lambda_grid]
     if not points:
@@ -257,9 +266,8 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
             out.rows.append(evaluate_operating_point(model, provider, truth,
                                                      CostParams(fp, fn), grid))
         except Exception as exc:  # sweep rows fail independently
-            error = f"{type(exc).__name__}: {exc}"
-            log.warning("sweep point (%s, %s) failed: %s", fp, fn, error)
-            out.failures.append((fp, fn, error))
+            log.warning("sweep point (%s, %s) failed: %s: %s", fp, fn, type(exc).__name__, exc)
+            out.failures.append((fp, fn, exc))
     diag = out.diagonal_diagnostics()
     if len(diag["lambdas"]) > 1:
         log.info("diagonal diagnostics: %s", diag)

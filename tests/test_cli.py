@@ -26,6 +26,7 @@ from partsched import (
     fit_part_likelihood,
     load_likelihoods,
     load_policy,
+    load_responses_bin,
     load_responses_csv,
     load_results_csv,
     make_synthetic,
@@ -482,6 +483,43 @@ class TestExitCodes:
         assert main(["inspect", "--policy", str(bad)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {bad}: malformed policy header")
 
+    # the payload fits the truncated dimensions, so int() would have loaded
+    # a 2.5-part header as a 2-part policy
+    @pytest.mark.parametrize("n_parts, d", [(2.5, 11), (2, 11.7), (True, 11), (2, "11")],
+                             ids=["n_parts-2.5", "d-11.7", "n_parts-true", "d-string"])
+    def test_non_integral_policy_header_field_exits_3(self, tmp_path, n_parts, d, capsys):
+        entries = (1 << int(n_parts)) * int(d)
+        bad = tmp_path / "bad.bin"
+        header = json.dumps({"d": d, "lambda_fn": 1.0, "lambda_fp": 1.0, "n_parts": n_parts})
+        bad.write_bytes(header.encode() + b"\n" + bytes(entries) + bytes(8 * entries))
+        capsys.readouterr()
+        assert main(["inspect", "--policy", str(bad)]) == 3
+        assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ids", [(False, 1), (0, 1.9), (0, True)],
+                             ids=["false-1", "0-1.9", "0-true"])
+    def test_non_integral_part_id_exits_3(self, tmp_path, two_part_artifacts, ids, capsys):
+        _, liks, _ = two_part_artifacts
+        payload = json.loads(liks.read_text())
+        for entry, part_id in zip(payload, ids):
+            entry["part_id"] = part_id
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["train-policy", "--likelihoods", str(bad), "--lambda-fp", "4",
+                     "--lambda-fn", "4", "--out", str(tmp_path / "p.bin")]) == 3
+        assert "expected an integer" in capsys.readouterr().err
+
+    def test_negative_responses_header_exits_3(self, tmp_path, two_part_artifacts, capsys):
+        # -1 x -9 x 8 bytes matches the 72-byte payload
+        _, liks, policy = two_part_artifacts
+        bad = tmp_path / "responses.bin"
+        bad.write_bytes(b"-1,-9\n" + bytes(72))
+        capsys.readouterr()
+        assert main(["infer", "--policy", str(policy), "--likelihoods", str(liks),
+                     "--responses", str(bad), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "negative dimension" in capsys.readouterr().err
+
     # invalid UTF-8, and nesting deeper than json's recursion limit
     @pytest.mark.parametrize("text", [b"\xff[]", b"[" * 100_000], ids=["utf-8", "deep"])
     @pytest.mark.parametrize("command", ["train-policy", "sweep", "inspect"])
@@ -612,6 +650,38 @@ def test_any_responses_body_loads_or_infer_exits_3_or_4(two_part_artifacts, body
     assert code in ((0, 5) if loaded else (3,))
 
 
+@st.composite
+def responses_bin_files(draw):
+    """A binary responses file: two small integers or any bytes as its header,
+    then little-endian floats (NaN and infinities included) or any bytes."""
+    if draw(st.booleans()):
+        n_loc, n_parts = draw(st.integers(-3, 5)), draw(st.integers(-3, 3))
+        header = b"%d,%d" % (n_loc, n_parts)
+        size = abs(n_loc * n_parts) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        body = np.array(draw(st.lists(st.floats(), min_size=max(size, 0), max_size=max(size, 0))),
+                        dtype="<f8").tobytes()
+    else:
+        header, body = draw(st.binary(max_size=12)), draw(st.binary(max_size=80))
+    return header + b"\n" * draw(st.booleans()) + body
+
+
+@settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_responses_bin_loads_or_infer_exits_3(two_part_artifacts, data):
+    base, liks, policy = two_part_artifacts
+    responses = base / "x.bin"
+    responses.write_bytes(data.draw(responses_bin_files()))
+    try:
+        load_responses_bin(responses)
+        loaded = True
+    except FormatError:
+        loaded = False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["infer", "--policy", str(policy), "--likelihoods", str(liks),
+                     "--responses", str(responses), "--out", str(base / "results.csv")])
+    assert code in ((0, 5) if loaded else (3,))
+
+
 @settings(deadline=None, max_examples=75, suppress_health_check=[HealthCheck.too_slow])
 @given(body=csv_bodies(CSV_IDS, CSV_LABELS, CSV_SCORES, CSV_IDS, CSV_ORDERS))
 def test_any_results_body_loads_or_raises_format_error(tmp_path_factory, body):
@@ -702,6 +772,25 @@ def test_any_policy_file_loads_or_exits_2_or_3(two_part_artifacts, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["inspect", "--policy", str(path)])
     assert code in expected
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_sweep_spec_loads_or_raises_3_or_4(tmp_path_factory, data):
+    spec = {"n_parts": 2, "separation": 1.0, "prior_positive": 0.5, "n_locations": 10,
+            "seed": 1, "train_samples": 300}
+    spec[data.draw(st.sampled_from([*spec, "informativeness_profile", "extra"]))] = \
+        data.draw(JSON_ODD)
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(json.dumps(spec))
+    try:
+        loaded = cli._load_spec(path)
+    except PartschedError as exc:
+        assert exc.exit_code in (3, 4)
+        return
+    # a loaded spec's numbers are usable: none overflows on the way to float
+    assert all(math.isfinite(float(v)) for v in (loaded.separation, loaded.prior_positive,
+                                                  *(loaded.informativeness_profile or ())))
 
 
 def error_classes(cls=PartschedError):
@@ -829,10 +918,13 @@ class TestSweepAndInspect:
     @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5),
                                               ("n_locations", 10.5), ("train_samples", 300.5),
                                               ("informativeness_profile", [float("nan"), 1.0]),
-                                              ("separation", 1e6), ("separation", 1e308)],
+                                              ("separation", 1e6), ("separation", 1e308),
+                                              ("informativeness_profile", "abc"),
+                                              ("prior_positive", "0.3")],
                              ids=["seed--1", "seed-1.5", "n_locations-10.5",
                                   "train_samples-300.5", "informativeness_profile-nan",
-                                  "separation-1e6", "separation-1e308"])
+                                  "separation-1e6", "separation-1e308",
+                                  "informativeness_profile-abc", "prior_positive-string"])
     def test_sweep_invalid_spec_field_exits_4(self, tmp_path, field, value, capsys):
         spec = {"n_parts": 2, "separation": 1.0, "prior_positive": 0.5,
                 "n_locations": 10, "seed": 1, "train_samples": 300, field: value}
@@ -842,6 +934,22 @@ class TestSweepAndInspect:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 4
         assert field in capsys.readouterr().err
+
+    def test_sweep_with_every_point_failing_exits_with_its_code(self, tmp_path, capsys):
+        # 30 parts exceed the policy table budget at every cost point (exit 2)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n_parts": 30, "separation": 1.0, "prior_positive": 0.5,
+            "n_locations": 10, "seed": 1, "train_samples": 50,
+        }))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--spec", str(spec_path), "--grid", "4,4;8,4", "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "lambda_fp,lambda_fn,ap,rnpe,mean_tau,fp_rate,fn_rate\n"
+        failures = json.loads((tmp_path / "s.csv.meta.json").read_text())["failures"]
+        assert [f[:2] for f in failures] == [[4.0, 4.0], [8.0, 4.0]]
+        assert all(f[2].startswith("CapacityError: ") for f in failures)
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_sweep_bad_grid_exits_4(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -876,3 +984,25 @@ class TestSweepAndInspect:
         out = capsys.readouterr().out
         assert "mask 000:" in out
         assert "mask 111:" in out
+
+    def test_inspect_stage_summary(self, tmp_path, rng, capsys):
+        # 7 parts make 128 masks, past the per-mask listing's 64
+        liks = [fit_part_likelihood(ScoreSampleSet(
+            k, rng.standard_normal(30) + 1.0, rng.standard_normal(30) - 1.0), n_bins=16)
+            for k in range(7)]
+        liks_path, policy_path = tmp_path / "l.json", tmp_path / "p.bin"
+        save_likelihoods(liks, liks_path)
+        assert main(["train-policy", "--likelihoods", str(liks_path), "--lambda-fp", "20",
+                     "--lambda-fn", "5", "--belief-bins", "11", "--out", str(policy_path)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--policy", str(policy_path)]) == 0
+        stages = [l for l in capsys.readouterr().out.splitlines() if l.startswith("stage ")]
+        policy = load_policy(policy_path)
+        expected = []
+        for used in range(8):
+            masks = [m for m in range(128) if bin(m).count("1") == used]
+            n_label = int((policy.actions[masks] <= 1).sum())
+            expected.append(f"stage used={used}: masks={len(masks)} label_entries={n_label} "
+                            f"part_entries={len(masks) * 11 - n_label} "
+                            f"mean_V(p=0.5)={float(policy.values[masks, 5].mean()):.4f}")
+        assert stages == expected

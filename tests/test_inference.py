@@ -6,12 +6,15 @@ import pytest
 from partsched import (
     ArityMismatchError,
     BeliefGrid,
+    ConfigurationError,
     CostParams,
     DetectionResult,
     DetectionResults,
     DetectorModel,
     FormatError,
+    InvalidActionError,
     MatrixResponseProvider,
+    Policy,
     ProviderError,
     full_score,
     load_responses_bin,
@@ -26,7 +29,7 @@ from partsched import (
 )
 from partsched import inference
 from partsched.inference import NEG_LABEL, POS_LABEL
-from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions
+from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
 from conftest import ENGINE_TRACE_CASES, constant_policy, engine_trace_case, separable_likelihood
 
@@ -115,6 +118,23 @@ class TestRunGrid:
         assert stats.n_positive == 0
         assert stats.mean_tau == 0.0
 
+    def test_provider_arity_mismatch(self, rng):
+        model = toy_model(3)
+        policy = constant_policy(3, LABEL_NEG)
+        with pytest.raises(ArityMismatchError, match="4 parts, policy has 3"):
+            run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((2, 4))))
+        # a provider without locations asks for no part, whatever its width
+        assert run_grid(model, policy, MatrixResponseProvider(np.empty((0, 4))))[0] == []
+
+    def test_table_altered_after_construction_stops(self, rng):
+        # a Policy checks its tables once and keeps views of the caller's arrays
+        actions = np.full((4, 11), LABEL_NEG, dtype=np.uint8)
+        policy = Policy(n_parts=2, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
+                        actions=actions, values=np.zeros((4, 11)))
+        actions[:] = part_action(0)  # every state asks for part 0, used or not
+        with pytest.raises(InvalidActionError, match="already-used part 0"):
+            run_grid(toy_model(2), policy, MatrixResponseProvider(rng.standard_normal((3, 2))))
+
     def test_forced_positive_count(self, rng):
         # 9 parts, always-positive policy: 8 non-root evaluations per location
         model = toy_model(9)
@@ -169,6 +189,21 @@ def test_engine_walks_the_training_chain(case):
         for k in r.parts_evaluated[:r.tau]:
             i = successors[k][i, model.likelihoods[k].pos.bin_index(row[k])]
         assert r.final_belief == grid.centers[i], (case, r.location_id)
+
+
+@pytest.mark.parametrize("build", [
+    lambda liks: DetectorModel(bias=0.0, likelihoods=liks, costs=CostParams(4.0, 4.0)),
+    lambda liks: train_policy(liks, CostParams(4.0, 4.0), BeliefGrid(5)),
+], ids=["model", "train_policy"])
+@pytest.mark.parametrize("liks", [
+    (),
+    (separable_likelihood(1),),
+    (separable_likelihood(1), separable_likelihood(0)),
+    (separable_likelihood(0, n_bins=4), separable_likelihood(1, n_bins=8)),
+], ids=["no-parts", "ids-1", "ids-1-0", "bins-4-8"])
+def test_malformed_part_set_rejected(build, liks):
+    with pytest.raises(ConfigurationError, match="part"):
+        build(liks)
 
 
 class TestDetectionResults:

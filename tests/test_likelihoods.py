@@ -137,6 +137,10 @@ class TestFitPartLikelihood:
         with pytest.raises(InsufficientDataError):
             fit_part_likelihood(ScoreSampleSet(0, [], [0.0, 1.0]))
 
+    def test_too_few_samples_names_part_and_class(self):
+        with pytest.raises(InsufficientDataError, match="part 4 'neg' samples: .*got 1"):
+            fit_part_likelihood(ScoreSampleSet(4, [0.0, 1.0], [2.0]))
+
     def test_shared_support(self, rng):
         lik = fit_part_likelihood(ScoreSampleSet(
             3, rng.standard_normal(50) + 5.0, rng.standard_normal(50)))

@@ -11,6 +11,7 @@ from partsched import (
     CapacityError,
     CostParams,
     FormatError,
+    InvalidActionError,
     InvalidParameterError,
     InvalidStateError,
     Policy,
@@ -21,7 +22,6 @@ from partsched import (
     query_policy,
     random_tiny_instance,
     save_policy,
-    terminal_stage,
     train_policy,
 )
 from partsched.cli import VERIFY_TOLERANCE
@@ -83,6 +83,12 @@ class TestBeliefGrid:
         assert all(arr[i] == grid.nearest_index(float(p)) for i, p in enumerate(ps))
         with pytest.raises(ValueError):
             grid.nearest_index(np.array([0.5, np.nan]))
+
+
+def terminal_stage(costs, grid):
+    """The trained values and labels once every part has been used."""
+    policy = train_policy([uninformative_likelihood(0)], costs, grid)
+    return policy.values[-1], policy.actions[-1]
 
 
 class TestTerminalStage:
@@ -224,7 +230,10 @@ class TestTrainPolicy:
         costs = CostParams(9.0, 3.0)
         grid = BeliefGrid(21)
         policy = train_policy(liks, costs, grid)
-        values, actions = terminal_stage(costs, grid)
+        stop_neg = costs.lambda_fn * grid.centers
+        stop_pos = costs.lambda_fp * (1.0 - grid.centers)
+        values = np.minimum(stop_neg, stop_pos)
+        actions = np.where(stop_neg <= stop_pos, LABEL_NEG, LABEL_POS)
         assert np.array_equal(policy.values[-1], values)
         assert np.array_equal(policy.actions[-1], actions)
 
@@ -362,6 +371,20 @@ class TestPersistence:
                        actions=actions, values=values)
         assert np.shares_memory(built.actions, actions)
         assert np.shares_memory(built.values, values)
+
+    # mask 0b10 already used part 1, the full mask every part, and code 4
+    # would be part 2 of a 2-part policy
+    @pytest.mark.parametrize("mask, action, message", [
+        (0b10, part_action(1), "already-used part"),
+        (0b11, part_action(0), "already-used part"),
+        (0b00, part_action(2), "action code 4 out of range"),
+    ], ids=["used-part", "full-mask", "out-of-range"])
+    def test_constructor_rejects_invalid_entry(self, mask, action, message):
+        actions = np.zeros((4, 5), dtype=np.uint8)
+        actions[mask, 3] = action
+        with pytest.raises(InvalidActionError, match=message):
+            Policy(n_parts=2, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
+                   actions=actions, values=np.zeros((4, 5)))
 
     @pytest.mark.parametrize("d", [11, (1 << 20) + 1])
     def test_used_part_rejected_at_every_size(self, tmp_path, d):
