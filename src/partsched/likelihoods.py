@@ -281,6 +281,14 @@ def _json_int(value) -> int:
     return int(value)
 
 
+def _json_real(value) -> float:
+    """A JSON number as a float; TypeError for booleans and strings, which
+    float() would read as 0.0 / 1.0 and as the number they spell."""
+    if type(value) not in (int, float):  # exact types: bool subclasses int
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _read_csv(path, columns: dict, check) -> np.ndarray:
     """Records of the named `columns` (name: dtype) of a headed CSV, one np.loadtxt pass.
 
@@ -373,12 +381,11 @@ def load_likelihoods(path) -> list[ScoreLikelihood]:
     out = []
     for entry in payload:
         try:
+            lo, hi = _json_real(entry["lo"]), _json_real(entry["hi"])
             out.append(ScoreLikelihood(
                 part_id=_json_int(entry["part_id"]),
-                pos=DiscretePdf(lo=float(entry["lo"]), hi=float(entry["hi"]),
-                                bins=np.asarray(entry["pos"], dtype=float)),
-                neg=DiscretePdf(lo=float(entry["lo"]), hi=float(entry["hi"]),
-                                bins=np.asarray(entry["neg"], dtype=float)),
+                pos=DiscretePdf(lo=lo, hi=hi, bins=list(map(_json_real, entry["pos"]))),
+                neg=DiscretePdf(lo=lo, hi=hi, bins=list(map(_json_real, entry["neg"]))),
             ))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise FormatError(f"{path}: malformed part entry: {exc}") from exc

@@ -1,13 +1,15 @@
 """Brute-force verifiers for the dynamic program and the inference engine.
 
-The exhaustive solver recomputes the optimal expected cost of tiny instances
-by top-down recursion over every reachable (used-parts, belief-bin) decision
-node, with its own scalar transition math, so agreement with the trained
-tables certifies the backward induction rather than restating it.  The
-Monte Carlo simulator replays a policy on the same discretized belief chain
-and estimates its cost and error rates, and `step_trace` replays one
-location's walk along that chain, as the inference engine takes it.  Both
-snap posteriors with their own distance-based nearest-center math.
+The snapped belief chain is rebuilt here from the raw histograms, in one
+(outcome weight, successor bin) table with its own distance-based
+nearest-center rule, instead of reusing the training code's tables.  The
+exhaustive solver recomputes the optimal expected cost of tiny instances by
+top-down recursion over every reachable (used-parts, belief-bin) decision
+node on that table, so agreement with the trained tables certifies the
+backward induction rather than restating it.  The Monte Carlo simulator
+replays a policy on the same table and estimates its cost and error rates,
+and `step_trace` replays one location's walk along the chain, snapping each
+posterior with the same rule, as the inference engine takes it.
 """
 
 from __future__ import annotations
@@ -77,47 +79,53 @@ class TinyInstance:
         return len(self.likelihoods)
 
 
-def _nearest_center(centers: list[float], p: float) -> int:
-    """Index of the closest belief center, preferring the lower one on ties."""
-    best = 0
-    best_dist = abs(centers[0] - p)
-    for i in range(1, len(centers)):
-        dist = abs(centers[i] - p)
-        if dist < best_dist:
-            best, best_dist = i, dist
-    return best
+def _snap(centers: np.ndarray, p):
+    """Index of the belief center nearest p, elementwise; the lower one wins a tie.
+
+    The distance to the sorted centers falls, then rises, so the nearest is
+    one of the two around p.
+    """
+    above = np.clip(np.searchsorted(centers, p), 1, centers.size - 1)
+    below = above - 1
+    return np.where(np.abs(p - centers[below]) <= np.abs(p - centers[above]), below, above)
+
+
+def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome weight and successor belief bin per (part, belief bin, score bin).
+
+    The weight is the belief-weighted score mixture's mass, `mix * bin_width`
+    with `mix = p * h+ + (1 - p) * h-`, and the successor is the `_snap` of the
+    posterior `p * h+ / mix`, all from the raw histograms so the oracle does
+    not depend on the training module's internals.
+    """
+    n_bins = likelihoods[0].pos.n_bins
+    if any(lik.pos.n_bins != n_bins for lik in likelihoods):
+        raise InvalidParameterError("all likelihoods must share one bin count")
+    weights = np.empty((len(likelihoods), grid.d, n_bins))
+    successors = np.empty((len(likelihoods), grid.d, n_bins), dtype=np.int64)
+    p = grid.centers[:, None]
+    for k, lik in enumerate(likelihoods):
+        num = p * lik.pos.bins[None, :]
+        mix = num + (1.0 - p) * lik.neg.bins[None, :]
+        successors[k] = _snap(grid.centers, num / mix)
+        weights[k] = mix * lik.pos.bin_width
+    return weights, successors
 
 
 class _ExhaustiveTreeSolver:
     """Minimum expected cost over all admissible decision trees of a TinyInstance.
 
-    Scalar recursion with memoization on (mask, belief bin); transitions are
-    rebuilt here from the raw histograms instead of reusing the training
-    code's vectorized tables.
+    Scalar recursion with memoization on (mask, belief bin), top down from
+    the start node, over the Python-list copy of `_chain_tables`.
     """
 
     def __init__(self, inst: TinyInstance):
         self.inst = inst
-        self.centers = [float(c) for c in inst.grid.centers]
+        self.centers = inst.grid.centers.tolist()
         self.full = (1 << inst.n_parts) - 1
-        self.weights: list[list[list[float]]] = []
-        self.successors: list[list[list[int]]] = []
-        for lik in inst.likelihoods:
-            width = lik.pos.bin_width
-            w_rows, s_rows = [], []
-            for p in self.centers:
-                w_row, s_row = [], []
-                for j in range(lik.pos.n_bins):
-                    hp = float(lik.pos.bins[j])
-                    hn = float(lik.neg.bins[j])
-                    num = hp * p
-                    mix = num + hn * (1.0 - p)
-                    w_row.append(mix * width)
-                    s_row.append(_nearest_center(self.centers, num / mix))
-                w_rows.append(w_row)
-                s_rows.append(s_row)
-            self.weights.append(w_rows)
-            self.successors.append(s_rows)
+        weights, successors = _chain_tables(inst.likelihoods, inst.grid)
+        self.weights: list[list[list[float]]] = weights.tolist()
+        self.successors: list[list[list[int]]] = successors.tolist()
         self._memo: dict[tuple[int, int], float] = {}
 
     def stop_cost(self, i: int) -> float:
@@ -161,9 +169,9 @@ class _ExhaustiveTreeSolver:
 
 
 def exhaustive_optimal_value(inst: TinyInstance, p0: float, start_mask: int = 0) -> float:
-    """Optimal expected cost from belief p0 (snapped to the grid) by enumeration."""
-    solver = _ExhaustiveTreeSolver(inst)
-    return solver.value(start_mask, _nearest_center(solver.centers, p0))
+    """Optimal expected cost from belief p0 (clamped to [0, 1], snapped to the grid)."""
+    start = int(_snap(inst.grid.centers, min(max(p0, 0.0), 1.0)))
+    return _ExhaustiveTreeSolver(inst).value(start_mask, start)
 
 
 def exhaustive_value_row(inst: TinyInstance, start_mask: int = 0) -> np.ndarray:
@@ -188,35 +196,6 @@ class PolicyCostEstimate:
             raise InvalidParameterError("n_trials must be positive")
         if self.std_error < 0.0 or not (0.0 <= self.fp_rate <= 1.0) or not (0.0 <= self.fn_rate <= 1.0):
             raise ValueError("inconsistent estimate fields")
-
-
-def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome-bin cdf and successor belief bin per (part, belief bin).
-
-    Built here from the raw histograms (posterior, mixture mass, distance-
-    based nearest bin) so the simulator does not depend on the training
-    module's internals.
-    """
-    n_bins = likelihoods[0].pos.n_bins
-    if any(lik.pos.n_bins != n_bins for lik in likelihoods):
-        raise InvalidParameterError("all likelihoods must share one bin count")
-    d = grid.d
-    cdf = np.empty((len(likelihoods), d, n_bins))
-    successors = np.empty((len(likelihoods), d, n_bins), dtype=np.int64)
-    centers = grid.centers
-    for k, lik in enumerate(likelihoods):
-        p = centers[:, None]
-        num = p * lik.pos.bins[None, :]
-        mix = num + (1.0 - p) * lik.neg.bins[None, :]
-        posterior = num / mix
-        # distance to the sorted centers falls, then rises: the nearest is one
-        # of the two around the posterior, and the lower one wins a tie
-        above = np.clip(np.searchsorted(centers, posterior), 1, d - 1)
-        below = above - 1
-        successors[k] = np.where(np.abs(posterior - centers[below])
-                                 <= np.abs(posterior - centers[above]), below, above)
-        cdf[k] = np.cumsum(mix * lik.pos.bin_width, axis=1)
-    return cdf, successors
 
 
 def _outcome_bins(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -254,10 +233,10 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
     prior = float(prior)
     if not math.isfinite(prior):
         raise InvalidParameterError(f"prior must be finite, got {prior}")
-    prior = min(max(prior, 0.0), 1.0)
-    cdf, successors = _chain_tables(likelihoods, policy.grid)
+    weights, successors = _chain_tables(likelihoods, policy.grid)
+    cdf = np.cumsum(weights, axis=2)
     centers = policy.grid.centers
-    start = _nearest_center([float(c) for c in centers], prior)
+    start = int(_snap(centers, min(max(prior, 0.0), 1.0)))
     costs = policy.costs
     rng = np.random.default_rng(seed)
 
@@ -335,9 +314,9 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
     """
     likelihoods = list(likelihoods)
     scripts = iter(scripted_scores)
-    centers = [float(c) for c in policy.grid.centers]
+    centers = policy.grid.centers.tolist()
     mask = 0
-    i = _nearest_center(centers, 0.5)
+    i = int(_snap(policy.grid.centers, 0.5))
     trace: list[tuple[int, float]] = []
     while True:
         p = centers[i]
@@ -354,7 +333,7 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
             ) from None
         hp = likelihoods[k].pos.evaluate(m)
         hn = likelihoods[k].neg.evaluate(m)
-        i = _nearest_center(centers, hp * p / (hp * p + hn * (1.0 - p)))
+        i = int(_snap(policy.grid.centers, hp * p / (hp * p + hn * (1.0 - p))))
         mask |= 1 << k
 
 

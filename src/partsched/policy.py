@@ -42,7 +42,7 @@ from .errors import (
     InvalidParameterError,
     InvalidStateError,
 )
-from .likelihoods import ScoreLikelihood, _check_part_set, _json_int
+from .likelihoods import ScoreLikelihood, _check_part_set, _json_int, _json_real
 
 MAX_PARTS = 24
 DEFAULT_BELIEF_BINS = 101
@@ -87,7 +87,7 @@ class CostParams:
     def __post_init__(self):
         for name in ("lambda_fp", "lambda_fn"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise InvalidParameterError(f"{name} must be strictly positive and finite, got {v}")
 
 
@@ -287,7 +287,7 @@ def load_policy(path) -> Policy:
         header = json.loads(data[:newline])
         n_parts = _json_int(header["n_parts"])
         d = _json_int(header["d"])
-        costs = CostParams(float(header["lambda_fp"]), float(header["lambda_fn"]))
+        costs = CostParams(_json_real(header["lambda_fp"]), _json_real(header["lambda_fn"]))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed policy header: {exc}") from exc
     if n_parts > MAX_PARTS:

@@ -100,6 +100,12 @@ RECORDED_DP_VALUE = {"0.5": 3.788810418727038, "0.37": 3.6215133152576815}
 DP_VALUE = re.compile(r'(?<="dp_value":)[^,}]+')
 
 
+# sha256 of the oracle's fields of `verify --seeds 20` (seed, optimal_value,
+# trials, mean_cost, std_error per seed, as sorted-key JSON), recorded
+# before the oracle's three transition builders became one.
+RECORDED_VERIFY_ORACLE_SHA256 = "15a405ca870ad8e1ece0c3855e7e4fe5bff10d05ad7e2f7e4f47419f16e41482"
+
+
 # sha256 digests of sweep.csv.meta.json for a three-part spec without and
 # with an informativeness_profile, recorded while cmd_sweep still listed the
 # spec's fields by hand
@@ -496,6 +502,32 @@ class TestExitCodes:
         assert main(["inspect", "--policy", str(bad)]) == 3
         assert "expected an integer" in capsys.readouterr().err
 
+    # float() reads a string as the number it spells and a boolean as 0.0 or
+    # 1.0, so each of these files loaded as a uniform pdf on [0, 1]
+    @pytest.mark.parametrize("field", ["lo", "hi", "pos", "neg"])
+    @pytest.mark.parametrize("kind", [repr, bool], ids=["string", "boolean"])
+    def test_non_number_likelihood_field_exits_3(self, tmp_path, field, kind, capsys):
+        uniform = {"lo": 0.0, "hi": 1.0, "pos": [1.0] * 4, "neg": [1.0] * 4}
+        payload = [dict(uniform, part_id=k) for k in range(2)]
+        value = uniform[field]
+        payload[1][field] = [kind(v) for v in value] if field in ("pos", "neg") else kind(value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["train-policy", "--likelihoods", str(bad), "--lambda-fp", "4",
+                     "--lambda-fn", "4", "--out", str(tmp_path / "p.bin")]) == 3
+        assert "expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["lambda_fp", "lambda_fn"])
+    @pytest.mark.parametrize("value", ["4", True], ids=["string", "boolean"])
+    def test_non_number_policy_cost_exits_3(self, tmp_path, field, value, capsys):
+        header = dict({"d": 11, "lambda_fn": 1.0, "lambda_fp": 1.0, "n_parts": 1}, **{field: value})
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + bytes(22) + bytes(8 * 22))
+        capsys.readouterr()
+        assert main(["inspect", "--policy", str(bad)]) == 3
+        assert "expected a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ids", [(False, 1), (0, 1.9), (0, True)],
                              ids=["false-1", "0-1.9", "0-true"])
     def test_non_integral_part_id_exits_3(self, tmp_path, two_part_artifacts, ids, capsys):
@@ -864,6 +896,16 @@ class TestVerify:
     def test_no_seeds_exits_4(self, seeds, capsys):
         assert main(["verify", "--seeds", seeds, "--trials", "500"]) == 4
         assert "--seeds" in capsys.readouterr().err
+
+    def test_oracle_fields_pinned(self, tmp_path, capsys):
+        # dp_value and abs_diff come from the trainer's BLAS products and are
+        # left out; every other field is the oracle's own arithmetic
+        report = tmp_path / "report.json"
+        assert main(["verify", "--seeds", "20", "--out", str(report)]) == 0
+        fields = [{k: s[k] for k in ("seed", "optimal_value", "trials", "mean_cost", "std_error")}
+                  for s in json.loads(report.read_text())["seeds"]]
+        digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+        assert digest == RECORDED_VERIFY_ORACLE_SHA256
 
     def test_report_bytes_reproducible(self, tmp_path):
         a = tmp_path / "a.json"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from partsched import (
     train_policy,
 )
 from partsched.inference import POS_LABEL
-from partsched.oracle import _chain_tables, _outcome_bins
+from partsched.oracle import _chain_tables, _outcome_bins, _snap
 from partsched.policy import LABEL_NEG, LABEL_POS, Policy, _score_bin_transitions, part_action
 
 from conftest import (
@@ -31,6 +33,8 @@ from conftest import (
     two_part_instance,
     uninformative_likelihood,
 )
+
+RECORDED_VALUE_ROWS_SHA256 = "7e7a87dc059afc558df9cb46405b798ffc0db2bd12135ad3a6aa62ae69da2a42"
 
 
 class TestTinyInstance:
@@ -113,6 +117,16 @@ class TestExhaustiveOptimalValue:
                     walk(mask | (1 << k), solver.successors[k][idx][j])
 
         walk(0, inst.grid.nearest_index(0.5))
+
+    def test_value_rows_pinned(self):
+        # sha256 of exhaustive_value_row's bytes at every start mask, seeds
+        # 0-199: the pure-Python recursion must reproduce it bit for bit
+        digest = hashlib.sha256()
+        for seed in range(200):
+            inst = random_tiny_instance(seed)
+            for mask in range(1 << inst.n_parts):
+                digest.update(exhaustive_value_row(inst, mask).tobytes())
+        assert digest.hexdigest() == RECORDED_VALUE_ROWS_SHA256
 
     def test_fixed_order_threshold_policies_never_beat_optimum(self):
         # absolute slack covers pdf-floor dust (~1e-6 of outcome mass) that a
@@ -225,8 +239,8 @@ class TestOutcomeBins:
 
     def test_chain_table_rows(self):
         likelihoods = scan_synthetic("scan-deep")[0].likelihoods
-        cdf, _ = _chain_tables(likelihoods, BeliefGrid(101))
-        cdf = cdf.reshape(-1, cdf.shape[2])
+        weights, _ = _chain_tables(likelihoods, BeliefGrid(101))
+        cdf = np.cumsum(weights, axis=2).reshape(-1, weights.shape[2])
         rng = np.random.default_rng(0)
         rows = rng.integers(0, cdf.shape[0], 50_000)
         u = rng.random(rows.size)
@@ -234,12 +248,26 @@ class TestOutcomeBins:
         assert np.array_equal(_outcome_bins(cdf, rows, u), self.counted(cdf, rows, u))
 
 
+class TestSnap:
+    """`_snap` is the first argmin of the distance to the centers."""
+
+    @pytest.mark.parametrize("d", [2, 3, 11, 101, 1001])
+    def test_matches_first_argmin(self, d):
+        centers = BeliefGrid(d).centers
+        mid = (centers[:-1] + centers[1:]) / 2.0  # ties, wherever the float sum is exact
+        p = np.concatenate([centers, mid, np.nextafter(mid, 0.0), np.nextafter(mid, 1.0),
+                            [0.0, 1.0, -1.0, -0.25, -1e-9, 1.0 + 1e-9, 1.25, 2.0]])
+        expected = np.argmin(np.abs(centers[None, :] - p[:, None]), axis=1)
+        assert np.array_equal(_snap(centers, p), expected)
+        assert [int(_snap(centers, float(x))) for x in p] == expected.tolist()
+
+
 def training_successors(likelihoods, grid):
     return [_score_bin_transitions(lik, grid)[1] for lik in likelihoods]
 
 
 class TestChainTables:
-    """The simulator's distance-based snap agrees with training's rounding formula."""
+    """The oracle's distance-based snap agrees with training's rounding formula."""
 
     @pytest.mark.parametrize("d", [11, 21, 101, 201, 1001])
     @pytest.mark.parametrize("regime", ["scan", "scan-deep"])

@@ -48,6 +48,12 @@ class TestCostParams:
         with pytest.raises(InvalidParameterError):
             CostParams(fp, fn)
 
+    # True would pass as the int 1
+    @pytest.mark.parametrize("fp,fn", [(True, 1.0), (1.0, True), ("4", 1.0)])
+    def test_rejects_non_numbers(self, fp, fn):
+        with pytest.raises(InvalidParameterError):
+            CostParams(fp, fn)
+
 
 class TestBeliefGrid:
     def test_centers_span_unit_interval(self):
