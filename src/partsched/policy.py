@@ -230,25 +230,27 @@ def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None)
     p = grid.centers
     stop_neg = costs.lambda_fn * p
     stop_pos = costs.lambda_fp * (1.0 - p)
+    stop = np.minimum(stop_neg, stop_pos)
+    # a tie between the labels goes to background
+    stop_action = np.where(stop_neg == stop, LABEL_NEG, LABEL_POS).astype(np.uint8)
 
     popcount = _popcount(n_parts)
     for t in range(n_parts, -1, -1):
         stage = np.flatnonzero(popcount == t)
         best_q = np.full((stage.size, d), np.inf)
-        best_k = np.zeros((stage.size, d), dtype=np.intp)
+        best_k = np.zeros((stage.size, d), dtype=np.uint8)
         # ascending k with a strict < keeps the lowest-indexed part on ties
         for k in range(n_parts):
-            free = (stage >> k) & 1 == 0
+            free = np.flatnonzero((stage >> k) & 1 == 0)
             q = values[stage[free] | (1 << k)] @ transitions_t[k]
-            rows = best_q[free]
+            rows, ks = best_q[free], best_k[free]
             better = q < rows
-            best_q[free] = np.where(better, q, rows)
-            best_k[free] = np.where(better, k, best_k[free])
-        v = np.minimum(np.minimum(stop_neg, stop_pos), 1.0 + best_q)
-        a = np.where(v == stop_neg, LABEL_NEG,
-                     np.where(v == stop_pos, LABEL_POS, part_action(best_k)))
+            np.copyto(rows, q, where=better)
+            ks[better] = k
+            best_q[free], best_k[free] = rows, ks
+        v = np.minimum(stop, 1.0 + best_q)
         values[stage] = v
-        actions[stage] = a
+        actions[stage] = np.where(v == stop, stop_action, part_action(best_k))
 
     return Policy(n_parts=n_parts, grid=grid, costs=costs, actions=actions, values=values)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from partsched import (
     read_sample_sets,
     save_likelihoods,
 )
+from partsched import likelihoods
 from partsched.likelihoods import PDF_FLOOR, silverman_bandwidth
 
 GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi)
@@ -64,15 +66,64 @@ class TestFitKde:
     def test_equals_the_expression_it_evaluates_in_place(self, rng):
         density = fit_kde(rng.standard_normal(300) * 3.0)
         for x in (0.25, rng.uniform(-20.0, 20.0, 201), rng.uniform(-1e3, 1e3, (3, 7))):
-            z = (np.asarray(x)[..., None] - density.samples) / density.bandwidth
-            norm = density.samples.size * density.bandwidth * math.sqrt(2.0 * math.pi)
-            expected = np.exp(-0.5 * z * z).sum(axis=-1) / norm
-            assert np.array_equal(density(x), expected)
+            assert np.array_equal(density(x), kde_expression(density, x))
 
     def test_integrates_to_one(self, rng):
         density = fit_kde(rng.standard_normal(50))
         xs = np.linspace(-8, 8, 4001)
         assert np.trapezoid(density(xs), xs) == pytest.approx(1.0, abs=1e-6)
+
+
+def kde_expression(density, x):
+    """The KDE as one whole-matrix expression: the reference for its blocked evaluation."""
+    z = (np.asarray(x, dtype=float)[..., None] - density.samples) / density.bandwidth
+    norm = density.samples.size * density.bandwidth * math.sqrt(2.0 * math.pi)
+    return np.exp(-0.5 * z * z).sum(axis=-1) / norm
+
+
+class TestKdeBlocks:
+    """GaussianKde walks its points in blocks; every output bit matches kde_expression."""
+
+    def test_ragged_last_block(self, rng):
+        density = fit_kde(rng.standard_normal(300))  # 109 points per block
+        rows = likelihoods._BLOCK_ELEMENTS // 300
+        x = rng.uniform(-5.0, 5.0, 2 * rows + 32)
+        assert np.array_equal(density(x), kde_expression(density, x))
+
+    def test_more_samples_than_one_block(self, rng):
+        density = fit_kde(rng.standard_normal(likelihoods._BLOCK_ELEMENTS + 777))  # one point per block
+        x = rng.uniform(-5.0, 5.0, 5)
+        assert np.array_equal(density(x), kde_expression(density, x))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (1, 1), (7, 41)])
+    def test_shapes(self, rng, shape):
+        density = fit_kde(rng.standard_normal(500))
+        x = rng.uniform(-5.0, 5.0, shape)
+        got = density(x)
+        if shape == ():
+            assert type(got) is float
+        else:
+            assert got.shape == shape
+        assert np.array_equal(got, kde_expression(density, x))
+
+    @pytest.mark.parametrize("block", [1, 2000, 2 ** 15, 2 ** 22])
+    def test_block_size_changes_no_bit(self, rng, monkeypatch, block):
+        density = fit_kde(rng.standard_normal(2000) * 2.0 + 0.5)
+        x = np.linspace(-12.0, 12.0, 201)
+        expected = kde_expression(density, x)
+        monkeypatch.setattr(likelihoods, "_BLOCK_ELEMENTS", block)
+        assert np.array_equal(density(x), expected)
+
+    def test_memory_bounded_by_block(self, rng):
+        density = fit_kde(rng.standard_normal(2000))
+        x = rng.uniform(-5.0, 5.0, 10_000)
+        tracemalloc.start()
+        try:
+            density(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20  # the whole matrix would take 2 x 160 MB
 
 
 class TestDiscretize:

@@ -8,6 +8,7 @@ from partsched import (
     CapacityError,
     CostParams,
     InsufficientScriptError,
+    InvalidParameterError,
     MatrixResponseProvider,
     TinyInstance,
     exhaustive_optimal_value,
@@ -74,6 +75,16 @@ class TestExhaustiveOptimalValue:
                             costs=CostParams(100.0, 100.0), grid=BeliefGrid(21))
         value = exhaustive_optimal_value(inst, 0.5)
         assert 1.0 <= value < 1.01
+
+    @pytest.mark.parametrize("p0", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_start_belief_rejected(self, p0):
+        with pytest.raises(InvalidParameterError, match="p0 must be finite"):
+            exhaustive_optimal_value(random_tiny_instance(0), p0)
+
+    def test_clamps_start_belief_outside_unit_interval(self):
+        inst = random_tiny_instance(0)
+        assert exhaustive_optimal_value(inst, -3.0) == exhaustive_optimal_value(inst, 0.0)
+        assert exhaustive_optimal_value(inst, 7.0) == exhaustive_optimal_value(inst, 1.0)
 
     def test_certifies_trained_policy_on_random_instances(self):
         for seed in range(8):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,16 @@ from partsched import (
 from partsched import inference
 from partsched.inference import DetectionResult, NEG_LABEL, POS_LABEL
 from partsched.policy import LABEL_NEG, LABEL_POS, part_action
+
+from conftest import SCAN_REGIMES
+
+
+# sha256 of the pos then neg bin bytes of every part, recorded before the KDE
+# evaluated in blocks: the n=9 detectors of the scan regimes, seed 1404
+RECORDED_DETECTOR_BINS_SHA256 = {
+    "scan": "94bf960b8743e00876bdc4fef245bd543d7d996e19a7638ea0df3869d42df5c8",
+    "scan-deep": "1c4eac41899caf9d5eb7d2eb93a47e1a0c35a010eb01689ea9f51f7cc031550e",
+}
 
 
 def gauss_cdf(x):
@@ -67,6 +78,17 @@ class TestMakeSynthetic:
         np.testing.assert_array_equal(t1, t2)
         for a, b in zip(m1.likelihoods, m2.likelihoods):
             np.testing.assert_array_equal(a.pos.bins, b.pos.bins)
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_DETECTOR_BINS_SHA256))
+    def test_detector_bins_pinned(self, case):
+        separation, prior, _ = SCAN_REGIMES[case]
+        spec = SyntheticSpec(n_parts=9, separation=separation, prior_positive=prior,
+                             n_locations=1, seed=1404)
+        digest = hashlib.sha256()
+        for lik in make_synthetic(spec)[0].likelihoods:
+            digest.update(lik.pos.bins.astype("<f8").tobytes())
+            digest.update(lik.neg.bins.astype("<f8").tobytes())
+        assert digest.hexdigest() == RECORDED_DETECTOR_BINS_SHA256[case]
 
     def test_zero_separation_classes_indistinguishable(self):
         spec = SyntheticSpec(n_parts=2, separation=0.0, prior_positive=0.5,
