@@ -18,7 +18,8 @@ import numpy as np
 from . import oracle, synth
 from .errors import FormatError, InvalidParameterError, PartschedError
 from .inference import DetectorModel, load_responses, run_grid, save_results_csv
-from .likelihoods import fit_part_likelihood, load_likelihoods, read_sample_sets, save_likelihoods
+from .likelihoods import (_read_json, fit_part_likelihood, load_likelihoods, read_sample_sets,
+                          save_likelihoods)
 from .policy import (
     BeliefGrid,
     CostParams,
@@ -164,10 +165,7 @@ def _parse_lambda_grid(text: str) -> list[tuple[float, float]]:
 
 
 def _load_spec(path) -> synth.SyntheticSpec:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-        raise FormatError(f"{path}: not a valid spec file: {exc}") from exc
+    payload = _read_json(path, "spec")
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
     unknown = set(payload) - {f.name for f in dataclasses.fields(synth.SyntheticSpec)}

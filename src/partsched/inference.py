@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArityMismatchError, FormatError, InvalidActionError, ProviderError
+from .errors import (ArityMismatchError, FormatError, InvalidActionError, InvalidParameterError,
+                     ProviderError)
 from .likelihoods import ScoreLikelihood, _check_part_set, _read_csv
 from .policy import (
     LABEL_POS,
@@ -115,6 +116,8 @@ class DetectorModel:
     def __post_init__(self):
         likelihoods = tuple(self.likelihoods)
         _check_part_set(likelihoods)
+        if not math.isfinite(self.bias):
+            raise InvalidParameterError(f"bias must be finite, got {self.bias!r}")
         object.__setattr__(self, "likelihoods", likelihoods)
 
     @property
@@ -271,9 +274,9 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
     order = np.zeros((count, n), dtype=np.uint8)  # row i: parts in evaluation order
     positive = np.zeros(count, dtype=bool)
 
-    # A location holding both +inf and -inf responses sums to NaN, as scalar
-    # float arithmetic does, without a numpy warning.
-    with np.errstate(invalid="ignore"):
+    # Finite responses whose sum overflows give ±inf, and a location holding both
+    # +inf and -inf sums to NaN, as scalar float arithmetic does, without a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
         live = np.arange(count)
         while live.size:
             live_mask = mask[live]
@@ -414,22 +417,17 @@ def load_responses(path) -> MatrixResponseProvider:
 
 
 def save_results_csv(results: DetectionResults, path) -> None:
-    """One row per location; scores other than -inf go through repr, each distinct order joins once."""
-    score = np.full(len(results), "-inf", dtype=object)
-    scored = results.score != -math.inf
-    score[scored] = [repr(v) for v in results.score[scored].tolist()]
-    # n_evaluated and order row as raw bytes: np.unique(axis=0) sorts ~10x slower
-    keys = np.column_stack([results.n_evaluated, results.order])
-    orders, which = np.unique(keys.view(f"V{keys.itemsize * keys.shape[1]}"), return_inverse=True)
-    texts = [";".join(map(str, row[1:row[0] + 1]))
-             for row in orders.view(np.int64).reshape(-1, keys.shape[1]).tolist()]
-    parts = [texts[i] for i in which.ravel().tolist()]
-    lines = ["location_id,label,score,tau,parts_order"]
-    lines.extend(f"{loc},{POS_LABEL if pos else NEG_LABEL},{s},{t},{p}"
-                 for loc, pos, s, t, p in zip(results.location_id.tolist(),
-                                              results.positive.tolist(), score.tolist(),
-                                              results.tau.tolist(), parts))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per location, streamed; scores go through repr, each distinct order joins once."""
+    width, orders, texts = results.order.shape[1], results.order.tobytes(), {}
+    with open(path, "w") as out:
+        out.write("location_id,label,score,tau,parts_order\n")
+        for loc, pos, s, t, start, e in zip(
+                results.location_id.tolist(), results.positive.tolist(), results.score.tolist(),
+                results.tau.tolist(), itertools.count(0, width), results.n_evaluated.tolist()):
+            key = orders[start:start + e]
+            if (text := texts.get(key)) is None:
+                text = texts[key] = ";".join(map(str, key))
+            out.write(f"{loc},{POS_LABEL if pos else NEG_LABEL},{s!r},{t},{text}\n")
 
 
 def _order_bytes(records) -> list[bytes]:
@@ -447,9 +445,11 @@ def load_results_csv(path) -> DetectionResults:
     back as NaN.  Part ids must fit the uint8 order matrix (0..255) and
     location ids and taus int64.
     """
+    decoded = []  # the full parse is the first check, and on a valid file the only one
     records = _read_csv(path, {"location_id": np.int64, "label": "U4", "score": float,
-                               "tau": np.int64, "parts_order": object}, _order_bytes)
-    parts = _order_bytes(records)
+                               "tau": np.int64, "parts_order": object},
+                        lambda records: decoded.append(_order_bytes(records)))
+    parts = decoded[0]
     n_evaluated = np.array([len(p) for p in parts], dtype=np.int64)
     order = np.zeros((n_evaluated.size, int(n_evaluated.max(initial=0))), dtype=np.uint8)
     order[np.arange(order.shape[1]) < n_evaluated[:, None]] = np.frombuffer(b"".join(parts),

@@ -304,11 +304,20 @@ def _json_real(value) -> float:
     return float(value)
 
 
+def _read_json(path, kind: str):
+    """The JSON value in `path`; FormatError "not a valid `kind` file" if unreadable or not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise FormatError(f"{path}: not a valid {kind} file: {exc}") from exc
+
+
 def _read_csv(path, columns: dict, check) -> np.ndarray:
     """Records of the named `columns` (name: dtype) of a headed CSV, one np.loadtxt pass.
 
     `check(records)` raises ValueError for a bad row, or returns a function
-    that words the first bad record's defect from its {column: text} row.  A
+    that words the first bad record's defect from its {column: text} row.  Its
+    first call sees every record, and on a valid file it is the only one.  A
     failure is a FormatError "path:LINE:", found by bisecting on line prefixes.
     """
     try:
@@ -387,10 +396,7 @@ def save_likelihoods(likelihoods, path) -> None:
 
 
 def load_likelihoods(path) -> list[ScoreLikelihood]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-        raise FormatError(f"{path}: not a valid likelihood file: {exc}") from exc
+    payload = _read_json(path, "likelihood")
     if not isinstance(payload, list):
         raise FormatError(f"{path}: expected a JSON array of parts")
     out = []

@@ -37,7 +37,6 @@ from .policy import (
 MAX_TINY_PARTS = 3
 MAX_TINY_BELIEF_BINS = 21
 MAX_TINY_ACTIVE_BINS = 4
-ENUMERATION_NODE_BUDGET = 10_000_000
 TINY_SCORE_BINS = 8
 SIMULATION_CHUNK = 16384  # trials walked per batch; fixes the RNG draw order
 
@@ -70,9 +69,6 @@ class TinyInstance:
             active = max(active, _active_bins(lik.pos), _active_bins(lik.neg))
         if active > MAX_TINY_ACTIVE_BINS:
             raise CapacityError(f"likelihoods carry mass on {active} bins, limit is {MAX_TINY_ACTIVE_BINS}")
-        nodes = math.factorial(n) * (active ** n) * (2 ** n)
-        if nodes > ENUMERATION_NODE_BUDGET:
-            raise CapacityError(f"enumeration would visit ~{nodes} nodes, budget is {ENUMERATION_NODE_BUDGET}")
 
     @property
     def n_parts(self) -> int:

@@ -276,6 +276,19 @@ class TestExitCodes:
         assert code == 4
         assert "prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bias", [["--bias", "nan"], ["--bias", "inf"], ["--bias=-inf"]],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_bias_exits_4(self, pipeline_dir, bias, capsys):
+        base, samples, responses = pipeline_dir
+        liks, policy, _ = run_pipeline(base, samples, responses, "b")
+        out = base / "r_bias.csv"
+        capsys.readouterr()
+        code = main(["infer", "--policy", str(policy), "--likelihoods", str(liks),
+                     "--responses", str(responses), *bias, "--out", str(out)])
+        assert code == 4
+        assert "bias" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train-policy", "infer", "simulate"])
     @pytest.mark.parametrize("defect", ["ids-0-2", "ids-0-0", "bins-16-31"])
     def test_malformed_part_set_exits_3(self, tmp_path, rng, command, defect, capsys):
@@ -565,7 +578,9 @@ class TestExitCodes:
             "inspect": ["--policy", str(bad)],
         }[command]
         assert main([command, *argv]) == 3
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        kind = {"train-policy": "not a valid likelihood file", "sweep": "not a valid spec file",
+                "inspect": "malformed policy header"}[command]
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {kind}: ")
 
     def test_malformed_likelihoods_exit_3(self, tmp_path):
         bad = tmp_path / "liks.json"

@@ -1,4 +1,7 @@
+import functools
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +19,12 @@ from partsched import (
     MatrixResponseProvider,
     Policy,
     ProviderError,
+    SyntheticSpec,
     full_score,
     load_responses_bin,
     load_responses_csv,
     load_results_csv,
+    make_synthetic,
     run_grid,
     run_location,
     save_responses_bin,
@@ -31,7 +36,40 @@ from partsched import inference
 from partsched.inference import NEG_LABEL, POS_LABEL
 from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
-from conftest import ENGINE_TRACE_CASES, constant_policy, engine_trace_case, separable_likelihood
+from conftest import (ENGINE_TRACE_CASES, SCAN_REGIMES, constant_policy, engine_trace_case,
+                      separable_likelihood)
+
+# sha256 of results.csv, recorded before the writer streamed its rows: the two
+# n=9 scan regimes (scan-deep completes ~38% of its locations), a 12-part
+# detector whose orders name parts 10 and 11, and the FIXED_RESULTS
+RECORDED_RESULTS_CSV_SHA256 = {
+    "scan": "9e03f17850f478b9ccdc2f6c0a5576b90aa1db8fbb318620efe58cac7bf111ba",
+    "scan-deep": "5e48e9479e900d44836f89e80906934350d4fd0b1961b6df83aa185ef5f04de0",
+    "n12": "01215641f3ac1b60974d947202f7d1afb7c9fafb4eedcee82255755fc420bd90",
+    "empty": "9421de871a9abc7c6f3f2655155f93c1621be1d5438823ba448f86529cbee679",
+    "edge": "4bc5566baab5724adee6dfe4de72c31f30b37d30d764451a1c5d2b0651c5bf75",
+}
+FIXED_RESULTS = {
+    "empty": DetectionResults([], [], [], [], [], np.empty((0, 9)), [], []),
+    "edge": DetectionResults(
+        location_id=[9, 10, 999, 1000, 0], positive=[False, True, True, True, True],
+        score=[-math.inf, math.inf, math.nan, -0.0, 5e-324], tau=[0, 1, 2, 3, 0],
+        n_evaluated=[0, 3, 3, 3, 1],
+        order=[[0, 0, 0], [2, 0, 1], [255, 10, 0], [2, 0, 1], [7, 0, 0]],
+        final_belief=[math.nan] * 5, partial_score=[math.nan] * 5),
+}
+REGIMES = {**SCAN_REGIMES, "n12": (2.0, 0.3, CostParams(20.0, 5.0))}
+
+
+@functools.lru_cache(maxsize=None)
+def regime_results(case, n_locations=10_000):
+    """run_grid's results on one synthetic image of REGIMES[case]: 12 parts for "n12", else 9."""
+    separation, prior, costs = REGIMES[case]
+    spec = SyntheticSpec(n_parts=12 if case == "n12" else 9, separation=separation,
+                         prior_positive=prior, n_locations=n_locations, seed=1404)
+    model, provider, _ = make_synthetic(spec, costs)
+    policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
+    return run_grid(model, policy, provider)[0]
 
 
 class CountingProvider(MatrixResponseProvider):
@@ -134,6 +172,13 @@ class TestRunGrid:
         actions[:] = part_action(0)  # every state asks for part 0, used or not
         with pytest.raises(InvalidActionError, match="already-used part 0"):
             run_grid(toy_model(2), policy, MatrixResponseProvider(rng.standard_normal((3, 2))))
+
+    def test_overflowing_sum_is_infinite_without_a_warning(self):
+        # pyproject turns a numpy RuntimeWarning into a test failure
+        model = toy_model(3, bias=-1.0)
+        scores = [[1e308, 1e308, 0.0], [-1e308, -1e308, 0.0], [math.inf, -math.inf, 0.0]]
+        results, _ = run_grid(model, constant_policy(3, LABEL_POS), MatrixResponseProvider(scores))
+        np.testing.assert_array_equal(results.score, [math.inf, -math.inf, math.nan])
 
     def test_forced_positive_count(self, rng):
         # 9 parts, always-positive policy: 8 non-root evaluations per location
@@ -366,6 +411,35 @@ class TestResultsFiles:
         assert [r.parts_evaluated for r in loaded] == [r.parts_evaluated for r in results]
         assert np.isnan(loaded.final_belief).all() and np.isnan(loaded.partial_score).all()
         assert loaded == load_results_csv(path)
+
+    @pytest.mark.parametrize("case", list(RECORDED_RESULTS_CSV_SHA256))
+    def test_bytes_match_recorded_digests(self, tmp_path, case):
+        results = FIXED_RESULTS[case] if case in FIXED_RESULTS else regime_results(case)
+        path = tmp_path / "r.csv"
+        save_results_csv(results, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_RESULTS_CSV_SHA256[case]
+        if case in FIXED_RESULTS:  # their diagnostics are NaN, as the reader returns them
+            assert load_results_csv(path) == results
+
+    def test_valid_file_decodes_each_order_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        save_results_csv(regime_results("scan-deep"), path)
+        decode, calls = inference._order_bytes, []
+        monkeypatch.setattr(inference, "_order_bytes",
+                            lambda records: calls.append(records.size) or decode(records))
+        load_results_csv(path)
+        assert calls == [10_000]
+
+    def test_writer_memory_stays_near_its_columns(self, tmp_path):
+        # the five tolist() columns take about 2 MB; holding every row's text at once, 6.7 MB
+        results = regime_results("scan-deep", 20_000)
+        tracemalloc.start()
+        try:
+            save_results_csv(results, tmp_path / "r.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("row", ["0,maybe,-inf,0,", "0,pos,1.5,1,0;256",
                                      "0,pos,1.5,1,0;-1", "99999999999999999999,neg,-inf,0,"])
