@@ -22,7 +22,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .likelihoods import (
-    DEFAULT_BINS,
     PDF_FLOOR,
     DiscretePdf,
     ScoreLikelihood,
@@ -38,13 +37,9 @@ from .likelihoods import (
 from .policy import (
     LABEL_NEG,
     LABEL_POS,
-    MAX_PARTS,
     BeliefGrid,
     CostParams,
     Policy,
-    action_name,
-    action_part,
-    is_part_action,
     load_policy,
     part_action,
     query_policy,

@@ -3,14 +3,18 @@
 A location's state is the policy table's own (used mask, belief bin).  It
 starts at the bin nearest 0.5 and repeatedly reads its action: evaluate some
 part (pay for it, add its response to the running score, move to the
-successor bin from `policy._successor`, which also builds the training
-tables) or stop with a label.  A foreground stop evaluates whatever parts
-remain so the reported score is the complete additive score; a background
-stop reports negative infinity.
+successor bin) or stop with a label.  A foreground stop evaluates whatever
+parts remain so the reported score is the complete additive score; a
+background stop reports negative infinity.
 
-All locations of a pass advance together as one frontier over arrays.  Each
-round reads every live location's action, retires the labelled ones, and
-fetches the requested responses with one provider call per part.  The
+The successor bin is a table lookup: per part, (belief bin, score bin) ->
+bin, from `policy._score_bin_transitions`, the table training builds its
+transition matrices from.  A `DetectorModel` builds it once per grid size.
+
+All locations of a pass advance together as one frontier over arrays, in
+ascending location order.  Round r holds the locations that have evaluated
+r parts: it reads every live location's action, retires the labelled ones,
+and fetches the requested responses with one provider call per part.  The
 arithmetic per location is the same as evaluating that location alone.
 
 A pass returns one `DetectionResults`: the frontier's arrays, read-only,
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +36,7 @@ import numpy as np
 from .errors import (ArityMismatchError, FormatError, InvalidActionError, InvalidParameterError,
                      ProviderError)
 from .likelihoods import ScoreLikelihood, _check_part_set, _read_csv
-from .policy import (
-    LABEL_POS,
-    CostParams,
-    Policy,
-    _successor,
-    action_part,
-    is_part_action,
-)
+from .policy import _PART_BASE, LABEL_POS, BeliefGrid, CostParams, Policy, _score_bin_transitions
 
 POS_LABEL = "pos"
 NEG_LABEL = "neg"
@@ -112,6 +109,7 @@ class DetectorModel:
     bias: float
     likelihoods: tuple[ScoreLikelihood, ...]
     costs: CostParams
+    _successor_tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         likelihoods = tuple(self.likelihoods)
@@ -123,6 +121,23 @@ class DetectorModel:
     @property
     def n_parts(self) -> int:
         return len(self.likelihoods)
+
+    def _successors(self, grid: BeliefGrid) -> np.ndarray:
+        """Read-only (part, belief bin, score bin) -> successor bin table on `grid`.
+
+        Row k is part k's successors from `_score_bin_transitions`, the table
+        training builds T_k from.  It is built once per grid size, in the
+        smallest unsigned dtype that holds d - 1: n·d·bins bytes at d <= 256.
+        """
+        table = self._successor_tables.get(grid.d)
+        if table is None:
+            n_bins = self.likelihoods[0].pos.n_bins
+            table = np.empty((self.n_parts, grid.d, n_bins), dtype=np.min_scalar_type(grid.d - 1))
+            for k, lik in enumerate(self.likelihoods):
+                table[k] = _score_bin_transitions(lik, grid)[1]
+            table.flags.writeable = False
+            self._successor_tables[grid.d] = table
+        return table
 
 
 @dataclass(frozen=True)
@@ -248,10 +263,10 @@ def _fetch(provider: ResponseProvider, location_ids: np.ndarray, part_id: int) -
     if m.shape != location_ids.shape:
         raise ProviderError(f"response provider returned shape {m.shape} "
                             f"for {location_ids.size} locations, part {part_id}")
-    nan = np.flatnonzero(np.isnan(m))
-    if nan.size:
+    # min propagates NaN, so the common case needs no full-size mask
+    if m.size and np.isnan(m.min()):
         raise ProviderError(f"response provider returned NaN at location "
-                            f"{location_ids[nan[0]]}, part {part_id}")
+                            f"{location_ids[np.isnan(m).argmax()]}, part {part_id}")
     return m
 
 
@@ -266,52 +281,81 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
     if provider.n_locations and provider.n_parts != n:
         raise ArityMismatchError(f"responses have {provider.n_parts} parts, policy has {n}")
     count = location_ids.size
-    mask = np.zeros(count, dtype=np.int64)
     grid = policy.grid
-    belief = np.full(count, grid.nearest_index(0.5))  # belief bins
-    score = np.zeros(count)
-    tau = np.zeros(count, dtype=np.int64)
-    order = np.zeros((count, n), dtype=np.uint8)  # row i: parts in evaluation order
+    # flat tables: one take per lookup is about 3x faster than a 2-D gather
+    actions = policy.actions.ravel()
+    successors = model._successors(grid)
+    n_bins = successors.shape[2]
+    successors = successors.ravel()
+    # per location, written once when it stops: label, running score, tau, used mask, belief bin
     positive = np.zeros(count, dtype=bool)
+    partial = np.zeros(count)
+    tau = np.zeros(count, dtype=np.int64)
+    mask = np.zeros(count, dtype=np.int64)
+    belief = np.zeros(count, dtype=np.intp)
+    order = np.zeros((count, n), dtype=np.uint8)  # row i: parts in evaluation order
 
+    # The frontier holds the live locations' rows in ascending order and their
+    # state; in round r every live location has evaluated r parts.
+    rows = np.arange(count)
+    used = np.zeros(count, dtype=np.int64)
+    bins = np.full(count, grid.nearest_index(0.5))
+    running = np.zeros(count)
     # Finite responses whose sum overflows give ±inf, and a location holding both
     # +inf and -inf sums to NaN, as scalar float arithmetic does, without a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        live = np.arange(count)
-        while live.size:
-            live_mask = mask[live]
-            action = policy.actions[live_mask, belief[live]]
-            positive[live[action == LABEL_POS]] = True
-            go = is_part_action(action)
-            live, live_mask, part = live[go], live_mask[go], action_part(action[go])
-            used = (live_mask >> part) & 1
-            if used.any():
-                i = int(used.argmax())
+        for r in itertools.count():
+            action = actions.take(used * grid.d + bins)
+            go = np.flatnonzero(action >= _PART_BASE)
+            if go.size < rows.size:
+                stop = np.flatnonzero(action < _PART_BASE)
+                done = rows[stop]
+                positive[done] = action[stop] == LABEL_POS
+                partial[done] = running[stop]
+                tau[done] = r
+                mask[done] = used[stop]
+                belief[done] = bins[stop]
+                rows, used, bins, running, action = (
+                    rows[go], used[go], bins[go], running[go], action[go])
+            if not rows.size:
+                break
+            part = action.astype(np.intp) - _PART_BASE
+            taken = (used >> part) & 1
+            if taken.any():
+                i = int(taken.argmax())
                 raise InvalidActionError(f"policy named already-used part {part[i]} "
-                                         f"at mask {int(live_mask[i]):b}")
-            for k in np.flatnonzero(np.bincount(part, minlength=n)).tolist():
-                sel = live[part == k]
-                m = _fetch(provider, location_ids[sel], k)
-                score[sel] += m
-                order[sel, tau[sel]] = k
-                tau[sel] += 1
-                lik = model.likelihoods[k]
-                belief[sel] = _successor(lik, grid, belief[sel], lik.pos.bin_index(m))[0]
-                mask[sel] |= 1 << k
+                                         f"at mask {int(used[i]):b}")
+            order[:, r][rows] = part
+            # each part group's responses and score bins land in frontier order
+            m = np.empty(rows.size)
+            score_bins = np.empty(rows.size, dtype=np.intp)
+            groups = np.flatnonzero(np.bincount(part, minlength=n))
+            for k in groups.tolist():
+                sel = slice(None) if groups.size == 1 else np.flatnonzero(part == k)
+                fetched = _fetch(provider, location_ids[rows[sel]], k)
+                m[sel] = fetched
+                score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
+            running += m
+            bins = successors.take((part * grid.d + bins) * n_bins + score_bins)
+            used |= 1 << part
 
-        # Positives complete their remaining parts in index order, then add the bias.
-        partial = score.copy()
-        n_evaluated = tau.copy()
+        # Positives complete their free parts in index order, then add the bias.
         completing = np.flatnonzero(positive)
+        total = partial[completing]
+        evaluated = tau[completing]
+        free = ~mask[completing]
         for k in range(n):
-            sel = completing[(mask[completing] & (1 << k)) == 0]
+            sel = np.flatnonzero((free >> k) & 1)
             if sel.size:
-                score[sel] += _fetch(provider, location_ids[sel], k)
-                order[sel, n_evaluated[sel]] = k
-                n_evaluated[sel] += 1
-                mask[sel] |= 1 << k
-        score[completing] += model.bias
-    score[~positive] = -math.inf
+                at = completing[sel]
+                total[sel] += _fetch(provider, location_ids[at], k)
+                order.ravel()[at * n + evaluated[sel]] = k
+                evaluated[sel] += 1
+        score = np.full(count, -math.inf)
+        score[completing] = total + model.bias
+    n_evaluated = tau.copy()
+    n_evaluated[completing] = evaluated
+    mask[completing] = (1 << n) - 1
 
     stats = InferenceStats(n_locations=count,
                            non_root_evals=int(n_evaluated.sum() - (mask & 1).sum()),

@@ -3,8 +3,9 @@
 The decision state is a pair (mask of already-used parts, belief bin).
 Beliefs live on a uniform grid over [0, 1], and after every part the
 posterior snaps to its nearest grid bin.  That snapped chain is the only
-one: `_successor` holds its math, training builds its tables from it, and
-inference calls it on each fetched response, so the engine walks the chain
+one: `_successor` holds its math, and `_score_bin_transitions` tabulates it
+per (belief bin, score bin).  Training builds its matrices from that table
+and inference reads its successors from it, so the engine walks the chain
 whose expected cost the DP value is.
 
 Working backwards from the all-parts-used stage, each state's value is the
@@ -56,17 +57,6 @@ _PART_BASE = 2
 
 def part_action(k: int) -> int:
     return _PART_BASE + k
-
-
-def is_part_action(action: int) -> bool:
-    return action >= _PART_BASE
-
-
-def action_part(action):
-    """Part evaluated by a part action, elementwise over arrays."""
-    if not np.all(is_part_action(action)):
-        raise InvalidActionError(f"action {action} is a label, not a part")
-    return action - _PART_BASE
 
 
 def action_name(action: int) -> str:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -34,10 +35,11 @@ from partsched import (
 )
 from partsched import inference
 from partsched.inference import NEG_LABEL, POS_LABEL
+from partsched.oracle import _chain_tables
 from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
 from conftest import (ENGINE_TRACE_CASES, SCAN_REGIMES, constant_policy, engine_trace_case,
-                      separable_likelihood)
+                      scan_synthetic, separable_likelihood)
 
 # sha256 of results.csv, recorded before the writer streamed its rows: the two
 # n=9 scan regimes (scan-deep completes ~38% of its locations), a 12-part
@@ -58,18 +60,53 @@ FIXED_RESULTS = {
         order=[[0, 0, 0], [2, 0, 1], [255, 10, 0], [2, 0, 1], [7, 0, 0]],
         final_belief=[math.nan] * 5, partial_score=[math.nan] * 5),
 }
+# sha256 over run_grid's provider calls on regime_inputs(case), each call as its
+# part id, its id-byte count and the id bytes, recorded before the round loop
+# indexed its frontier by round: one call per requested part per round, parts
+# ascending and ids ascending, then one completion call per part
+RECORDED_PROVIDER_CALLS_SHA256 = {
+    "scan": "65305faac9250f725609c285e094ed32baa1288b21c54d592a88e21225ccb3b5",
+    "scan-deep": "635bfccffe1c3a04378f822db483ea68ab6bd7c3d324ce100b473eedc345d095",
+    "n12": "adf79dd6019fed2b874d539122d66418308e721a4e7617bdc8c93f6e271b7d38",
+}
 REGIMES = {**SCAN_REGIMES, "n12": (2.0, 0.3, CostParams(20.0, 5.0))}
 
 
 @functools.lru_cache(maxsize=None)
-def regime_results(case, n_locations=10_000):
-    """run_grid's results on one synthetic image of REGIMES[case]: 12 parts for "n12", else 9."""
+def regime_inputs(case, n_locations=10_000):
+    """(model, policy, provider) of one synthetic image of REGIMES[case].
+
+    The detector has 12 parts for "n12", else 9."""
     separation, prior, costs = REGIMES[case]
     spec = SyntheticSpec(n_parts=12 if case == "n12" else 9, separation=separation,
                          prior_positive=prior, n_locations=n_locations, seed=1404)
     model, provider, _ = make_synthetic(spec, costs)
-    policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
-    return run_grid(model, policy, provider)[0]
+    return model, train_policy(model.likelihoods, costs, BeliefGrid(101)), provider
+
+
+@functools.lru_cache(maxsize=None)
+def regime_results(case, n_locations=10_000):
+    """run_grid's results on regime_inputs(case, n_locations)."""
+    return run_grid(*regime_inputs(case, n_locations))[0]
+
+
+class RecordingProvider(MatrixResponseProvider):
+    """Gathering provider that records each batch call as (part_id, location id bytes)."""
+
+    def __init__(self, scores):
+        super().__init__(scores)
+        self.calls: list[tuple[int, bytes]] = []
+
+    def get_responses(self, location_ids, part_id):
+        self.calls.append((int(part_id), np.asarray(location_ids).tobytes()))
+        return super().get_responses(location_ids, part_id)
+
+    def digest(self) -> str:
+        h = hashlib.sha256()
+        for part_id, ids in self.calls:
+            h.update(struct.pack("<qq", part_id, len(ids)))
+            h.update(ids)
+        return h.hexdigest()
 
 
 class CountingProvider(MatrixResponseProvider):
@@ -202,6 +239,14 @@ class TestRunGrid:
             assert len(set(r.parts_evaluated)) == len(r.parts_evaluated)
             assert r.tau <= model.n_parts
 
+    @pytest.mark.parametrize("case", list(RECORDED_PROVIDER_CALLS_SHA256))
+    def test_provider_call_sequence_matches_recorded_digest(self, case):
+        model, policy, provider = regime_inputs(case)
+        recording = RecordingProvider(provider.scores)
+        results, _ = run_grid(model, policy, recording)
+        assert results == regime_results(case)
+        assert recording.digest() == RECORDED_PROVIDER_CALLS_SHA256[case]
+
     @pytest.mark.parametrize("provider_type", [MatrixResponseProvider, CountingProvider])
     def test_nan_response_is_a_provider_error(self, rng, provider_type):
         # the gather fast path and the per-id override path both refuse NaN
@@ -234,6 +279,80 @@ def test_engine_walks_the_training_chain(case):
         for k in r.parts_evaluated[:r.tau]:
             i = successors[k][i, model.likelihoods[k].pos.bin_index(row[k])]
         assert r.final_belief == grid.centers[i], (case, r.location_id)
+
+
+@pytest.mark.parametrize("case", ["scan", "scan-deep"])
+def test_infinite_responses_walk_like_responses_past_the_support(case):
+    # ±inf responses are kept: they take the edge score bins, as finite responses past hi/lo do
+    model, policy, _ = engine_trace_case(case)
+    _, provider = scan_synthetic(case)
+    scores = provider.scores[:600]
+    side = np.random.default_rng(7).integers(-1, 2, size=scores.shape)  # -1 low, +1 high, 0 kept
+    side[:100], side[100:200] = 1, -1  # whole rows past one edge
+    lo = np.array([lik.pos.lo for lik in model.likelihoods])
+    hi = np.array([lik.pos.hi for lik in model.likelihoods])
+    infinite = np.where(side == 1, math.inf, np.where(side == -1, -math.inf, scores))
+    finite = np.where(side == 1, hi + 1.0, np.where(side == -1, lo - 1.0, scores))
+    a, _ = run_grid(model, policy, MatrixResponseProvider(infinite))
+    b, _ = run_grid(model, policy, MatrixResponseProvider(finite))
+    for name in ("positive", "tau", "n_evaluated", "order", "final_belief"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    # the chains did read infinite responses before they stopped
+    read = np.arange(a.order.shape[1]) < a.tau[:, None]
+    assert (side[np.arange(len(a))[:, None], a.order] != 0)[read].sum() > 100
+
+
+class TestSuccessorTables:
+    @staticmethod
+    def fresh_model(case="scan-deep"):
+        model, _ = scan_synthetic(case)
+        return DetectorModel(bias=model.bias, likelihoods=model.likelihoods, costs=model.costs)
+
+    @pytest.mark.parametrize("d", [11, 101, 201])
+    def test_tables_are_training_and_oracle_successors(self, d):
+        model, grid = self.fresh_model(), BeliefGrid(d)
+        table = model._successors(grid)
+        assert table.shape == (9, d, model.likelihoods[0].pos.n_bins)
+        assert table.dtype == np.uint8
+        for k, lik in enumerate(model.likelihoods):
+            np.testing.assert_array_equal(table[k], _score_bin_transitions(lik, grid)[1])
+        np.testing.assert_array_equal(table, _chain_tables(model.likelihoods, grid)[1])
+
+    @pytest.mark.parametrize("d", [11, 101, 201])
+    def test_tables_are_read_only(self, d):
+        table = self.fresh_model()._successors(BeliefGrid(d))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0
+
+    @pytest.mark.parametrize("d", [11, 101, 201])
+    def test_built_once_per_model_and_grid_size(self, d, monkeypatch):
+        built = []
+
+        def counting(lik, grid):
+            built.append(grid.d)
+            return _score_bin_transitions(lik, grid)
+
+        monkeypatch.setattr(inference, "_score_bin_transitions", counting)
+        model = self.fresh_model()
+        table = model._successors(BeliefGrid(d))
+        assert built == [d] * 9
+        assert model._successors(BeliefGrid(d)) is table
+        assert built == [d] * 9
+        assert self.fresh_model()._successors(BeliefGrid(d)) is not table
+
+    @pytest.mark.parametrize("d, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_smallest_unsigned_dtype_holding_the_last_bin(self, d, dtype):
+        assert toy_model(2)._successors(BeliefGrid(d)).dtype == dtype
+
+    def test_one_model_under_two_grids_matches_fresh_models(self):
+        model, provider = scan_synthetic("scan-deep")
+        policies = [train_policy(model.likelihoods, model.costs, BeliefGrid(d)) for d in (31, 101)]
+        shared = self.fresh_model()
+        for policy in policies + policies[::-1]:
+            assert run_grid(shared, policy, provider) == run_grid(self.fresh_model(), policy,
+                                                                  provider)
+        assert sorted(shared._successor_tables) == [31, 101]
 
 
 @pytest.mark.parametrize("build", [
