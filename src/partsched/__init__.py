@@ -61,7 +61,6 @@ from .inference import (
     load_responses_csv,
     load_results_csv,
     run_grid,
-    run_location,
     save_responses_bin,
     save_responses_csv,
     save_results_csv,

@@ -1,8 +1,9 @@
 """Command-line front door wiring the modules into reproducible pipelines.
 
 Exit codes, stable for scripting: 0 success, 1 verification failure,
-2 capacity, 3 input format or a file that cannot be read or written,
-4 invalid parameter, 5 arity mismatch.
+2 capacity (a table or array that cannot be allocated included), 3 input
+format or a file that cannot be read or written, 4 invalid parameter,
+5 arity mismatch.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, synth
-from .errors import FormatError, InvalidParameterError, PartschedError
+from .errors import CapacityError, FormatError, InvalidParameterError, PartschedError
 from .inference import DetectorModel, load_responses, run_grid, save_results_csv
 from .likelihoods import (_read_json, fit_part_likelihood, load_likelihoods, read_sample_sets,
                           save_likelihoods)
 from .policy import (
+    _PART_BASE,
     BeliefGrid,
     CostParams,
     _popcount,
@@ -189,8 +191,7 @@ def cmd_sweep(args) -> int:
         "belief_bins": grid.d,
         "failures": [[fp, fn, f"{type(exc).__name__}: {exc}"] for fp, fn, exc in result.failures],
     }
-    Path(str(args.out) + ".meta.json").write_text(
-        json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    _dump_json(meta, str(args.out) + ".meta.json")
     diag = result.diagonal_diagnostics()
     if len(diag["lambdas"]) > 1:
         print(f"diagonal: error_nonincreasing={diag['error_nonincreasing']} "
@@ -225,7 +226,7 @@ def cmd_inspect(args) -> int:
         for used in range(policy.n_parts + 1):
             masks = np.flatnonzero(popcount == used)
             rows = policy.actions[masks]
-            n_label = int((rows <= 1).sum())
+            n_label = int((rows < _PART_BASE).sum())
             n_part = int(rows.size - n_label)
             mean_v = float(policy.values[masks, half].mean())
             print(f"stage used={used}: masks={len(masks)} label_entries={n_label} "
@@ -309,6 +310,9 @@ def main(argv=None) -> int:
     except (PartschedError, OSError) as exc:  # an unreadable or unwritable file is a format error
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, PartschedError) else FormatError.exit_code
+    except MemoryError as exc:  # a table or array too large to allocate is over capacity
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return CapacityError.exit_code
 
 
 if __name__ == "__main__":

@@ -17,18 +17,18 @@ r parts: it reads every live location's action, retires the labelled ones,
 and fetches the requested responses with one provider call per part.  The
 arithmetic per location is the same as evaluating that location alone.
 
-A pass returns one `DetectionResults`: the frontier's arrays, read-only,
-one row per location.  It reads as a sequence of `DetectionResult`s that are
-built only when indexed or iterated, and the results CSV is written from and
-read back into the arrays.
+A pass returns one `DetectionResults`: the frontier's arrays, read-only, one
+row per location.  Indexing and iteration build `DetectionResult`s on demand,
+and the results CSV is written from and read back into the arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, fields
+import operator
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -161,16 +161,15 @@ class DetectionResult:
 
 
 @dataclass(frozen=True, eq=False)
-class DetectionResults(Sequence):
+class DetectionResults:
     """Outcomes at many locations, one read-only array per field.
 
     Row i describes the i-th location of a pass: `positive` is its label
     mask, `n_evaluated` the length of its `parts_evaluated` and row i of the
     uint8 `order` matrix lists those parts in evaluation order, with zeros
-    after them.  As a sequence it reads like a list of `DetectionResult`s:
-    indexing (negative indices included) and iteration build them on demand,
-    a slice returns a list, and equality compares location by location, with
-    NaN diagnostics equal to each other.
+    after them.  `results[i]` (negative `i` too) and iteration build
+    `DetectionResult`s on demand; equality compares the columns, with NaN
+    diagnostics equal to each other.
     """
 
     location_id: np.ndarray
@@ -209,22 +208,18 @@ class DetectionResults(Sequence):
                     itertools.count(0, width), self.n_evaluated.tolist(),
                     self.tau.tolist(), self.final_belief.tolist(), self.partial_score.tolist()))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._select(index))
-        i = range(len(self))[index]  # IndexError out of range, counts back when negative
-        return next(iter(self._select(slice(i, i + 1))))
-
-    def _select(self, rows: slice) -> DetectionResults:
-        return DetectionResults(*(getattr(self, f.name)[rows] for f in fields(self)))
+    def __getitem__(self, index) -> DetectionResult:
+        i = range(len(self))[operator.index(index)]  # IndexError out of range; a slice, TypeError
+        return DetectionResult(
+            self.location_id[i].item(), POS_LABEL if self.positive[i] else NEG_LABEL,
+            self.score[i].item(), tuple(self.order[i, :self.n_evaluated[i]].tolist()),
+            self.tau[i].item(), self.final_belief[i].item(), self.partial_score[i].item())
 
     def _parts(self) -> np.ndarray:
         """Every location's parts_evaluated, concatenated in location order."""
         return self.order[np.arange(self.order.shape[1]) < self.n_evaluated[:, None]]
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            return list(self) == other
         if not isinstance(other, DetectionResults):
             return NotImplemented
         return (len(self) == len(other)
@@ -365,13 +360,6 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
                             final_belief=grid.centers[belief], partial_score=partial), stats
 
 
-def run_location(model: DetectorModel, policy: Policy, provider: ResponseProvider,
-                 location_id: int) -> DetectionResult:
-    """Label one location by querying the policy until it stops."""
-    results, _ = _label(model, policy, provider, np.array([location_id]))
-    return results[0]
-
-
 def run_grid(model: DetectorModel, policy: Policy,
              provider: ResponseProvider) -> tuple[DetectionResults, InferenceStats]:
     """Label every location of the provider and aggregate evaluation statistics."""
@@ -482,19 +470,36 @@ def _order_bytes(records) -> list[bytes]:
             for text in records["parts_order"].tolist()]
 
 
+def _result_defect(records, parts: list[bytes], n_evaluated: np.ndarray):
+    """How the first record no engine writes fails, given its decoded parts_order and length."""
+    for name in ("location_id", "tau"):
+        if records.size and records[name].min() < 0:
+            return lambda row, name=name: f"negative {name} in row {row!r}"
+    if (n_evaluated < records["tau"]).any():
+        return lambda row: f"fewer parts than tau {row['tau']} in row {row!r}"
+    if any(len(set(order)) < len(order) for order in set(parts)):  # distinct orders are few
+        return lambda row: f"part repeated in parts_order {row['parts_order']!r}"
+
+
 def load_results_csv(path) -> DetectionResults:
     """Read back a results file.
 
     Belief and partial-score diagnostics are not part of the schema and come
     back as NaN.  Part ids must fit the uint8 order matrix (0..255) and
-    location ids and taus int64.
+    location ids and taus int64.  Rows no engine writes are rejected: a
+    negative location id or tau, a part repeated within one parts_order, and
+    fewer parts than tau.
     """
     decoded = []  # the full parse is the first check, and on a valid file the only one
+
+    def check(records):
+        parts = _order_bytes(records)
+        decoded.append((parts, np.fromiter(map(len, parts), np.int64, len(parts))))
+        return _result_defect(records, *decoded[-1])
+
     records = _read_csv(path, {"location_id": np.int64, "label": "U4", "score": float,
-                               "tau": np.int64, "parts_order": object},
-                        lambda records: decoded.append(_order_bytes(records)))
-    parts = decoded[0]
-    n_evaluated = np.array([len(p) for p in parts], dtype=np.int64)
+                               "tau": np.int64, "parts_order": object}, check)
+    parts, n_evaluated = decoded[0]
     order = np.zeros((n_evaluated.size, int(n_evaluated.max(initial=0))), dtype=np.uint8)
     order[np.arange(order.shape[1]) < n_evaluated[:, None]] = np.frombuffer(b"".join(parts),
                                                                             dtype=np.uint8)

@@ -27,11 +27,13 @@ from .errors import (
 )
 from .likelihoods import DiscretePdf, ScoreLikelihood
 from .policy import (
+    _PART_BASE,
     LABEL_NEG,
     LABEL_POS,
     BeliefGrid,
     CostParams,
     Policy,
+    part_action,
 )
 
 MAX_TINY_PARTS = 3
@@ -160,7 +162,7 @@ class _ExhaustiveTreeSolver:
             return LABEL_POS
         for k in range(self.inst.n_parts):
             if not (mask >> k) & 1 and v == 1.0 + self.continue_cost(mask, i, k):
-                return 2 + k
+                return part_action(k)
         raise AssertionError("no action reproduces the optimal value")
 
 
@@ -276,9 +278,9 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
                 else:
                     fn += int(y.sum())
                 alive[sel] = False
-            sel = live[act >= 2]
+            sel = live[act >= _PART_BASE]
             if sel.size:
-                k = act[act >= 2].astype(np.int64) - 2
+                k = act[act >= _PART_BASE].astype(np.int64) - _PART_BASE
                 u = rng.random(sel.size)
                 j = _outcome_bins(cdf.reshape(-1, cdf.shape[2]), k * policy.grid.d + idx[sel], u)
                 idx[sel] = successors[k, idx[sel], j]
@@ -326,7 +328,7 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
         trace.append((action, p))
         if action in (LABEL_NEG, LABEL_POS):
             return trace
-        k = action - 2
+        k = action - _PART_BASE
         try:
             m = float(next(scripts))
         except StopIteration:

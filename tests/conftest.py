@@ -8,12 +8,14 @@ from partsched import (
     CostParams,
     DetectorModel,
     DiscretePdf,
+    MatrixResponseProvider,
     Policy,
     ScoreLikelihood,
     SyntheticSpec,
     TinyInstance,
     make_synthetic,
     random_tiny_instance,
+    run_grid,
     train_policy,
 )
 from partsched.policy import LABEL_NEG, LABEL_POS
@@ -106,6 +108,16 @@ def with_extremes(scores):
     for j, row in enumerate(range(0, scores.shape[0], 5)):
         scores[row, j % scores.shape[1]] = extremes[j % len(extremes)]
     return scores
+
+
+def assert_labelled_alone_alike(model, policy, scores, results, i, where=None):
+    """Row i of `scores`, labelled alone, equals row i of the full pass `results`
+    in every column but location_id (NaN diagnostics equal)."""
+    alone, _ = run_grid(model, policy, MatrixResponseProvider(scores[i:i + 1]))
+    for name in ("positive", "score", "tau", "n_evaluated", "order", "final_belief",
+                 "partial_score"):
+        np.testing.assert_array_equal(getattr(alone, name)[0], getattr(results, name)[i],
+                                      err_msg=f"{where}, location {i}, {name}")
 
 
 # the two scan regimes at n=9: headline point and deep chains

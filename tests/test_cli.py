@@ -864,6 +864,22 @@ def test_main_exits_with_the_error_class_code(error, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: boom\n"
 
 
+@pytest.mark.parametrize("message, line", [
+    ("", "error: out of memory\n"),
+    ("Unable to allocate 16.0 PiB", "error: out of memory: Unable to allocate 16.0 PiB\n"),
+], ids=["bare", "numpy"])
+def test_memory_error_exits_2_with_one_line(two_part_artifacts, tmp_path, monkeypatch, capsys,
+                                            message, line):
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "train_policy", fail)
+    _, liks, _ = two_part_artifacts
+    assert main(["train-policy", "--likelihoods", str(liks), "--lambda-fp", "1",
+                 "--lambda-fn", "1", "--out", str(tmp_path / "p.bin")]) == CapacityError.exit_code
+    assert capsys.readouterr().err == line
+
+
 def test_train_policy_bytes_independent_of_blas_threads(tmp_path):
     # the trainer's values come from BLAS matrix products; one and two BLAS
     # threads must write the same policy file

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 
@@ -27,7 +29,6 @@ from partsched import (
     load_results_csv,
     make_synthetic,
     run_grid,
-    run_location,
     save_responses_bin,
     save_responses_csv,
     save_results_csv,
@@ -38,8 +39,8 @@ from partsched.inference import NEG_LABEL, POS_LABEL
 from partsched.oracle import _chain_tables
 from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
-from conftest import (ENGINE_TRACE_CASES, SCAN_REGIMES, constant_policy, engine_trace_case,
-                      scan_synthetic, separable_likelihood)
+from conftest import (ENGINE_TRACE_CASES, SCAN_REGIMES, assert_labelled_alone_alike,
+                      constant_policy, engine_trace_case, scan_synthetic, separable_likelihood)
 
 # sha256 of results.csv, recorded before the writer streamed its rows: the two
 # n=9 scan regimes (scan-deep completes ~38% of its locations), a 12-part
@@ -127,12 +128,21 @@ def toy_model(n_parts, bias=0.0):
     return DetectorModel(bias=bias, likelihoods=liks, costs=CostParams(4.0, 4.0))
 
 
+def label_alone(model, policy, scores):
+    """The one DetectionResult of a pass over a one-location provider."""
+    results, _ = run_grid(model, policy, MatrixResponseProvider(scores))
+    assert len(results) == 1
+    return results[0]
+
+
 class TestRunLocation:
+    """One location labelled alone, by a pass over a one-location provider."""
+
     def test_immediate_negative(self, rng):
         model = toy_model(3)
         policy = constant_policy(3, LABEL_NEG)
-        provider = MatrixResponseProvider(rng.standard_normal((2, 3)))
-        result = run_location(model, policy, provider, 1)
+        scores = rng.standard_normal((2, 3))
+        result = label_alone(model, policy, scores[1:2])
         assert result.label == NEG_LABEL
         assert result.tau == 0
         assert result.parts_evaluated == ()
@@ -141,14 +151,13 @@ class TestRunLocation:
         assert result.final_belief == 0.5
         # an even grid has no center at 0.5: the start is the lower nearest one
         even = constant_policy(3, LABEL_NEG, d=10)
-        assert run_location(model, even, provider, 1).final_belief == even.grid.centers[4]
+        assert label_alone(model, even, scores[1:2]).final_belief == even.grid.centers[4]
 
     def test_immediate_positive_evaluates_everything(self, rng):
         model = toy_model(3, bias=-0.75)
         policy = constant_policy(3, LABEL_POS)
         scores = rng.standard_normal((1, 3))
-        provider = MatrixResponseProvider(scores)
-        result = run_location(model, policy, provider, 0)
+        result = label_alone(model, policy, scores)
         assert result.label == POS_LABEL
         assert result.tau == 0
         assert result.parts_evaluated == (0, 1, 2)
@@ -159,7 +168,7 @@ class TestRunLocation:
         policy = train_policy(model.likelihoods, CostParams(50.0, 50.0), BeliefGrid(21))
         # responses drawn from the positive side: top-bin values
         provider = MatrixResponseProvider([[0.95, 0.95]])
-        result = run_location(model, policy, provider, 0)
+        result = label_alone(model, policy, provider.scores)
         assert result.label == POS_LABEL
         assert result.score == pytest.approx(full_score(model, provider, 0), abs=1e-12)
         assert sorted(result.parts_evaluated) == [0, 1]
@@ -167,9 +176,8 @@ class TestRunLocation:
     def test_arity_mismatch(self, rng):
         model = toy_model(3)
         policy = constant_policy(2, LABEL_NEG)
-        provider = MatrixResponseProvider(rng.standard_normal((1, 3)))
         with pytest.raises(ArityMismatchError):
-            run_location(model, policy, provider, 0)
+            label_alone(model, policy, rng.standard_normal((1, 3)))
 
     def test_provider_failure_is_contextualized(self):
         class Broken(MatrixResponseProvider):
@@ -179,7 +187,7 @@ class TestRunLocation:
         model = toy_model(1)
         policy = constant_policy(1, LABEL_POS)
         with pytest.raises(ProviderError, match="location 0, part 0"):
-            run_location(model, policy, Broken(np.zeros((1, 1))), 0)
+            run_grid(model, policy, Broken(np.zeros((1, 1))))
 
 
 class TestRunGrid:
@@ -187,7 +195,7 @@ class TestRunGrid:
         model = toy_model(2)
         policy = constant_policy(2, LABEL_NEG)
         results, stats = run_grid(model, policy, MatrixResponseProvider(np.empty((0, 2))))
-        assert results == []
+        assert len(results) == 0
         assert stats.n_locations == 0
         assert stats.non_root_evals == 0
         assert stats.n_positive == 0
@@ -199,7 +207,7 @@ class TestRunGrid:
         with pytest.raises(ArityMismatchError, match="4 parts, policy has 3"):
             run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((2, 4))))
         # a provider without locations asks for no part, whatever its width
-        assert run_grid(model, policy, MatrixResponseProvider(np.empty((0, 4))))[0] == []
+        assert len(run_grid(model, policy, MatrixResponseProvider(np.empty((0, 4))))[0]) == 0
 
     def test_table_altered_after_construction_stops(self, rng):
         # a Policy checks its tables once and keeps views of the caller's arrays
@@ -372,43 +380,48 @@ def test_malformed_part_set_rejected(build, liks):
 
 class TestDetectionResults:
     @pytest.mark.parametrize("case", ["scan", "scan-deep"])
-    def test_arrays_match_iteration_and_run_location(self, case):
+    def test_arrays_match_iteration_and_single_location_passes(self, case):
         model, policy, scores = engine_trace_case(case)
-        provider = MatrixResponseProvider(scores)
-        results, _ = run_grid(model, policy, provider)
+        results, _ = run_grid(model, policy, MatrixResponseProvider(scores))
         assert isinstance(results, DetectionResults)
         assert len(results) == scores.shape[0]
         for i, r in enumerate(results):
-            single = run_location(model, policy, provider, i)
-            for each in (r, single):
-                assert each == r, (case, i)
-                assert results.location_id[i] == each.location_id == i
-                assert results.positive[i] == (each.label == POS_LABEL)
-                assert results.score[i] == each.score
-                assert results.tau[i] == each.tau
-                assert results.n_evaluated[i] == len(each.parts_evaluated)
-                assert tuple(results.order[i, :results.n_evaluated[i]]) == each.parts_evaluated
-                assert not results.order[i, results.n_evaluated[i]:].any()
-                assert results.final_belief[i] == each.final_belief
-                assert results.partial_score[i] == each.partial_score
+            assert_labelled_alone_alike(model, policy, scores, results, i, case)
+            assert results[i] == r, (case, i)
+            assert results.location_id[i] == r.location_id == i
+            assert results.positive[i] == (r.label == POS_LABEL)
+            assert results.score[i] == r.score
+            assert results.tau[i] == r.tau
+            assert results.n_evaluated[i] == len(r.parts_evaluated)
+            assert tuple(results.order[i, :results.n_evaluated[i]]) == r.parts_evaluated
+            assert not results.order[i, results.n_evaluated[i]:].any()
+            assert results.final_belief[i] == r.final_belief
+            assert results.partial_score[i] == r.partial_score
 
-    def test_indexing_and_slicing_behave_as_a_list(self, rng):
+    def test_indexing_builds_one_row(self, rng):
         model = toy_model(3)
         policy = train_policy(model.likelihoods, CostParams(7.0, 3.0), BeliefGrid(31))
         results, _ = run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((12, 3))))
         as_list = list(results)
-        assert results == as_list and as_list == results
-        for i in (0, 5, 11, -1, -12, np.int64(3)):
-            assert results[i] == as_list[i]
-        for rows in (slice(2, 5), slice(None, None, -3), slice(-4, None), slice(9, 2), slice(None)):
-            part = results[rows]
-            assert type(part) is list
-            assert part == as_list[rows]
-        for i in (12, -13):
+        for i in (0, 5, 11, -1, -12, np.int64(3), np.int64(-2), np.uint8(7)):
+            row = results[i]
+            assert row == as_list[i]
+            assert [type(v) for v in (row.location_id, row.score, row.tau, row.final_belief)] \
+                == [int, float, int, float]
+        for i in (12, -13, np.int64(12)):
             with pytest.raises(IndexError):
                 results[i]
-            with pytest.raises(IndexError):
-                as_list[i]
+        # a slice is not a row index; neither is a float or an array
+        for index in (slice(2, 5), slice(None), 1.0, np.array([1, 2])):
+            with pytest.raises(TypeError):
+                results[index]
+
+    def test_indexing_validates_no_one_row_results(self, rng, monkeypatch):
+        model = toy_model(3)
+        policy = train_policy(model.likelihoods, CostParams(7.0, 3.0), BeliefGrid(31))
+        results, _ = run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((12, 3))))
+        monkeypatch.setattr(DetectionResults, "__post_init__", lambda self: pytest.fail("built"))
+        assert results[4] == list(results)[4]
 
     def test_arrays_are_read_only(self, rng):
         model = toy_model(3)
@@ -537,8 +550,10 @@ class TestResultsFiles:
         path = tmp_path / "r.csv"
         save_results_csv(results, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_RESULTS_CSV_SHA256[case]
-        if case in FIXED_RESULTS:  # their diagnostics are NaN, as the reader returns them
-            assert load_results_csv(path) == results
+        if case not in FIXED_RESULTS:  # theirs are NaN already: the reader returns NaN diagnostics
+            absent = np.full(len(results), math.nan)
+            results = dataclasses.replace(results, final_belief=absent, partial_score=absent)
+        assert load_results_csv(path) == results  # engine files keep the reader's row rules
 
     def test_valid_file_decodes_each_order_once(self, tmp_path, monkeypatch):
         path = tmp_path / "r.csv"
@@ -559,6 +574,20 @@ class TestResultsFiles:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("row, defect", [
+        ("-5,neg,-inf,0,", "negative location_id"),
+        ("0,neg,-inf,-3,", "negative tau"),
+        ("0,pos,1.5,0,0;0;1", "part repeated in parts_order '0;0;1'"),
+        ("0,neg,-inf,2,0", "fewer parts than tau 2"),
+        ("0,pos,1.5,3,0;1", "fewer parts than tau 3"),
+        ("0,neg,-inf,-3,\n-5,pos,1.5,0,0;0;1", "negative tau"),  # the first bad line is named
+    ], ids=["negative-id", "negative-tau", "repeated-part", "short-neg", "short-pos", "two-bad"])
+    def test_row_no_engine_writes_is_a_format_error_naming_its_line(self, tmp_path, row, defect):
+        path = tmp_path / "r.csv"
+        path.write_text(f"location_id,label,score,tau,parts_order\n1,pos,2.5,1,2;0;1\n{row}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:3: {defect}")):
+            load_results_csv(path)
 
     @pytest.mark.parametrize("row", ["0,maybe,-inf,0,", "0,pos,1.5,1,0;256",
                                      "0,pos,1.5,1,0;-1", "99999999999999999999,neg,-inf,0,"])

@@ -15,7 +15,6 @@ from partsched import (
     exhaustive_value_row,
     random_tiny_instance,
     run_grid,
-    run_location,
     simulate_policy,
     step_trace,
     train_policy,
@@ -26,6 +25,7 @@ from partsched.policy import LABEL_NEG, LABEL_POS, Policy, _score_bin_transition
 
 from conftest import (
     ENGINE_TRACE_CASES,
+    assert_labelled_alone_alike,
     constant_policy,
     engine_trace_case,
     overlapping_likelihood,
@@ -331,8 +331,8 @@ class TestStepTrace:
             model, policy, scores = engine_trace_case(case)
             provider = MatrixResponseProvider(scores)
             results, _ = run_grid(model, policy, provider)
-            for r in results[:20]:
-                assert run_location(model, policy, provider, r.location_id) == r, case
+            for i in range(min(20, len(results))):
+                assert_labelled_alone_alike(model, policy, scores, results, i, case)
             for r, row in zip(results, scores):
                 used = r.parts_evaluated[:r.tau]
                 trace = step_trace(policy, model.likelihoods, [row[k] for k in used])
