@@ -351,7 +351,7 @@ def _read_csv(path, columns: dict, check) -> np.ndarray:
     try:
         row = next(csv.DictReader(lines[bad - 1:bad], fieldnames=header))
     except csv.Error:  # a field over the csv module's size limit
-        row = lines[bad - 1]
+        row = dict(zip(header, lines[bad - 1].rstrip("\n").split(",")))
     raise FormatError(f"{path}:{reader.line_num + bad}: {parse(''.join(lines[:bad]))(row)}")
 
 

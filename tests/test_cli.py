@@ -601,7 +601,9 @@ class TestCsvReaders:
     @pytest.mark.parametrize("rows, message", [
         ("0,0,1\n\n0,1,5\n0,1,2\n", ":5: duplicate location 0, part 1"),
         ("0,0,1\n\n0,1,x\n", ":4: bad row"),
-    ], ids=["duplicate", "bad-row"])
+        # a field over the csv module's size limit
+        ("0,0,1\n\n0,0,2" + " " * 140_000 + "\n", ":4: duplicate location 0, part 0"),
+    ], ids=["duplicate", "bad-row", "duplicate-huge-field"])
     def test_responses_csv_lines_count_blank_lines(self, tmp_path, rows, message):
         bad = tmp_path / "bad.csv"
         bad.write_text("location_id,part_id,score\n" + rows)

@@ -582,7 +582,11 @@ class TestResultsFiles:
         ("0,neg,-inf,2,0", "fewer parts than tau 2"),
         ("0,pos,1.5,3,0;1", "fewer parts than tau 3"),
         ("0,neg,-inf,-3,\n-5,pos,1.5,0,0;0;1", "negative tau"),  # the first bad line is named
-    ], ids=["negative-id", "negative-tau", "repeated-part", "short-neg", "short-pos", "two-bad"])
+        # a field over the csv module's size limit
+        ("0,pos,1.5,0," + "1;" * 70_000, "part repeated in parts_order '1;1;1;"),
+        ("0,neg,-inf,9,1" + " " * 140_000, "fewer parts than tau 9"),
+    ], ids=["negative-id", "negative-tau", "repeated-part", "short-neg", "short-pos", "two-bad",
+            "huge-repeated", "huge-short"])
     def test_row_no_engine_writes_is_a_format_error_naming_its_line(self, tmp_path, row, defect):
         path = tmp_path / "r.csv"
         path.write_text(f"location_id,label,score,tau,parts_order\n1,pos,2.5,1,2;0;1\n{row}\n")
