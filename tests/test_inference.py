@@ -380,7 +380,10 @@ def test_malformed_part_set_rejected(build, liks):
 
 class TestDetectionResults:
     @pytest.mark.parametrize("case", ["scan", "scan-deep"])
-    def test_arrays_match_iteration_and_single_location_passes(self, case):
+    def test_arrays_match_iteration_and_run_location(self, case):
+        """Every column equals the iterated rows, and each row equals a
+        pass over that location alone (what ``run_location`` returned
+        before it was deleted; the test keeps its original id)."""
         model, policy, scores = engine_trace_case(case)
         results, _ = run_grid(model, policy, MatrixResponseProvider(scores))
         assert isinstance(results, DetectionResults)
