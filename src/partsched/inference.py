@@ -14,8 +14,11 @@ transition matrices from.  A `DetectorModel` builds it once per grid size.
 All locations of a pass advance together as one frontier over arrays, in
 ascending location order.  Round r holds the locations that have evaluated
 r parts: it reads every live location's action, retires the labelled ones,
-and fetches the requested responses with one provider call per part.  The
-arithmetic per location is the same as evaluating that location alone.
+and fetches the requested responses with one provider call per part.  Every
+location starts in the same state, so round 0 reads that one table entry:
+a label stops the whole pass at tau 0, a part is one call over every
+location, and the loop takes over at round 1.  The arithmetic per location
+is the same as evaluating that location alone.
 
 A pass returns one `DetectionResults`: the frontier's arrays, read-only, one
 row per location.  Indexing and iteration build `DetectionResult`s on demand,
@@ -279,72 +282,88 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
     grid = policy.grid
     # flat tables: one take per lookup is about 3x faster than a 2-D gather
     actions = policy.actions.ravel()
-    successors = model._successors(grid)
-    n_bins = successors.shape[2]
-    successors = successors.ravel()
-    # per location, written once when it stops: label, running score, tau, used mask, belief bin
-    positive = np.zeros(count, dtype=bool)
-    partial = np.zeros(count)
-    tau = np.zeros(count, dtype=np.int64)
-    mask = np.zeros(count, dtype=np.int64)
-    belief = np.zeros(count, dtype=np.intp)
-    order = np.zeros((count, n), dtype=np.uint8)  # row i: parts in evaluation order
-
-    # The frontier holds the live locations' rows in ascending order and their
-    # state; in round r every live location has evaluated r parts.
-    rows = np.arange(count)
-    used = np.zeros(count, dtype=np.int64)
-    bins = np.full(count, grid.nearest_index(0.5))
-    running = np.zeros(count)
+    table = model._successors(grid)
+    n_bins = table.shape[2]
+    successors = table.ravel()
+    # row r: the part each location evaluated r-th; one contiguous row per round
+    order = np.zeros((n, count), dtype=np.uint8)
+    # Every location starts in the same state, so round 0's action is one entry.
+    start = grid.nearest_index(0.5)
+    first = int(policy.actions[0, start])
     # Finite responses whose sum overflows give ±inf, and a location holding both
     # +inf and -inf sums to NaN, as scalar float arithmetic does, without a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in itertools.count():
-            action = actions.take(used * grid.d + bins)
-            go = np.flatnonzero(action >= _PART_BASE)
-            if go.size < rows.size:
-                stop = np.flatnonzero(action < _PART_BASE)
-                done = rows[stop]
-                positive[done] = action[stop] == LABEL_POS
-                partial[done] = running[stop]
-                tau[done] = r
-                mask[done] = used[stop]
-                belief[done] = bins[stop]
-                rows, used, bins, running, action = (
-                    rows[go], used[go], bins[go], running[go], action[go])
-            if not rows.size:
-                break
-            part = action.astype(np.intp) - _PART_BASE
-            taken = (used >> part) & 1
-            if taken.any():
-                i = int(taken.argmax())
-                raise InvalidActionError(f"policy named already-used part {part[i]} "
-                                         f"at mask {int(used[i]):b}")
-            order[:, r][rows] = part
-            # each part group's responses and score bins land in frontier order
-            m = np.empty(rows.size)
-            score_bins = np.empty(rows.size, dtype=np.intp)
-            groups = np.flatnonzero(np.bincount(part, minlength=n))
-            for k in groups.tolist():
-                sel = slice(None) if groups.size == 1 else np.flatnonzero(part == k)
-                fetched = _fetch(provider, location_ids[rows[sel]], k)
-                m[sel] = fetched
-                score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
-            running += m
-            bins = successors.take((part * grid.d + bins) * n_bins + score_bins)
-            used |= 1 << part
+        if first < _PART_BASE or not count:
+            # every location stops at the start state with no part evaluated
+            positive = np.full(count, first == LABEL_POS)
+            partial = np.zeros(count)
+            tau = np.zeros(count, dtype=np.int64)
+            mask = np.zeros(count, dtype=np.int64)
+            belief = np.full(count, start, dtype=np.intp)
+        else:
+            # per location, written once when it stops: label, running score, tau, used mask,
+            # belief bin
+            positive = np.empty(count, dtype=bool)
+            partial = np.empty(count)
+            tau = np.empty(count, dtype=np.int64)
+            mask = np.empty(count, dtype=np.int64)
+            belief = np.empty(count, dtype=np.intp)
+            # round 0: every location evaluates the start part k
+            k = first - _PART_BASE
+            order[0] = k
+            m = _fetch(provider, location_ids, k)
+            # The frontier holds the live locations' rows in ascending order and their
+            # state; in round r every live location has evaluated r parts.
+            rows = np.arange(count)
+            used = np.full(count, 1 << k, dtype=np.int64)
+            bins = table[k, start].take(model.likelihoods[k].pos.bin_index(m))
+            running = m + 0.0  # a fresh array, summed as 0.0 + m (-0.0 becomes 0.0)
+            for r in itertools.count(1):
+                action = actions.take(used * grid.d + bins)
+                go = (action >= _PART_BASE).nonzero()[0]
+                if go.size < rows.size:
+                    stop = (action < _PART_BASE).nonzero()[0]
+                    done = rows[stop]
+                    positive[done] = action[stop] == LABEL_POS
+                    partial[done] = running[stop]
+                    tau[done] = r
+                    mask[done] = used[stop]
+                    belief[done] = bins[stop]
+                    rows, used, bins, running, action = (
+                        rows[go], used[go], bins[go], running[go], action[go])
+                if not rows.size:
+                    break
+                part = action.astype(np.intp) - _PART_BASE
+                taken = (used >> part) & 1
+                if taken.any():
+                    i = int(taken.argmax())
+                    raise InvalidActionError(f"policy named already-used part {part[i]} "
+                                             f"at mask {int(used[i]):b}")
+                order[r, rows] = part
+                # each part group's responses and score bins land in frontier order
+                m = np.empty(rows.size)
+                score_bins = np.empty(rows.size, dtype=np.intp)
+                groups = np.bincount(part, minlength=n).nonzero()[0]
+                for k in groups.tolist():
+                    sel = slice(None) if groups.size == 1 else (part == k).nonzero()[0]
+                    fetched = _fetch(provider, location_ids[rows[sel]], k)
+                    m[sel] = fetched
+                    score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
+                running += m
+                bins = successors.take((part * grid.d + bins) * n_bins + score_bins)
+                used |= 1 << part
 
         # Positives complete their free parts in index order, then add the bias.
-        completing = np.flatnonzero(positive)
+        completing = positive.nonzero()[0]
         total = partial[completing]
         evaluated = tau[completing]
         free = ~mask[completing]
         for k in range(n):
-            sel = np.flatnonzero((free >> k) & 1)
+            sel = ((free >> k) & 1).nonzero()[0]
             if sel.size:
                 at = completing[sel]
                 total[sel] += _fetch(provider, location_ids[at], k)
-                order.ravel()[at * n + evaluated[sel]] = k
+                order.ravel()[evaluated[sel] * count + at] = k
                 evaluated[sel] += 1
         score = np.full(count, -math.inf)
         score[completing] = total + model.bias
@@ -356,7 +375,7 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
                            non_root_evals=int(n_evaluated.sum() - (mask & 1).sum()),
                            n_positive=int(completing.size),
                            mean_tau=float(tau.mean()) if count else 0.0)
-    return DetectionResults(location_ids, positive, score, tau, n_evaluated, order,
+    return DetectionResults(location_ids, positive, score, tau, n_evaluated, order.T,
                             final_belief=grid.centers[belief], partial_score=partial), stats
 
 
@@ -479,6 +498,10 @@ def _result_defect(records, parts: list[bytes], n_evaluated: np.ndarray):
         return lambda row: f"fewer parts than tau {row['tau']} in row {row!r}"
     if any(len(set(order)) < len(order) for order in set(parts)):  # distinct orders are few
         return lambda row: f"part repeated in parts_order {row['parts_order']!r}"
+    if (records["score"][records["label"] == NEG_LABEL] != -math.inf).any():
+        return lambda row: f"background score {row['score']!r} is not -inf"
+    if np.unique(records["location_id"]).size < records.size:
+        return lambda row: f"repeated location_id in row {row!r}"
 
 
 def load_results_csv(path) -> DetectionResults:
@@ -487,8 +510,9 @@ def load_results_csv(path) -> DetectionResults:
     Belief and partial-score diagnostics are not part of the schema and come
     back as NaN.  Part ids must fit the uint8 order matrix (0..255) and
     location ids and taus int64.  Rows no engine writes are rejected: a
-    negative location id or tau, a part repeated within one parts_order, and
-    fewer parts than tau.
+    negative location id or tau, a part repeated within one parts_order,
+    fewer parts than tau, a background score other than -inf, and a location
+    id repeated in one file.
     """
     decoded = []  # the full parse is the first check, and on a valid file the only one
 

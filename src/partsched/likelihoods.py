@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, InsufficientDataError, InvalidRangeError
+from .errors import (CapacityError, ConfigurationError, FormatError, InsufficientDataError,
+                     InvalidRangeError)
 
 DEFAULT_BINS = 201
 PDF_FLOOR = 1e-6
@@ -187,11 +188,15 @@ class DiscretePdf:
         score has no bin and raises ValueError.
         """
         x = (np.asarray(m, dtype=float) - self.lo) / self.bin_width
-        if np.isnan(x).any():
+        # min propagates NaN, so the common case needs no full-size mask
+        if x.size and np.isnan(x.min()):
             raise ValueError("a NaN score has no bin")
         # clamp before the integer cast, so infinities never reach it
-        idx = np.clip(x, 0, self.bins.size - 1).astype(np.intp)
-        return idx if idx.ndim else int(idx)
+        if not x.ndim:  # a 0-d input gives a numpy scalar, which has no buffer to clamp in place
+            return int(min(max(x, 0.0), self.bins.size - 1))
+        np.maximum(x, 0, out=x)
+        np.minimum(x, self.bins.size - 1, out=x)
+        return x.astype(np.intp)
 
     def evaluate(self, m: float) -> float:
         return float(self.bins[self.bin_index(m)])
@@ -203,6 +208,9 @@ def discretize(density, lo: float, hi: float, n_bins: int = DEFAULT_BINS) -> Dis
         raise InvalidRangeError(f"need hi > lo, got [{lo}, {hi}]")
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
+    if n_bins * 8 > np.iinfo(np.intp).max:  # numpy's own limit: "array is too big"
+        raise CapacityError(f"{n_bins} bins need {n_bins * 8} bytes per array, "
+                            f"more than numpy can allocate")
     width = (hi - lo) / n_bins
     centers = lo + (np.arange(n_bins) + 0.5) * width
     raw = np.asarray(density(centers), dtype=float)

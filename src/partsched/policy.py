@@ -213,6 +213,9 @@ def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None)
 
     d = grid.d
     n_states = 1 << n_parts
+    if n_states * d * 8 > np.iinfo(np.intp).max:  # numpy's own limit: "array is too big"
+        raise CapacityError(f"a {n_states} x {d} value table needs {n_states * d * 8} bytes, "
+                            f"more than numpy can allocate")
     values = np.empty((n_states, d))
     actions = np.empty((n_states, d), dtype=np.uint8)
 

@@ -238,6 +238,20 @@ class TestExitCodes:
                      "--lambda-fn", "4", "--belief-bins", "5", "--out", str(tmp_path / "p.bin")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train-policy", "fit"])
+    def test_array_past_numpys_size_limit_exits_2(self, pipeline_dir, capsys, command):
+        # 2**62 entries of 8 bytes pass np.iinfo(np.intp).max: refused before any allocation
+        base, samples, _ = pipeline_dir
+        liks = base / "liks.json"
+        assert main(["fit", "--samples", str(samples), "--out", str(liks)]) == 0
+        capsys.readouterr()
+        argv = (["train-policy", "--likelihoods", str(liks), "--lambda-fp", "4", "--lambda-fn",
+                 "4", "--belief-bins", str(2 ** 62)] if command == "train-policy"
+                else ["fit", "--samples", str(samples), "--bins", str(2 ** 62)])
+        assert main(argv + ["--out", str(base / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "bytes" in err
+
     def test_arity_mismatch_exits_5(self, pipeline_dir, rng, capsys):
         base, samples, _ = pipeline_dir
         liks, policy, _ = run_pipeline(base, samples, base / "responses.bin", "m")

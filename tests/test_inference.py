@@ -36,7 +36,7 @@ from partsched import (
 )
 from partsched import inference
 from partsched.inference import NEG_LABEL, POS_LABEL
-from partsched.oracle import _chain_tables
+from partsched.oracle import _chain_tables, step_trace
 from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
 from conftest import (ENGINE_TRACE_CASES, SCAN_REGIMES, assert_labelled_alone_alike,
@@ -254,6 +254,48 @@ class TestRunGrid:
         results, _ = run_grid(model, policy, recording)
         assert results == regime_results(case)
         assert recording.digest() == RECORDED_PROVIDER_CALLS_SHA256[case]
+
+    def test_label_start_action_fetches_only_completions(self, rng):
+        # every location starts in one state: a label there stops all of them at tau 0
+        model = toy_model(3, bias=0.25)
+        scores = rng.standard_normal((5, 3))
+        neg = RecordingProvider(scores)
+        results, _ = run_grid(model, constant_policy(3, LABEL_NEG), neg)
+        assert neg.calls == []
+        np.testing.assert_array_equal(results.tau, 0)
+        pos = RecordingProvider(scores)
+        results, _ = run_grid(model, constant_policy(3, LABEL_POS), pos)
+        assert pos.calls == [(k, np.arange(5).tobytes()) for k in range(3)]
+        np.testing.assert_array_equal(results.tau, 0)
+        np.testing.assert_array_equal(results.order, [[0, 1, 2]] * 5)
+
+    def test_non_root_start_part_is_fetched_first_over_every_location(self, rng):
+        model = toy_model(4)
+        trained = train_policy(model.likelihoods, CostParams(6.0, 6.0), BeliefGrid(21))
+        actions = trained.actions.copy()
+        actions[0] = part_action(2)  # the start state, at every belief, asks for part 2
+        policy = dataclasses.replace(trained, actions=actions)
+        scores = rng.standard_normal((60, 4))
+        recording = RecordingProvider(scores)
+        results, _ = run_grid(model, policy, recording)
+        assert recording.calls[0] == (2, np.arange(60).tobytes())
+        assert (results.order[:, 0] == 2).all() and (results.tau > 1).any()
+        for r, row in zip(results, scores):
+            used = r.parts_evaluated[:r.tau]
+            trace = step_trace(policy, model.likelihoods, [row[k] for k in used])
+            label = LABEL_POS if r.label == POS_LABEL else LABEL_NEG
+            assert [a for a, _ in trace] == [part_action(k) for k in used] + [label], r
+            assert r.final_belief == trace[-1][1], r
+
+    def test_empty_pass_under_a_part_start_action_makes_no_call(self):
+        actions = np.full((4, 11), LABEL_NEG, dtype=np.uint8)
+        actions[0] = part_action(1)
+        policy = Policy(n_parts=2, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
+                        actions=actions, values=np.zeros((4, 11)))
+        recording = RecordingProvider(np.empty((0, 2)))
+        results, stats = run_grid(toy_model(2), policy, recording)
+        assert recording.calls == []
+        assert len(results) == 0 and stats.n_locations == 0
 
     @pytest.mark.parametrize("provider_type", [MatrixResponseProvider, CountingProvider])
     def test_nan_response_is_a_provider_error(self, rng, provider_type):
@@ -588,8 +630,11 @@ class TestResultsFiles:
         # a field over the csv module's size limit
         ("0,pos,1.5,0," + "1;" * 70_000, "part repeated in parts_order '1;1;1;"),
         ("0,neg,-inf,9,1" + " " * 140_000, "fewer parts than tau 9"),
+        ("0,neg,1.5,0,", "background score '1.5' is not -inf"),
+        ("0,neg,nan,0,", "background score 'nan' is not -inf"),
+        ("1,neg,-inf,0,", "repeated location_id"),
     ], ids=["negative-id", "negative-tau", "repeated-part", "short-neg", "short-pos", "two-bad",
-            "huge-repeated", "huge-short"])
+            "huge-repeated", "huge-short", "finite-neg-score", "nan-neg-score", "repeated-id"])
     def test_row_no_engine_writes_is_a_format_error_naming_its_line(self, tmp_path, row, defect):
         path = tmp_path / "r.csv"
         path.write_text(f"location_id,label,score,tau,parts_order\n1,pos,2.5,1,2;0;1\n{row}\n")

@@ -170,6 +170,33 @@ class TestEvalPdf:
         assert pdf.evaluate(0.0) == pytest.approx(GAUSS_PEAK, rel=0.02)
 
 
+class TestBinIndex:
+    pdf = DiscretePdf.from_weights(0.0, 2.0, np.ones(4))  # bins of width 0.5 on [0, 2]
+
+    def test_scalar_gives_an_int_and_an_array_an_intp_array(self):
+        for m in (1.1, np.float64(1.1), np.array(1.1)):
+            assert type(self.pdf.bin_index(m)) is int and self.pdf.bin_index(m) == 2
+        idx = self.pdf.bin_index([0.1, 0.6, 1.1, 1.6])
+        assert idx.dtype == np.intp
+        np.testing.assert_array_equal(idx, [0, 1, 2, 3])
+        np.testing.assert_array_equal(self.pdf.bin_index([[1.1], [1.6]]), [[2], [3]])
+
+    def test_infinities_clamp_to_the_edges_and_negative_zero_is_bin_0(self):
+        scores = np.array([math.inf, -math.inf, -0.0, 0.0, 99.0, -99.0])
+        np.testing.assert_array_equal(self.pdf.bin_index(scores), [3, 0, 0, 0, 3, 0])
+        assert [self.pdf.bin_index(m) for m in scores.tolist()] == [3, 0, 0, 0, 3, 0]
+        # the clamp works in place on its own copy, never on the caller's array
+        np.testing.assert_array_equal(scores, [math.inf, -math.inf, -0.0, 0.0, 99.0, -99.0])
+
+    def test_nan_raises_and_an_empty_array_has_no_bins(self):
+        for m in (math.nan, [1.1, math.nan], np.array([[math.nan]])):
+            with pytest.raises(ValueError, match="NaN score has no bin"):
+                self.pdf.bin_index(m)
+        for shape in ((0,), (0, 3)):
+            empty = self.pdf.bin_index(np.empty(shape))
+            assert empty.shape == shape and empty.dtype == np.intp
+
+
 class TestFitPartLikelihood:
     def test_identical_classes_give_identical_pdfs(self, rng):
         samples = rng.standard_normal(40)
