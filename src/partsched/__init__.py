@@ -67,7 +67,6 @@ from .inference import (
 )
 from .oracle import (
     TinyInstance,
-    exhaustive_optimal_value,
     exhaustive_value_row,
     random_tiny_instance,
     simulate_policy,

@@ -19,10 +19,11 @@ import numpy as np
 from . import oracle, synth
 from .errors import CapacityError, FormatError, InvalidParameterError, PartschedError
 from .inference import DetectorModel, load_responses, run_grid, save_results_csv
-from .likelihoods import (_read_json, fit_part_likelihood, load_likelihoods, read_sample_sets,
-                          save_likelihoods)
+from .likelihoods import (DEFAULT_BINS, _read_json, fit_part_likelihood, load_likelihoods,
+                          read_sample_sets, save_likelihoods)
 from .policy import (
     _PART_BASE,
+    DEFAULT_BELIEF_BINS,
     BeliefGrid,
     CostParams,
     _popcount,
@@ -150,20 +151,12 @@ def cmd_verify(args) -> int:
 
 
 def _parse_lambda_grid(text: str) -> list[tuple[float, float]]:
-    points = []
     try:
-        for token in text.split(";"):
-            token = token.strip()
-            if not token:
-                continue
-            fp, fn = token.split(",")
-            points.append((float(fp), float(fn)))
+        return [(float(fp), float(fn)) for fp, fn in
+                (token.split(",") for token in text.split(";") if token.strip())]
     except ValueError as exc:
         raise InvalidParameterError(f"bad lambda grid {text!r}; "
                                     "expected 'fp,fn;fp,fn;...'") from exc
-    if not points:
-        raise InvalidParameterError("lambda grid is empty")
-    return points
 
 
 def _load_spec(path) -> synth.SyntheticSpec:
@@ -252,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit per-part likelihoods from a samples CSV")
     p.add_argument("--samples", required=True, help="CSV with header part_id,label,score")
     p.add_argument("--out", required=True, help="output likelihoods JSON")
-    p.add_argument("--bins", type=int, default=201, help="histogram bins per pdf")
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS, help="histogram bins per pdf")
     p.add_argument("--bandwidth", type=float, default=None,
                    help="fixed KDE bandwidth (default: rule of thumb)")
     p.set_defaults(func=cmd_fit)
@@ -261,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--likelihoods", required=True)
     p.add_argument("--lambda-fp", type=float, required=True, help="false-positive cost")
     p.add_argument("--lambda-fn", type=float, required=True, help="false-negative cost")
-    p.add_argument("--belief-bins", type=int, default=101)
+    p.add_argument("--belief-bins", type=int, default=DEFAULT_BELIEF_BINS)
     p.add_argument("--out", required=True, help="output policy file")
     p.set_defaults(func=cmd_train_policy)
 
@@ -292,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train and evaluate a grid of cost points on a synthetic spec")
     p.add_argument("--spec", required=True, help="synthetic spec JSON")
     p.add_argument("--grid", required=True, help="semicolon-separated fp,fn pairs, e.g. '4,4;8,4'")
-    p.add_argument("--belief-bins", type=int, default=101)
+    p.add_argument("--belief-bins", type=int, default=DEFAULT_BELIEF_BINS)
     p.add_argument("--out", required=True, help="output sweep CSV")
     p.set_defaults(func=cmd_sweep)
 

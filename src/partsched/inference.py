@@ -11,10 +11,11 @@ The successor bin is a table lookup: per part, (belief bin, score bin) ->
 bin, from `policy._score_bin_transitions`, the table training builds its
 transition matrices from.  A `DetectorModel` builds it once per grid size.
 
-All locations of a pass advance together as one frontier over arrays, in
-ascending location order.  Round r holds the locations that have evaluated
-r parts: it reads every live location's action, retires the labelled ones,
-and fetches the requested responses with one provider call per part.  Every
+`run_grid` advances all locations of a pass as one frontier over arrays, in
+ascending location order, so a location's id is its row.  Round r holds the
+locations that have evaluated r parts: it reads every live location's action,
+retires the labelled ones, and fetches the requested responses with one
+provider call per part, handing it the frontier's rows read-only.  Every
 location starts in the same state, so round 0 reads that one table entry:
 a label stops the whole pass at tau 0, a part is one call over every
 location, and the loop takes over at round 1.  The arithmetic per location
@@ -251,8 +252,11 @@ def _response(provider: ResponseProvider, location_id: int, part_id: int) -> flo
 
 def _fetch(provider: ResponseProvider, location_ids: np.ndarray, part_id: int) -> np.ndarray:
     """One part's responses at `location_ids`; a NaN among them is a provider fault."""
+    # read-only: the ids may be frontier rows or the results' location_id column
+    ids = location_ids.view()
+    ids.flags.writeable = False
     try:
-        m = np.asarray(provider.get_responses(location_ids, part_id), dtype=float)
+        m = np.asarray(provider.get_responses(ids, part_id), dtype=float)
     except ProviderError:
         raise
     except Exception as exc:
@@ -268,9 +272,9 @@ def _fetch(provider: ResponseProvider, location_ids: np.ndarray, part_id: int) -
     return m
 
 
-def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
-           location_ids: np.ndarray) -> tuple[DetectionResults, InferenceStats]:
-    """Label `location_ids` with one frontier; results come back in the same order.
+def run_grid(model: DetectorModel, policy: Policy,
+             provider: ResponseProvider) -> tuple[DetectionResults, InferenceStats]:
+    """Label every location of the provider with one frontier, in location order.
 
     The model, the policy and a provider holding any location share one part count."""
     n = model.n_parts
@@ -278,7 +282,8 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
         raise ArityMismatchError(f"policy has {policy.n_parts} parts, model has {n}")
     if provider.n_locations and provider.n_parts != n:
         raise ArityMismatchError(f"responses have {provider.n_parts} parts, policy has {n}")
-    count = location_ids.size
+    count = provider.n_locations
+    ids = np.arange(count)
     grid = policy.grid
     # flat tables: one take per lookup is about 3x faster than a 2-D gather
     actions = policy.actions.ravel()
@@ -311,10 +316,10 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
             # round 0: every location evaluates the start part k
             k = first - _PART_BASE
             order[0] = k
-            m = _fetch(provider, location_ids, k)
+            m = _fetch(provider, ids, k)
             # The frontier holds the live locations' rows in ascending order and their
             # state; in round r every live location has evaluated r parts.
-            rows = np.arange(count)
+            rows = ids
             used = np.full(count, 1 << k, dtype=np.int64)
             bins = table[k, start].take(model.likelihoods[k].pos.bin_index(m))
             running = m + 0.0  # a fresh array, summed as 0.0 + m (-0.0 becomes 0.0)
@@ -346,7 +351,7 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
                 groups = np.bincount(part, minlength=n).nonzero()[0]
                 for k in groups.tolist():
                     sel = slice(None) if groups.size == 1 else (part == k).nonzero()[0]
-                    fetched = _fetch(provider, location_ids[rows[sel]], k)
+                    fetched = _fetch(provider, rows[sel], k)
                     m[sel] = fetched
                     score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
                 running += m
@@ -362,7 +367,7 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
             sel = ((free >> k) & 1).nonzero()[0]
             if sel.size:
                 at = completing[sel]
-                total[sel] += _fetch(provider, location_ids[at], k)
+                total[sel] += _fetch(provider, at, k)
                 order.ravel()[evaluated[sel] * count + at] = k
                 evaluated[sel] += 1
         score = np.full(count, -math.inf)
@@ -375,21 +380,23 @@ def _label(model: DetectorModel, policy: Policy, provider: ResponseProvider,
                            non_root_evals=int(n_evaluated.sum() - (mask & 1).sum()),
                            n_positive=int(completing.size),
                            mean_tau=float(tau.mean()) if count else 0.0)
-    return DetectionResults(location_ids, positive, score, tau, n_evaluated, order.T,
+    return DetectionResults(ids, positive, score, tau, n_evaluated, order.T,
                             final_belief=grid.centers[belief], partial_score=partial), stats
 
 
-def run_grid(model: DetectorModel, policy: Policy,
-             provider: ResponseProvider) -> tuple[DetectionResults, InferenceStats]:
-    """Label every location of the provider and aggregate evaluation statistics."""
-    return _label(model, policy, provider, np.arange(provider.n_locations))
-
-
 def full_score(model: DetectorModel, provider: ResponseProvider, location_id: int) -> float:
-    """Exhaustive additive score: every part response plus the bias."""
+    """Exhaustive additive score: every part response plus the bias.
+
+    An id outside the provider is an InvalidParameterError, a NaN response a ProviderError."""
+    if not 0 <= location_id < provider.n_locations:
+        raise InvalidParameterError(f"location {location_id} outside 0..{provider.n_locations - 1}")
     score = 0.0
     for k in range(model.n_parts):
-        score += _response(provider, location_id, k)
+        m = _response(provider, location_id, k)
+        if math.isnan(m):
+            raise ProviderError(f"response provider returned NaN at location {location_id}, "
+                                f"part {k}")
+        score += m
     return score + model.bias
 
 

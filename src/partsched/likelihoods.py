@@ -135,6 +135,21 @@ def _floor_normalize(raw: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(bins, PDF_FLOOR)
 
 
+def _clamped_index(x, last: int, nan_message: str):
+    """Integer parts of x clamped to 0..last, an int for 0-d x; a NaN raises ValueError.
+
+    x is a fresh float array, clamped in place."""
+    # min propagates NaN, so the common case needs no full-size mask
+    if x.size and np.isnan(x.min()):
+        raise ValueError(nan_message)
+    # clamp before the integer cast, so infinities never reach it
+    if not x.ndim:  # a 0-d input gives a numpy scalar, which has no buffer to clamp in place
+        return int(min(max(x, 0.0), last))
+    np.maximum(x, 0, out=x)
+    np.minimum(x, last, out=x)
+    return x.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class DiscretePdf:
     """Piecewise-constant pdf on [lo, hi] with equal-width bins.
@@ -187,16 +202,8 @@ class DiscretePdf:
         Out-of-support scores, ±inf included, clamp to the edge bins.  A NaN
         score has no bin and raises ValueError.
         """
-        x = (np.asarray(m, dtype=float) - self.lo) / self.bin_width
-        # min propagates NaN, so the common case needs no full-size mask
-        if x.size and np.isnan(x.min()):
-            raise ValueError("a NaN score has no bin")
-        # clamp before the integer cast, so infinities never reach it
-        if not x.ndim:  # a 0-d input gives a numpy scalar, which has no buffer to clamp in place
-            return int(min(max(x, 0.0), self.bins.size - 1))
-        np.maximum(x, 0, out=x)
-        np.minimum(x, self.bins.size - 1, out=x)
-        return x.astype(np.intp)
+        return _clamped_index((np.asarray(m, dtype=float) - self.lo) / self.bin_width,
+                              self.bins.size - 1, "a NaN score has no bin")
 
     def evaluate(self, m: float) -> float:
         return float(self.bins[self.bin_index(m)])

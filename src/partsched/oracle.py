@@ -166,18 +166,6 @@ class _ExhaustiveTreeSolver:
         raise AssertionError("no action reproduces the optimal value")
 
 
-def exhaustive_optimal_value(inst: TinyInstance, p0: float, start_mask: int = 0) -> float:
-    """Optimal expected cost from belief p0, snapped to the grid.
-
-    A p0 outside [0, 1] is clamped; a NaN or infinite p0 is rejected.
-    """
-    p0 = float(p0)
-    if not math.isfinite(p0):
-        raise InvalidParameterError(f"p0 must be finite, got {p0}")
-    start = int(_snap(inst.grid.centers, min(max(p0, 0.0), 1.0)))
-    return _ExhaustiveTreeSolver(inst).value(start_mask, start)
-
-
 def exhaustive_value_row(inst: TinyInstance, start_mask: int = 0) -> np.ndarray:
     """Optimal expected cost at every grid belief, sharing one memoized solve."""
     solver = _ExhaustiveTreeSolver(inst)

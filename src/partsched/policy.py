@@ -3,10 +3,10 @@
 The decision state is a pair (mask of already-used parts, belief bin).
 Beliefs live on a uniform grid over [0, 1], and after every part the
 posterior snaps to its nearest grid bin.  That snapped chain is the only
-one: `_successor` holds its math, and `_score_bin_transitions` tabulates it
-per (belief bin, score bin).  Training builds its matrices from that table
-and inference reads its successors from it, so the engine walks the chain
-whose expected cost the DP value is.
+one: `_score_bin_transitions` tabulates it per (belief bin, score bin).
+Training builds its matrices from that table and inference reads its
+successors from it, so the engine walks the chain whose expected cost the DP
+value is.
 
 Working backwards from the all-parts-used stage, each state's value is the
 cheapest of: declare background (pays the false-negative risk), declare
@@ -43,7 +43,7 @@ from .errors import (
     InvalidParameterError,
     InvalidStateError,
 )
-from .likelihoods import ScoreLikelihood, _check_part_set, _json_int, _json_real
+from .likelihoods import ScoreLikelihood, _check_part_set, _clamped_index, _json_int, _json_real
 
 MAX_PARTS = 24
 DEFAULT_BELIEF_BINS = 101
@@ -103,12 +103,8 @@ class BeliefGrid:
         Beliefs outside [0, 1] clamp to the edge bins.  A NaN belief has no
         bin and raises ValueError.
         """
-        x = np.ceil(np.asarray(p, dtype=float) * (self.d - 1) - 0.5)
-        if np.isnan(x).any():
-            raise ValueError("a NaN belief has no bin")
-        # clamp before the integer cast, so infinities never reach it
-        i = np.clip(x, 0, self.d - 1).astype(np.intp)
-        return i if i.ndim else int(i)
+        return _clamped_index(np.ceil(np.asarray(p, dtype=float) * (self.d - 1) - 0.5),
+                              self.d - 1, "a NaN belief has no bin")
 
 
 @dataclass(frozen=True)
@@ -159,28 +155,17 @@ def _popcount(n_parts: int) -> np.ndarray:
     return sum((masks >> k) & 1 for k in range(n_parts))
 
 
-def _successor(lik: ScoreLikelihood, grid: BeliefGrid, i, j):
-    """Snapped posterior bin and mixture density after score bin j from belief bin i.
-
-    Elementwise over broadcastable index arrays.  The mixture density is
-    p*h+ + (1-p)*h- at the bin-i belief p; pos and neg share one support, so
-    one score bin indexes both densities.
-    """
-    p = grid.centers[i]
-    num = lik.pos.bins[j] * p
-    mix = num + lik.neg.bins[j] * (1.0 - p)
-    return grid.nearest_index(num / mix), mix
-
-
 def _score_bin_transitions(lik: ScoreLikelihood, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per (belief center, score bin): outcome weight and successor belief bin.
+    """Per (belief bin, score bin): outcome weight and successor belief bin.
 
-    The outcome weight is the belief-weighted mixture mass of the bin,
-    (p*h+ + (1-p)*h-) * bin_width; weights over bins sum to 1 for each belief.
+    At a bin's belief p the mixture density is mix = p*h+ + (1-p)*h- (pos and
+    neg share one support); the weight is its mass, mix * bin_width, summing to
+    1 over score bins, and the successor is the bin nearest p*h+ / mix.
     """
-    successors, mix = _successor(lik, grid, np.arange(grid.d)[:, None],
-                                 np.arange(lik.pos.n_bins)[None, :])
-    return mix * lik.pos.bin_width, successors
+    p = grid.centers[:, None]
+    num = lik.pos.bins * p
+    mix = num + lik.neg.bins * (1.0 - p)
+    return mix * lik.pos.bin_width, grid.nearest_index(num / mix)
 
 
 def _transition_matrix(lik: ScoreLikelihood, grid: BeliefGrid) -> np.ndarray:

@@ -232,7 +232,7 @@ class SweepResult:
 def evaluate_operating_point(model: DetectorModel, provider, truth,
                              costs: CostParams, grid: BeliefGrid | None = None) -> SweepRow:
     """Train a policy at one cost point and measure it on the provider."""
-    policy = train_policy(model.likelihoods, costs, grid or BeliefGrid())
+    policy = train_policy(model.likelihoods, costs, grid)
     results, stats = run_grid(model, policy, provider)
     counts = classification_counts(results, truth)
     ap = precision_recall(results, truth).average_precision
@@ -251,14 +251,17 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
 
     All points share the same synthetic likelihoods and response grid.  A
-    failing point is recorded, with its exception, and skipped.
+    failing point is recorded, with its exception, and skipped.  An empty grid,
+    a non-finite value or a repeated point raises InvalidParameterError first.
     """
     points = [(float(fp), float(fn)) for fp, fn in lambda_grid]
     if not points:
         raise InvalidParameterError("lambda grid must be non-empty")
+    for fp, fn in points:
+        if not (math.isfinite(fp) and math.isfinite(fn)):
+            raise InvalidParameterError(f"lambda grid values must be finite, got ({fp}, {fn})")
     if len(set(points)) != len(points):
         raise InvalidParameterError("lambda grid points must be unique")
-    grid = grid or BeliefGrid()
     model, provider, truth = make_synthetic(spec)
     out = SweepResult()
     for fp, fn in points:

@@ -1050,6 +1050,20 @@ class TestSweepAndInspect:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 4
 
+    # NaN is not JSON, and NaN != NaN would let a repeated NaN point through
+    @pytest.mark.parametrize("grid", ["nan,1;2,2", "4,inf", "-inf,4", "nan,1;nan,1"])
+    def test_sweep_non_finite_grid_exits_4_and_writes_nothing(self, tmp_path, grid, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n_parts": 2, "separation": 1.0, "prior_positive": 0.5,
+            "n_locations": 10, "seed": 1,
+        }))
+        code = main(["sweep", "--spec", str(spec_path), f"--grid={grid}",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 4
+        assert "lambda grid values must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_inspect_reports_immediate_stop_regime(self, tmp_path, rng, capsys):
         lik = fit_part_likelihood(ScoreSampleSet(
             0, rng.standard_normal(50) + 1.0, rng.standard_normal(50) - 1.0))

@@ -19,6 +19,7 @@ from partsched import (
     DetectorModel,
     FormatError,
     InvalidActionError,
+    InvalidParameterError,
     MatrixResponseProvider,
     Policy,
     ProviderError,
@@ -254,6 +255,38 @@ class TestRunGrid:
         results, _ = run_grid(model, policy, recording)
         assert results == regime_results(case)
         assert recording.digest() == RECORDED_PROVIDER_CALLS_SHA256[case]
+
+    @pytest.mark.parametrize("case", ["scan", "scan-deep"])
+    def test_provider_reads_read_only_ids(self, case):
+        # the ids are frontier rows or the results' own location_id column
+        writeable = []
+
+        class FlagRecording(RecordingProvider):
+            def get_responses(self, location_ids, part_id):
+                writeable.append(location_ids.flags.writeable)
+                return super().get_responses(location_ids, part_id)
+
+        model, policy, provider = regime_inputs(case)
+        recording = FlagRecording(provider.scores)
+        results, _ = run_grid(model, policy, recording)
+        assert writeable and not any(writeable)
+        assert results == regime_results(case)
+        assert recording.digest() == RECORDED_PROVIDER_CALLS_SHA256[case]
+
+    def test_provider_writing_into_ids_is_a_provider_fault(self, rng):
+        class Rewriting(MatrixResponseProvider):
+            def get_responses(self, location_ids, part_id):
+                out = self.scores[location_ids, part_id]
+                location_ids[:] = 0
+                return out
+
+        model = toy_model(2)
+        trained = train_policy(model.likelihoods, CostParams(6.0, 6.0), BeliefGrid(21))
+        assert trained.actions[0, trained.grid.nearest_index(0.5)] == part_action(0)
+        # a round-0 fetch and a completion fetch
+        for policy in (trained, constant_policy(2, LABEL_POS)):
+            with pytest.raises(ProviderError, match="failed at part 0 for 5 locations"):
+                run_grid(model, policy, Rewriting(rng.standard_normal((5, 2))))
 
     def test_label_start_action_fetches_only_completions(self, rng):
         # every location starts in one state: a label there stops all of them at tau 0
@@ -503,6 +536,18 @@ class TestFullScore:
         model = toy_model(3, bias=0.25)
         provider = MatrixResponseProvider([[2.0, -1.0, 0.5]])
         assert full_score(model, provider, 0) == 1.75
+
+    @pytest.mark.parametrize("location_id", [-1, 2, 10])
+    def test_id_outside_the_provider_is_rejected(self, location_id):
+        provider = MatrixResponseProvider([[2.0, -1.0, 0.5], [0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidParameterError, match=f"location {location_id} outside 0..1"):
+            full_score(toy_model(3), provider, location_id)
+
+    def test_nan_response_is_a_provider_fault(self):
+        provider = MatrixResponseProvider([[2.0, -1.0, 0.5], [1.0, math.nan, 0.0]])
+        with pytest.raises(ProviderError, match="NaN at location 1, part 1"):
+            full_score(toy_model(3), provider, 1)
+        assert full_score(toy_model(3), provider, 0) == 1.5
 
 
 class TestResponseFiles:

@@ -8,10 +8,8 @@ from partsched import (
     CapacityError,
     CostParams,
     InsufficientScriptError,
-    InvalidParameterError,
     MatrixResponseProvider,
     TinyInstance,
-    exhaustive_optimal_value,
     exhaustive_value_row,
     random_tiny_instance,
     run_grid,
@@ -57,34 +55,25 @@ class TestTinyInstance:
 
 
 class TestExhaustiveOptimalValue:
+    """Optimal values read from exhaustive_value_row, the oracle's one value solver."""
+
     def test_all_parts_used_reduces_to_stop_cost(self):
         inst = two_part_instance(costs=CostParams(6.0, 4.0))
-        full = (1 << inst.n_parts) - 1
-        for p0 in inst.grid.centers:
-            expected = min(4.0 * p0, 6.0 * (1.0 - p0))
-            got = exhaustive_optimal_value(inst, float(p0), start_mask=full)
-            assert got == pytest.approx(expected, abs=1e-12)
+        row = exhaustive_value_row(inst, (1 << inst.n_parts) - 1)
+        expected = np.minimum(4.0 * inst.grid.centers, 6.0 * (1.0 - inst.grid.centers))
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
     def test_uninformative_part_means_stop_now(self):
         inst = TinyInstance(likelihoods=(uninformative_likelihood(0, n_bins=4),),
                             costs=CostParams(10.0, 10.0), grid=BeliefGrid(11))
-        assert exhaustive_optimal_value(inst, 0.5) == pytest.approx(5.0, abs=1e-12)
+        value = exhaustive_value_row(inst)[inst.grid.nearest_index(0.5)]
+        assert value == pytest.approx(5.0, abs=1e-12)
 
     def test_perfect_separator_worth_one_evaluation(self):
         inst = TinyInstance(likelihoods=(separable_likelihood(0, n_bins=4),),
                             costs=CostParams(100.0, 100.0), grid=BeliefGrid(21))
-        value = exhaustive_optimal_value(inst, 0.5)
+        value = exhaustive_value_row(inst)[inst.grid.nearest_index(0.5)]
         assert 1.0 <= value < 1.01
-
-    @pytest.mark.parametrize("p0", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_start_belief_rejected(self, p0):
-        with pytest.raises(InvalidParameterError, match="p0 must be finite"):
-            exhaustive_optimal_value(random_tiny_instance(0), p0)
-
-    def test_clamps_start_belief_outside_unit_interval(self):
-        inst = random_tiny_instance(0)
-        assert exhaustive_optimal_value(inst, -3.0) == exhaustive_optimal_value(inst, 0.0)
-        assert exhaustive_optimal_value(inst, 7.0) == exhaustive_optimal_value(inst, 1.0)
 
     def test_certifies_trained_policy_on_random_instances(self):
         for seed in range(8):
@@ -143,7 +132,7 @@ class TestExhaustiveOptimalValue:
         # absolute slack covers pdf-floor dust (~1e-6 of outcome mass) that a
         # finite sample cannot resolve when the rare branch never fires
         inst = two_part_instance(costs=CostParams(10.0, 6.0))
-        optimum = exhaustive_optimal_value(inst, 0.5)
+        optimum = exhaustive_value_row(inst)[inst.grid.nearest_index(0.5)]
         for theta_lo, theta_hi, order in [(0.2, 0.8, (0, 1)), (0.4, 0.6, (1, 0)),
                                           (0.05, 0.95, (0, 1)), (0.5, 0.5, (1, 0))]:
             policy = threshold_policy(inst, theta_lo, theta_hi, order)

@@ -29,7 +29,6 @@ from partsched.policy import (
     LABEL_NEG,
     LABEL_POS,
     _score_bin_transitions,
-    _successor,
     part_action,
 )
 
@@ -132,36 +131,38 @@ class TestTerminalStage:
 
 
 class TestBeliefUpdate:
-    """The snapped successor, the one belief update of training and inference."""
+    """Entries of the snapped successor table, the one belief update of training and inference."""
 
     def test_uninformative_observation_keeps_belief(self):
         lik = uninformative_likelihood(0)
         grid = BeliefGrid(11)
-        bins = np.arange(grid.d)
-        successor, _ = _successor(lik, grid, bins, lik.pos.bin_index(0.3))
-        assert np.array_equal(successor, bins)
+        successors = _score_bin_transitions(lik, grid)[1]
+        assert np.array_equal(successors[:, lik.pos.bin_index(0.3)], np.arange(grid.d))
 
     def test_hand_computed_posterior(self):
         # h+(m)=0.6, h-(m)=0.2 at the spiked bin: 0.6*0.5/(0.6*0.5+0.2*0.5)=0.75
         lik = spiked_likelihood(0, n_bins=8, pos_value=0.6, neg_value=0.2, spike_bin=3)
         grid = BeliefGrid(101)
-        m = lik.pos.centers[3]
-        successor, mix = _successor(lik, grid, grid.nearest_index(0.5), lik.pos.bin_index(m))
-        assert successor == grid.nearest_index(0.75) == 75
-        assert mix == pytest.approx(0.6 * 0.5 + 0.2 * 0.5, abs=1e-12)
+        weights, successors = _score_bin_transitions(lik, grid)
+        i, j = grid.nearest_index(0.5), lik.pos.bin_index(lik.pos.centers[3])
+        assert successors[i, j] == grid.nearest_index(0.75) == 75
+        assert weights[i, j] == pytest.approx((0.6 * 0.5 + 0.2 * 0.5) * lik.pos.bin_width,
+                                              abs=1e-12)
 
     def test_absorbing_boundaries(self):
         lik = separable_likelihood(0)
         grid = BeliefGrid(11)
-        assert _successor(lik, grid, 0, lik.pos.bin_index(0.9))[0] == 0
-        assert _successor(lik, grid, grid.d - 1, lik.pos.bin_index(0.1))[0] == grid.d - 1
+        successors = _score_bin_transitions(lik, grid)[1]
+        assert successors[0, lik.pos.bin_index(0.9)] == 0
+        assert successors[grid.d - 1, lik.pos.bin_index(0.1)] == grid.d - 1
 
     @settings(max_examples=60)
     @given(i=st.integers(0, 20), m=st.floats(-10.0, 10.0))
     def test_stays_in_unit_interval(self, i, m):
         lik = overlapping_likelihood(0)
-        successor, _ = _successor(lik, BeliefGrid(21), i, lik.pos.bin_index(m))
-        assert isinstance(successor, int) and 0 <= successor <= 20
+        successors = _score_bin_transitions(lik, BeliefGrid(21))[1]
+        assert successors.dtype == np.intp
+        assert 0 <= successors[i, lik.pos.bin_index(m)] <= 20
 
 
 def expected_q(lik, grid, next_values):

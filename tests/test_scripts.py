@@ -18,13 +18,26 @@ README = SCRIPTS.parent / "README.md"
      "error non-increasing:"),
 ])
 def test_script_runs(tmp_path, name, args, summary):
+    assert summary in run_script(tmp_path, name, *args)
+
+
+def test_savings_demo_default_run_matches_readme(tmp_path):
+    # README: "~57x fewer non-root evaluations than the evaluate-everything
+    # baseline with no location-level average-precision loss"
+    out = run_script(tmp_path, "savings_demo.py")
+    assert "rnpe=56.94 " in out
+    assert float(re.search(r"gap=(\S+)", out).group(1)) <= 0.0
+
+
+def run_script(cwd, name, *args) -> str:
+    """stdout of scripts/<name> run with args in cwd, on this checkout's partsched."""
     src = str(Path(partsched.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd,
                           env={**os.environ, "PYTHONPATH": pythonpath},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert summary in proc.stdout
+    return proc.stdout
 
 
 def test_readme_library_block_runs():

@@ -23,7 +23,7 @@ from partsched import (
     simulate_policy,
     train_policy,
 )
-from partsched import inference
+from partsched import inference, synth
 from partsched.inference import DetectionResult, NEG_LABEL, POS_LABEL
 from partsched.policy import LABEL_NEG, LABEL_POS, part_action
 
@@ -232,6 +232,15 @@ class TestLambdaSweep:
     def test_empty_grid_rejected(self, small_spec):
         with pytest.raises(InvalidParameterError):
             lambda_sweep(small_spec, [])
+
+    # NaN != NaN, so a repeated NaN point would pass the uniqueness rule
+    @pytest.mark.parametrize("points", [[(math.nan, 1.0)], [(4.0, math.inf)], [(-math.inf, 2.0)],
+                                        [(math.nan, 1.0), (math.nan, 1.0)]],
+                             ids=["nan", "inf", "-inf", "repeated-nan"])
+    def test_non_finite_point_rejected_before_any_work(self, small_spec, points, monkeypatch):
+        monkeypatch.setattr(synth, "make_synthetic", None)  # any work would call it
+        with pytest.raises(InvalidParameterError, match="lambda grid values must be finite"):
+            lambda_sweep(small_spec, points)
 
     def test_equal_cost_sweep_trends(self, small_spec):
         grid = BeliefGrid(41)
