@@ -7,19 +7,15 @@ evaluating parts on demand.
 """
 
 from .errors import (
-    ArityMismatchError,
     CapacityError,
     ConfigurationError,
     FormatError,
     InsufficientDataError,
-    InsufficientScriptError,
     InvalidActionError,
     InvalidParameterError,
     InvalidRangeError,
-    InvalidStateError,
     PartschedError,
     ProviderError,
-    UndefinedMetricError,
 )
 from .likelihoods import (
     PDF_FLOOR,
@@ -76,7 +72,6 @@ from .synth import (
     SyntheticSpec,
     classification_counts,
     compute_rnpe,
-    evaluate_operating_point,
     lambda_sweep,
     make_synthetic,
     precision_recall,

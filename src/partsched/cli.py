@@ -3,7 +3,7 @@
 Exit codes, stable for scripting: 0 success, 1 verification failure,
 2 capacity (a table or array that cannot be allocated included), 3 input
 format or a file that cannot be read or written, 4 invalid parameter,
-5 arity mismatch.
+5 mismatched components, such as part counts that disagree.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .policy import (
     _popcount,
     action_name,
     load_policy,
-    query_policy,
     save_policy,
     train_policy,
 )
@@ -73,11 +72,10 @@ def cmd_train_policy(args) -> int:
     grid = BeliefGrid(args.belief_bins)
     policy = train_policy(likelihoods, costs, grid)
     save_policy(policy, args.out)
-    half = policy.grid.nearest_index(0.5)
     print(f"states={policy.n_states} belief_bins={policy.grid.d} "
           f"table_entries={policy.n_states * policy.grid.d}")
-    print(f"V(empty, 0.5)={float(policy.values[0, half])!r} "
-          f"initial_action={action_name(int(policy.actions[0, half]))}")
+    print(f"V(empty, 0.5)={float(policy.values[0, policy.start])!r} "
+          f"initial_action={action_name(int(policy.actions[0, policy.start]))}")
     print(f"wrote policy to {args.out}")
     return EXIT_OK
 
@@ -124,12 +122,11 @@ def cmd_verify(args) -> int:
         dp_row = policy.values[0]
         oracle_row = oracle.exhaustive_value_row(inst)
         diff = float(np.max(np.abs(dp_row - oracle_row)))
-        half = inst.grid.nearest_index(0.5)
         estimate = oracle.simulate_policy(policy, inst.likelihoods, 0.5, args.trials, seed)
         reports.append({
             "seed": seed,
-            "optimal_value": float(oracle_row[half]),
-            "dp_value": float(dp_row[half]),
+            "optimal_value": float(oracle_row[policy.start]),
+            "dp_value": float(dp_row[policy.start]),
             "abs_diff": diff,
             "trials": estimate.n_trials,
             "mean_cost": estimate.mean_cost,
@@ -198,11 +195,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     policy = load_policy(args.policy)
-    half = policy.grid.nearest_index(0.5)
+    half = policy.start
     print(f"n_parts={policy.n_parts} belief_bins={policy.grid.d} "
           f"lambda_fp={policy.costs.lambda_fp!r} lambda_fn={policy.costs.lambda_fn!r}")
     print(f"V(empty, 0.5)={float(policy.values[0, half])!r}")
-    print(f"initial action at p=0.5: {action_name(query_policy(policy, 0, 0.5))}")
+    print(f"initial action at p=0.5: {action_name(int(policy.actions[0, half]))}")
     if policy.n_states <= 64:
         for mask in range(policy.n_states):
             row = policy.actions[mask]

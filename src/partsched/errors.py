@@ -1,4 +1,8 @@
-"""Exception types shared across the engine; `exit_code` is the CLI's exit status for each."""
+"""Exception types shared across the engine; `exit_code` is the CLI's exit status for each.
+
+A class stands for one exit code, or for an error that some caller catches on its own
+(fitting, synthesis, policy loading and the provider fetch each catch one).
+"""
 
 
 class PartschedError(Exception):
@@ -21,23 +25,14 @@ class InvalidActionError(PartschedError):
     exit_code = 3
 
 
-class InvalidStateError(PartschedError):
-    """A (mask, belief) pair outside a policy's state space."""
-    exit_code = 4
-
-
 class CapacityError(PartschedError):
     """Problem size exceeds the supported table or enumeration budget."""
     exit_code = 2
 
 
 class ConfigurationError(PartschedError):
-    """Mismatched components wired together (policy vs. model, etc.)."""
-    exit_code = 5
-
-
-class ArityMismatchError(ConfigurationError):
-    """Part counts disagree between artifacts that must share them."""
+    """Mismatched components wired together, e.g. part counts that disagree between
+    the policy, the model, the likelihoods and the responses."""
     exit_code = 5
 
 
@@ -47,12 +42,9 @@ class FormatError(PartschedError, ValueError):
 
 
 class InvalidParameterError(PartschedError, ValueError):
-    """A parameter outside its documented domain (e.g. non-positive cost)."""
-    exit_code = 4
-
-
-class InsufficientScriptError(PartschedError):
-    """A scripted score sequence ran out before the policy stopped."""
+    """A parameter outside its documented domain: a non-positive cost, a mask outside a
+    policy, a score script that runs out before the policy stops, a metric that needs a
+    positive example and has none."""
     exit_code = 4
 
 
@@ -60,7 +52,3 @@ class ProviderError(PartschedError):
     """A response provider failed while serving a (location, part) request."""
     exit_code = 3
 
-
-class UndefinedMetricError(PartschedError):
-    """A metric that needs at least one positive example is undefined."""
-    exit_code = 4

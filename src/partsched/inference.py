@@ -1,11 +1,11 @@
 """Sequential inference over candidate locations.
 
 A location's state is the policy table's own (used mask, belief bin).  It
-starts at the bin nearest 0.5 and repeatedly reads its action: evaluate some
-part (pay for it, add its response to the running score, move to the
-successor bin) or stop with a label.  A foreground stop evaluates whatever
-parts remain so the reported score is the complete additive score; a
-background stop reports negative infinity.
+starts at `Policy.start`, the bin nearest 0.5, and repeatedly reads its
+action: evaluate some part (pay for it, add its response to the running
+score, move to the successor bin) or stop with a label.  A foreground stop
+evaluates whatever parts remain so the reported score is the complete
+additive score; a background stop reports negative infinity.
 
 The successor bin is a table lookup: per part, (belief bin, score bin) ->
 bin, from `policy._score_bin_transitions`, the table training builds its
@@ -16,10 +16,10 @@ ascending location order, so a location's id is its row.  Round r holds the
 locations that have evaluated r parts: it reads every live location's action,
 retires the labelled ones, and fetches the requested responses with one
 provider call per part, handing it the frontier's rows read-only.  Every
-location starts in the same state, so round 0 reads that one table entry:
-a label stops the whole pass at tau 0, a part is one call over every
-location, and the loop takes over at round 1.  The arithmetic per location
-is the same as evaluating that location alone.
+location starts in the same state, so round 0 reads that one table entry.
+A part is one call over every location, and the loop takes over at round 1;
+a label sends every location through the loop's one stop step at tau 0.
+The arithmetic per location is the same as evaluating that location alone.
 
 A pass returns one `DetectionResults`: the frontier's arrays, read-only, one
 row per location.  Indexing and iteration build `DetectionResult`s on demand,
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ArityMismatchError, FormatError, InvalidActionError, InvalidParameterError,
+from .errors import (ConfigurationError, FormatError, InvalidActionError, InvalidParameterError,
                      ProviderError)
 from .likelihoods import ScoreLikelihood, _check_part_set, _read_csv
 from .policy import _PART_BASE, LABEL_POS, BeliefGrid, CostParams, Policy, _score_bin_transitions
@@ -276,12 +276,13 @@ def run_grid(model: DetectorModel, policy: Policy,
              provider: ResponseProvider) -> tuple[DetectionResults, InferenceStats]:
     """Label every location of the provider with one frontier, in location order.
 
-    The model, the policy and a provider holding any location share one part count."""
+    The model, the policy and a provider holding any location share one part count, or
+    it is a ConfigurationError."""
     n = model.n_parts
     if policy.n_parts != n:
-        raise ArityMismatchError(f"policy has {policy.n_parts} parts, model has {n}")
+        raise ConfigurationError(f"policy has {policy.n_parts} parts, model has {n}")
     if provider.n_locations and provider.n_parts != n:
-        raise ArityMismatchError(f"responses have {provider.n_parts} parts, policy has {n}")
+        raise ConfigurationError(f"responses have {provider.n_parts} parts, policy has {n}")
     count = provider.n_locations
     ids = np.arange(count)
     grid = policy.grid
@@ -293,70 +294,68 @@ def run_grid(model: DetectorModel, policy: Policy,
     # row r: the part each location evaluated r-th; one contiguous row per round
     order = np.zeros((n, count), dtype=np.uint8)
     # Every location starts in the same state, so round 0's action is one entry.
-    start = grid.nearest_index(0.5)
+    start = policy.start
     first = int(policy.actions[0, start])
+    # per location, written once when it stops: label, running score, tau, used mask,
+    # belief bin
+    positive = np.empty(count, dtype=bool)
+    partial = np.empty(count)
+    tau = np.empty(count, dtype=np.int64)
+    mask = np.empty(count, dtype=np.int64)
+    belief = np.empty(count, dtype=np.intp)
+    # The frontier holds the live locations' rows in ascending order and their state;
+    # in round r every live location has evaluated r parts.
+    rows = ids
     # Finite responses whose sum overflows give ±inf, and a location holding both
     # +inf and -inf sums to NaN, as scalar float arithmetic does, without a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if first < _PART_BASE or not count:
-            # every location stops at the start state with no part evaluated
-            positive = np.full(count, first == LABEL_POS)
-            partial = np.zeros(count)
-            tau = np.zeros(count, dtype=np.int64)
-            mask = np.zeros(count, dtype=np.int64)
-            belief = np.full(count, start, dtype=np.intp)
+            # round 0 reads the start label, and every location stops with no part evaluated
+            used = np.zeros(count, dtype=np.int64)
+            bins = np.full(count, start, dtype=np.intp)
+            running = np.zeros(count)
         else:
-            # per location, written once when it stops: label, running score, tau, used mask,
-            # belief bin
-            positive = np.empty(count, dtype=bool)
-            partial = np.empty(count)
-            tau = np.empty(count, dtype=np.int64)
-            mask = np.empty(count, dtype=np.int64)
-            belief = np.empty(count, dtype=np.intp)
             # round 0: every location evaluates the start part k
             k = first - _PART_BASE
             order[0] = k
             m = _fetch(provider, ids, k)
-            # The frontier holds the live locations' rows in ascending order and their
-            # state; in round r every live location has evaluated r parts.
-            rows = ids
             used = np.full(count, 1 << k, dtype=np.int64)
             bins = table[k, start].take(model.likelihoods[k].pos.bin_index(m))
             running = m + 0.0  # a fresh array, summed as 0.0 + m (-0.0 becomes 0.0)
-            for r in itertools.count(1):
-                action = actions.take(used * grid.d + bins)
-                go = (action >= _PART_BASE).nonzero()[0]
-                if go.size < rows.size:
-                    stop = (action < _PART_BASE).nonzero()[0]
-                    done = rows[stop]
-                    positive[done] = action[stop] == LABEL_POS
-                    partial[done] = running[stop]
-                    tau[done] = r
-                    mask[done] = used[stop]
-                    belief[done] = bins[stop]
-                    rows, used, bins, running, action = (
-                        rows[go], used[go], bins[go], running[go], action[go])
-                if not rows.size:
-                    break
-                part = action.astype(np.intp) - _PART_BASE
-                taken = (used >> part) & 1
-                if taken.any():
-                    i = int(taken.argmax())
-                    raise InvalidActionError(f"policy named already-used part {part[i]} "
-                                             f"at mask {int(used[i]):b}")
-                order[r, rows] = part
-                # each part group's responses and score bins land in frontier order
-                m = np.empty(rows.size)
-                score_bins = np.empty(rows.size, dtype=np.intp)
-                groups = np.bincount(part, minlength=n).nonzero()[0]
-                for k in groups.tolist():
-                    sel = slice(None) if groups.size == 1 else (part == k).nonzero()[0]
-                    fetched = _fetch(provider, rows[sel], k)
-                    m[sel] = fetched
-                    score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
-                running += m
-                bins = successors.take((part * grid.d + bins) * n_bins + score_bins)
-                used |= 1 << part
+        for r in itertools.count(int(first >= _PART_BASE)):
+            action = actions.take(used * grid.d + bins)
+            go = (action >= _PART_BASE).nonzero()[0]
+            if go.size < rows.size:
+                stop = (action < _PART_BASE).nonzero()[0]
+                done = rows[stop]
+                positive[done] = action[stop] == LABEL_POS
+                partial[done] = running[stop]
+                tau[done] = r
+                mask[done] = used[stop]
+                belief[done] = bins[stop]
+                rows, used, bins, running, action = (
+                    rows[go], used[go], bins[go], running[go], action[go])
+            if not rows.size:
+                break
+            part = action.astype(np.intp) - _PART_BASE
+            taken = (used >> part) & 1
+            if taken.any():
+                i = int(taken.argmax())
+                raise InvalidActionError(f"policy named already-used part {part[i]} "
+                                         f"at mask {int(used[i]):b}")
+            order[r, rows] = part
+            # each part group's responses and score bins land in frontier order
+            m = np.empty(rows.size)
+            score_bins = np.empty(rows.size, dtype=np.intp)
+            groups = np.bincount(part, minlength=n).nonzero()[0]
+            for k in groups.tolist():
+                sel = slice(None) if groups.size == 1 else (part == k).nonzero()[0]
+                fetched = _fetch(provider, rows[sel], k)
+                m[sel] = fetched
+                score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
+            running += m
+            bins = successors.take((part * grid.d + bins) * n_bins + score_bins)
+            used |= 1 << part
 
         # Positives complete their free parts in index order, then add the bias.
         completing = positive.nonzero()[0]
@@ -387,7 +386,11 @@ def run_grid(model: DetectorModel, policy: Policy,
 def full_score(model: DetectorModel, provider: ResponseProvider, location_id: int) -> float:
     """Exhaustive additive score: every part response plus the bias.
 
-    An id outside the provider is an InvalidParameterError, a NaN response a ProviderError."""
+    An id that is not an integer (a bool included) or lies outside the provider is an
+    InvalidParameterError, a NaN response a ProviderError."""
+    if isinstance(location_id, bool) or not hasattr(location_id, "__index__"):
+        raise InvalidParameterError(f"location id must be an integer, got {location_id!r}")
+    location_id = operator.index(location_id)
     if not 0 <= location_id < provider.n_locations:
         raise InvalidParameterError(f"location {location_id} outside 0..{provider.n_locations - 1}")
     score = 0.0

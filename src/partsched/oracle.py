@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArityMismatchError,
-    CapacityError,
-    InsufficientScriptError,
-    InvalidParameterError,
-)
+from .errors import CapacityError, ConfigurationError, InvalidParameterError
 from .likelihoods import DiscretePdf, ScoreLikelihood
 from .policy import (
     _PART_BASE,
@@ -220,7 +215,7 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
         raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}")
     likelihoods = list(likelihoods)
     if len(likelihoods) != policy.n_parts:
-        raise ArityMismatchError(f"{len(likelihoods)} likelihoods for a "
+        raise ConfigurationError(f"{len(likelihoods)} likelihoods for a "
                                  f"{policy.n_parts}-part policy")
     prior = float(prior)
     if not math.isfinite(prior):
@@ -320,7 +315,7 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
         try:
             m = float(next(scripts))
         except StopIteration:
-            raise InsufficientScriptError(
+            raise InvalidParameterError(
                 f"script exhausted after {len(trace) - 1} evaluations without a stop decision"
             ) from None
         hp = likelihoods[k].pos.evaluate(m)

@@ -41,7 +41,6 @@ from .errors import (
     FormatError,
     InvalidActionError,
     InvalidParameterError,
-    InvalidStateError,
 )
 from .likelihoods import ScoreLikelihood, _check_part_set, _clamped_index, _json_int, _json_real
 
@@ -148,6 +147,11 @@ class Policy:
     def n_states(self) -> int:
         return 1 << self.n_parts
 
+    @property
+    def start(self) -> int:
+        """The belief bin every location starts in: the one nearest 0.5."""
+        return self.grid.nearest_index(0.5)
+
 
 def _popcount(n_parts: int) -> np.ndarray:
     """Number of used parts, i.e. the stage, of every mask 0..2^n_parts - 1."""
@@ -236,7 +240,7 @@ def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None)
 def query_policy(policy: Policy, mask: int, p: float) -> int:
     """O(1) action lookup at (mask, nearest belief bin)."""
     if not (0 <= mask < policy.n_states):
-        raise InvalidStateError(f"mask {mask} outside 0..{policy.n_states - 1}")
+        raise InvalidParameterError(f"mask {mask} outside 0..{policy.n_states - 1}")
     return int(policy.actions[mask, policy.grid.nearest_index(p)])
 
 

@@ -13,10 +13,11 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidRangeError, UndefinedMetricError
+from .errors import InvalidParameterError, InvalidRangeError
 from .inference import (
     DetectionResults,
     DetectorModel,
@@ -169,12 +170,13 @@ def precision_recall(results, truth) -> PrCurve:
     Background-labeled locations carry -inf scores and therefore rank below
     every foreground-labeled one; equal scores move across a threshold as one
     group.  Average precision integrates the interpolated (monotone envelope)
-    precision over recall.
+    precision over recall.  Truth without a positive location is an
+    InvalidParameterError.
     """
     truth = np.asarray(truth, dtype=bool)
     n_positive = int(truth.sum())
     if n_positive == 0:
-        raise UndefinedMetricError("precision/recall needs at least one positive location")
+        raise InvalidParameterError("precision/recall needs at least one positive location")
     location_id, _, scores = _columns(results)
     labels = truth[location_id]
     order = np.argsort(-scores, kind="stable")
@@ -211,13 +213,10 @@ class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
     failures: list[tuple[float, float, Exception]] = field(default_factory=list)
 
-    def diagonal_rows(self) -> list[SweepRow]:
-        return sorted((r for r in self.rows if r.lambda_fp == r.lambda_fn),
-                      key=lambda r: r.lambda_fp)
-
     def diagonal_diagnostics(self) -> dict:
         """Trend checks along the equal-cost diagonal: error down, savings ratio down."""
-        diag = self.diagonal_rows()
+        diag = sorted((r for r in self.rows if r.lambda_fp == r.lambda_fn),
+                      key=lambda r: r.lambda_fp)
         errors = [r.fp_rate + r.fn_rate for r in diag]
         rnpes = [r.rnpe for r in diag]
         return {
@@ -227,24 +226,6 @@ class SweepResult:
             "error_nonincreasing": all(b <= a for a, b in zip(errors, errors[1:])),
             "rnpe_nonincreasing": all(b <= a for a, b in zip(rnpes, rnpes[1:])),
         }
-
-
-def evaluate_operating_point(model: DetectorModel, provider, truth,
-                             costs: CostParams, grid: BeliefGrid | None = None) -> SweepRow:
-    """Train a policy at one cost point and measure it on the provider."""
-    policy = train_policy(model.likelihoods, costs, grid)
-    results, stats = run_grid(model, policy, provider)
-    counts = classification_counts(results, truth)
-    ap = precision_recall(results, truth).average_precision
-    return SweepRow(
-        lambda_fp=costs.lambda_fp,
-        lambda_fn=costs.lambda_fn,
-        ap=ap,
-        rnpe=compute_rnpe(stats, model.n_parts, provider.n_locations),
-        mean_tau=stats.mean_tau,
-        fp_rate=counts.fp_rate,
-        fn_rate=counts.fn_rate,
-    )
 
 
 def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> SweepResult:
@@ -266,8 +247,12 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
     out = SweepResult()
     for fp, fn in points:
         try:
-            out.rows.append(evaluate_operating_point(model, provider, truth,
-                                                     CostParams(fp, fn), grid))
+            policy = train_policy(model.likelihoods, CostParams(fp, fn), grid)
+            results, stats = run_grid(model, policy, provider)
+            counts = classification_counts(results, truth)
+            out.rows.append(SweepRow(fp, fn, precision_recall(results, truth).average_precision,
+                                     compute_rnpe(stats, model.n_parts, provider.n_locations),
+                                     stats.mean_tau, counts.fp_rate, counts.fn_rate))
         except Exception as exc:  # sweep rows fail independently
             log.warning("sweep point (%s, %s) failed: %s: %s", fp, fn, type(exc).__name__, exc)
             out.failures.append((fp, fn, exc))
@@ -278,8 +263,6 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
 
 
 def save_sweep_csv(result: SweepResult, path) -> None:
-    from pathlib import Path
-
     lines = ["lambda_fp,lambda_fn,ap,rnpe,mean_tau,fp_rate,fn_rate"]
     for r in result.rows:
         lines.append(f"{float(r.lambda_fp)!r},{float(r.lambda_fn)!r},{float(r.ap)!r},"

@@ -865,7 +865,7 @@ def error_classes(cls=PartschedError):
 
 def test_every_error_class_declares_a_documented_exit_code():
     classes = list(error_classes())
-    assert len(classes) == 12
+    assert len(classes) == 8
     for cls in classes:
         assert "exit_code" in vars(cls) and cls.exit_code in {2, 3, 4, 5}, cls.__name__
 

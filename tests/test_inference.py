@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from partsched import (
-    ArityMismatchError,
     BeliefGrid,
     ConfigurationError,
     CostParams,
@@ -177,7 +176,7 @@ class TestRunLocation:
     def test_arity_mismatch(self, rng):
         model = toy_model(3)
         policy = constant_policy(2, LABEL_NEG)
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(ConfigurationError, match="policy has 2 parts, model has 3"):
             label_alone(model, policy, rng.standard_normal((1, 3)))
 
     def test_provider_failure_is_contextualized(self):
@@ -205,7 +204,7 @@ class TestRunGrid:
     def test_provider_arity_mismatch(self, rng):
         model = toy_model(3)
         policy = constant_policy(3, LABEL_NEG)
-        with pytest.raises(ArityMismatchError, match="4 parts, policy has 3"):
+        with pytest.raises(ConfigurationError, match="4 parts, policy has 3"):
             run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((2, 4))))
         # a provider without locations asks for no part, whatever its width
         assert len(run_grid(model, policy, MatrixResponseProvider(np.empty((0, 4))))[0]) == 0
@@ -535,12 +534,20 @@ class TestFullScore:
     def test_plain_arithmetic(self):
         model = toy_model(3, bias=0.25)
         provider = MatrixResponseProvider([[2.0, -1.0, 0.5]])
-        assert full_score(model, provider, 0) == 1.75
+        assert full_score(model, provider, 0) == full_score(model, provider, np.int64(0)) == 1.75
 
     @pytest.mark.parametrize("location_id", [-1, 2, 10])
     def test_id_outside_the_provider_is_rejected(self, location_id):
         provider = MatrixResponseProvider([[2.0, -1.0, 0.5], [0.0, 0.0, 0.0]])
         with pytest.raises(InvalidParameterError, match=f"location {location_id} outside 0..1"):
+            full_score(toy_model(3), provider, location_id)
+
+    @pytest.mark.parametrize("location_id", [0.5, True, "0", None])
+    def test_id_that_is_not_an_integer_is_rejected(self, location_id):
+        # the caller's id is at fault, not the provider
+        provider = MatrixResponseProvider([[2.0, -1.0, 0.5], [0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidParameterError,
+                           match=f"location id must be an integer, got {location_id!r}"):
             full_score(toy_model(3), provider, location_id)
 
     def test_nan_response_is_a_provider_fault(self):

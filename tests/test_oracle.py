@@ -7,7 +7,7 @@ from partsched import (
     BeliefGrid,
     CapacityError,
     CostParams,
-    InsufficientScriptError,
+    InvalidParameterError,
     MatrixResponseProvider,
     TinyInstance,
     exhaustive_value_row,
@@ -311,7 +311,8 @@ class TestStepTrace:
     def test_script_exhaustion(self):
         inst = two_part_instance(costs=CostParams(100.0, 100.0))
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        with pytest.raises(InsufficientScriptError):
+        with pytest.raises(InvalidParameterError,
+                           match="script exhausted after 0 evaluations without a stop decision"):
             step_trace(policy, inst.likelihoods, [])
 
     @pytest.mark.filterwarnings("error")  # infinite responses must not trip numpy casts

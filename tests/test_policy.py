@@ -13,7 +13,6 @@ from partsched import (
     FormatError,
     InvalidActionError,
     InvalidParameterError,
-    InvalidStateError,
     Policy,
     SyntheticSpec,
     exhaustive_value_row,
@@ -305,9 +304,9 @@ class TestQueryPolicy:
 
     def test_invalid_mask(self, trained_three_part):
         policy, _, _ = trained_three_part
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidParameterError, match="mask 8 outside 0..7"):
             query_policy(policy, policy.n_states, 0.5)
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidParameterError, match="mask -1 outside 0..7"):
             query_policy(policy, -1, 0.5)
 
     def test_matches_table(self, trained_three_part):

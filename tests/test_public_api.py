@@ -5,14 +5,13 @@ import partsched
 # Every public non-module name of the package.  A change to the exports shows
 # here, in the diff, and belongs in CHANGES.md.
 PUBLIC_NAMES = [
-    "ArityMismatchError", "BeliefGrid", "CapacityError", "ConfigurationError", "CostParams",
-    "DetectionResult", "DetectionResults", "DetectorModel", "DiscretePdf", "FormatError",
-    "InferenceStats", "InsufficientDataError", "InsufficientScriptError", "InvalidActionError",
-    "InvalidParameterError", "InvalidRangeError", "InvalidStateError", "LABEL_NEG", "LABEL_POS",
-    "MatrixResponseProvider", "NEG_LABEL", "PDF_FLOOR", "POS_LABEL", "PartschedError", "Policy",
-    "ProviderError", "ResponseProvider", "ScoreLikelihood", "ScoreSampleSet", "SyntheticSpec",
-    "TinyInstance", "UndefinedMetricError", "classification_counts", "compute_rnpe",
-    "discretize", "evaluate_operating_point", "exhaustive_value_row", "fit_kde",
+    "BeliefGrid", "CapacityError", "ConfigurationError", "CostParams", "DetectionResult",
+    "DetectionResults", "DetectorModel", "DiscretePdf", "FormatError", "InferenceStats",
+    "InsufficientDataError", "InvalidActionError", "InvalidParameterError", "InvalidRangeError",
+    "LABEL_NEG", "LABEL_POS", "MatrixResponseProvider", "NEG_LABEL", "PDF_FLOOR", "POS_LABEL",
+    "PartschedError", "Policy", "ProviderError", "ResponseProvider", "ScoreLikelihood",
+    "ScoreSampleSet", "SyntheticSpec", "TinyInstance", "classification_counts", "compute_rnpe",
+    "discretize", "exhaustive_value_row", "fit_kde",
     "fit_part_likelihood", "full_score", "lambda_sweep", "load_likelihoods", "load_policy",
     "load_responses", "load_responses_bin", "load_responses_csv", "load_results_csv",
     "make_synthetic", "part_action", "precision_recall", "query_policy", "random_tiny_instance",

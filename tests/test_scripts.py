@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import partsched
+from partsched import cli
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -14,8 +16,6 @@ README = SCRIPTS.parent / "README.md"
 
 @pytest.mark.parametrize("name,args,summary", [
     ("savings_demo.py", ["--locations", "2000"], "rnpe="),
-    ("tradeoff_sweep.py", ["--locations", "2000", "--lambdas", "2", "8", "--out", "sweep.csv"],
-     "error non-increasing:"),
 ])
 def test_script_runs(tmp_path, name, args, summary):
     assert summary in run_script(tmp_path, name, *args)
@@ -47,3 +47,23 @@ def test_readme_library_block_runs():
     exec(block, namespace)
     assert len(namespace["results"]) == 1000
     assert isinstance(namespace["results"], partsched.DetectionResults)
+
+
+def test_readme_sweep_command_reproduces_its_figures(tmp_path, capsys):
+    # README Experiments: the equal-cost sweep's spec, grid and quoted figures
+    section = README.read_text().split("## Experiments", 1)[1].split("## ", 1)[0]
+    spec = re.search(r"echo '(.*?)' > tradeoff\.json", section, re.S).group(1)
+    grid = re.search(r'--grid "(.*?)"', section).group(1)
+    (tmp_path / "tradeoff.json").write_text(spec)
+    out = tmp_path / "tradeoff_sweep.csv"
+    assert cli.main(["sweep", "--spec", str(tmp_path / "tradeoff.json"),
+                     "--grid", grid, "--out", str(out)]) == 0
+    assert "diagonal: error_nonincreasing=True rnpe_nonincreasing=True" in capsys.readouterr().out
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    errors = [float(r["fp_rate"]) + float(r["fn_rate"]) for r in rows]
+    assert (errors[0], round(errors[-1], 3)) == (1.0, 0.014)
+    # lambda 0.5 and 2: every location labelled background before any part
+    assert all((r["rnpe"], r["mean_tau"], r["fp_rate"]) == ("inf", "0.0", "0.0")
+               for r in rows[:2])
+    assert round(float(rows[-1]["rnpe"]), 2) == 1.82

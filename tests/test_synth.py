@@ -10,10 +10,8 @@ from partsched import (
     InferenceStats,
     InvalidParameterError,
     SyntheticSpec,
-    UndefinedMetricError,
     classification_counts,
     compute_rnpe,
-    evaluate_operating_point,
     lambda_sweep,
     make_synthetic,
     precision_recall,
@@ -181,7 +179,8 @@ class TestPrecisionRecall:
         assert curve.average_precision == pytest.approx(0.5 + 0.5 * (2.0 / 3.0))
 
     def test_no_positives_rejected(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(InvalidParameterError,
+                           match="precision/recall needs at least one positive location"):
             precision_recall([result_stub(0, POS_LABEL, 1.0)], np.array([False]))
 
 
@@ -222,7 +221,14 @@ class TestLambdaSweep:
         sweep = lambda_sweep(small_spec, [(8.0, 4.0)], grid)
         assert len(sweep.rows) == 1 and not sweep.failures
         model, provider, truth = make_synthetic(small_spec)
-        direct = evaluate_operating_point(model, provider, truth, CostParams(8.0, 4.0), grid)
+        policy = train_policy(model.likelihoods, CostParams(8.0, 4.0), grid)
+        results, stats = run_grid(model, policy, provider)
+        counts = classification_counts(results, truth)
+        direct = synth.SweepRow(lambda_fp=8.0, lambda_fn=4.0,
+                                ap=precision_recall(results, truth).average_precision,
+                                rnpe=compute_rnpe(stats, model.n_parts, provider.n_locations),
+                                mean_tau=stats.mean_tau, fp_rate=counts.fp_rate,
+                                fn_rate=counts.fn_rate)
         assert sweep.rows[0] == direct
 
     def test_duplicate_points_rejected(self, small_spec):
