@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import partsched
 from partsched import (
+    BeliefGrid,
     CapacityError,
+    CostParams,
     FormatError,
     PartschedError,
     ScoreSampleSet,
@@ -31,10 +33,14 @@ from partsched import (
     load_results_csv,
     make_synthetic,
     oracle,
+    precision_recall,
+    query_policy,
     read_sample_sets,
+    run_grid,
     save_likelihoods,
     save_responses_bin,
     save_sample_sets,
+    train_policy,
 )
 from partsched.cli import main
 
@@ -870,14 +876,63 @@ def test_every_error_class_declares_a_documented_exit_code():
         assert "exit_code" in vars(cls) and cls.exit_code in {2, 3, 4, 5}, cls.__name__
 
 
-@pytest.mark.parametrize("error", list(error_classes()), ids=lambda cls: cls.__name__)
-def test_main_exits_with_the_error_class_code(error, monkeypatch, capsys):
-    def fail(args):
-        raise error("boom")
+def raise_boom(cls):
+    def fail():
+        raise cls("boom")
+    return fail
 
-    monkeypatch.setattr(cli, "cmd_inspect", fail)
-    assert main(["inspect", "--policy", "policy.bin"]) == error.exit_code
-    assert capsys.readouterr().err == "error: boom\n"
+
+def two_part_model_and_policy(cost):
+    spec = SyntheticSpec(n_parts=2, separation=2.0, prior_positive=0.5, n_locations=4, seed=1,
+                         train_samples=50)
+    model = make_synthetic(spec)[0]
+    return model, train_policy(model.likelihoods, CostParams(cost, cost), BeliefGrid(11))
+
+
+def run_grid_on_three_part_responses():
+    model, policy = two_part_model_and_policy(4.0)
+    spec = SyntheticSpec(n_parts=3, separation=2.0, prior_positive=0.5, n_locations=4, seed=1,
+                         train_samples=50)
+    run_grid(model, policy, make_synthetic(spec)[1])
+
+
+def query_past_the_last_mask():
+    query_policy(two_part_model_and_policy(4.0)[1], 4, 0.5)
+
+
+def step_trace_on_an_empty_script():
+    # errors cost far more than a part, so the start state evaluates one
+    model, policy = two_part_model_and_policy(100.0)
+    oracle.step_trace(policy, model.likelihoods, [])
+
+
+def precision_recall_without_positives():
+    precision_recall([], np.array([False]))
+
+
+# A class folded into a surviving one kept its exit code and message: each case named
+# after a folded class raises from that class's old site, with the code it had.
+FOLDED_CLASS_SITES = [
+    pytest.param(5, run_grid_on_three_part_responses, "responses have 3 parts, policy has 2",
+                 id="ArityMismatchError"),
+    pytest.param(4, step_trace_on_an_empty_script,
+                 "script exhausted after 0 evaluations without a stop decision",
+                 id="InsufficientScriptError"),
+    pytest.param(4, query_past_the_last_mask, "mask 4 outside 0..3", id="InvalidStateError"),
+    pytest.param(4, precision_recall_without_positives,
+                 "precision/recall needs at least one positive location", id="UndefinedMetricError"),
+]
+
+
+@pytest.mark.parametrize("code, fail, message", [
+    *(pytest.param(cls.exit_code, raise_boom(cls), "boom", id=cls.__name__)
+      for cls in error_classes()),
+    *FOLDED_CLASS_SITES,
+])
+def test_main_exits_with_the_error_class_code(code, fail, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_inspect", lambda args: fail())
+    assert main(["inspect", "--policy", "policy.bin"]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("message, line", [
