@@ -12,14 +12,14 @@ bin, from `policy._score_bin_transitions`, the table training builds its
 transition matrices from.  A `DetectorModel` builds it once per grid size.
 
 `run_grid` advances all locations of a pass as one frontier over arrays, in
-ascending location order, so a location's id is its row.  Round r holds the
-locations that have evaluated r parts: it reads every live location's action,
-retires the labelled ones, and fetches the requested responses with one
-provider call per part, handing it the frontier's rows read-only.  Every
-location starts in the same state, so round 0 reads that one table entry.
-A part is one call over every location, and the loop takes over at round 1;
-a label sends every location through the loop's one stop step at tau 0.
-The arithmetic per location is the same as evaluating that location alone.
+ascending location order, so a location's id is its row.  All start in one
+state: a start label stops them all at tau 0 with no fetch, and a start part k
+is one provider call over every location, whose score bin alone then decides
+its next step (k's successor from the start bin, then the mask-{k} action).
+Every column is written whole as if all stopped there.  Round r takes the
+locations sent on, fetches each one's next part with one call per part over
+their rows, read-only, reads their actions and overwrites the columns of those
+that stop.  The arithmetic per location is the same as evaluating it alone.
 
 A pass returns one `DetectionResults`: the frontier's arrays, read-only, one
 row per location.  Indexing and iteration build `DetectionResult`s on demand,
@@ -289,52 +289,41 @@ def run_grid(model: DetectorModel, policy: Policy,
     # flat tables: one take per lookup is about 3x faster than a 2-D gather
     actions = policy.actions.ravel()
     table = model._successors(grid)
-    n_bins = table.shape[2]
     successors = table.ravel()
     # row r: the part each location evaluated r-th; one contiguous row per round
     order = np.zeros((n, count), dtype=np.uint8)
     # Every location starts in the same state, so round 0's action is one entry.
     start = policy.start
     first = int(policy.actions[0, start])
-    # per location, written once when it stops: label, running score, tau, used mask,
-    # belief bin
-    positive = np.empty(count, dtype=bool)
-    partial = np.empty(count)
-    tau = np.empty(count, dtype=np.int64)
-    mask = np.empty(count, dtype=np.int64)
-    belief = np.empty(count, dtype=np.intp)
-    # The frontier holds the live locations' rows in ascending order and their state;
-    # in round r every live location has evaluated r parts.
-    rows = ids
     # Finite responses whose sum overflows give ±inf, and a location holding both
     # +inf and -inf sums to NaN, as scalar float arithmetic does, without a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if first < _PART_BASE or not count:
-            # round 0 reads the start label, and every location stops with no part evaluated
-            used = np.zeros(count, dtype=np.int64)
-            bins = np.full(count, start, dtype=np.intp)
-            running = np.zeros(count)
-        else:
-            # round 0: every location evaluates the start part k
+        # Per location, written as whole columns at its first decision and overwritten
+        # when a location sent on stops: label, running score, tau, used mask, belief bin.
+        if first >= _PART_BASE and count:
+            # round 0: every location evaluates the start part k; its score bin decides the rest
             k = first - _PART_BASE
             order[0] = k
-            m = _fetch(provider, ids, k)
-            used = np.full(count, 1 << k, dtype=np.int64)
-            bins = table[k, start].take(model.likelihoods[k].pos.bin_index(m))
-            running = m + 0.0  # a fresh array, summed as 0.0 + m (-0.0 becomes 0.0)
-        for r in itertools.count(int(first >= _PART_BASE)):
-            action = actions.take(used * grid.d + bins)
-            go = (action >= _PART_BASE).nonzero()[0]
-            if go.size < rows.size:
-                stop = (action < _PART_BASE).nonzero()[0]
-                done = rows[stop]
-                positive[done] = action[stop] == LABEL_POS
-                partial[done] = running[stop]
-                tau[done] = r
-                mask[done] = used[stop]
-                belief[done] = bins[stop]
-                rows, used, bins, running, action = (
-                    rows[go], used[go], bins[go], running[go], action[go])
+            partial = _fetch(provider, ids, k) + 0.0  # a fresh array; -0.0 becomes 0.0
+            belief = table[k, start].take(model.likelihoods[k].pos.bin_index(partial))
+            action = policy.actions[1 << k].take(belief)
+            tau0, used0 = 1, 1 << k
+        else:
+            # the start label stops every location with no part evaluated
+            action = np.full(count, first, dtype=np.uint8)
+            belief = np.full(count, start, dtype=np.intp)
+            partial = np.zeros(count)
+            tau0 = used0 = 0
+        positive = action == LABEL_POS
+        tau = np.full(count, tau0, dtype=np.int64)
+        mask = np.full(count, used0, dtype=np.int64)
+        # counted as the frontier runs: the taus' sum, and the evaluations of parts but 0
+        tau_sum, non_root = tau0 * count, count if used0 > 1 else 0
+        # The frontier: the rows sent on, ascending, and their state.  In round r each
+        # evaluates its (r+1)-th part, then reads its next action.
+        rows = (action >= _PART_BASE).nonzero()[0]
+        used, bins, running, action = mask[rows], belief[rows], partial[rows], action[rows]
+        for r in itertools.count(1):
             if not rows.size:
                 break
             part = action.astype(np.intp) - _PART_BASE
@@ -347,15 +336,29 @@ def run_grid(model: DetectorModel, policy: Policy,
             # each part group's responses and score bins land in frontier order
             m = np.empty(rows.size)
             score_bins = np.empty(rows.size, dtype=np.intp)
-            groups = np.bincount(part, minlength=n).nonzero()[0]
+            per_part = np.bincount(part, minlength=n)
+            groups = per_part.nonzero()[0]
             for k in groups.tolist():
                 sel = slice(None) if groups.size == 1 else (part == k).nonzero()[0]
                 fetched = _fetch(provider, rows[sel], k)
                 m[sel] = fetched
                 score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
             running += m
-            bins = successors.take((part * grid.d + bins) * n_bins + score_bins)
+            bins = successors.take((part * grid.d + bins) * table.shape[2] + score_bins)
             used |= 1 << part
+            tau_sum += rows.size
+            non_root += rows.size - int(per_part[0])
+            action = actions.take(used * grid.d + bins)
+            go = (action >= _PART_BASE).nonzero()[0]
+            stop = (action < _PART_BASE).nonzero()[0]
+            done = rows[stop]
+            positive[done] = action[stop] == LABEL_POS
+            partial[done] = running[stop]
+            tau[done] = r + 1
+            mask[done] = used[stop]
+            belief[done] = bins[stop]
+            rows, used, bins, running, action = (
+                rows[go], used[go], bins[go], running[go], action[go])
 
         # Positives complete their free parts in index order, then add the bias.
         completing = positive.nonzero()[0]
@@ -369,18 +372,15 @@ def run_grid(model: DetectorModel, policy: Policy,
                 total[sel] += _fetch(provider, at, k)
                 order.ravel()[evaluated[sel] * count + at] = k
                 evaluated[sel] += 1
+                non_root += sel.size if k else 0
         score = np.full(count, -math.inf)
         score[completing] = total + model.bias
-    n_evaluated = tau.copy()
-    n_evaluated[completing] = evaluated
-    mask[completing] = (1 << n) - 1
+    n_evaluated = np.where(positive, n, tau)  # a positive evaluates every part
 
-    stats = InferenceStats(n_locations=count,
-                           non_root_evals=int(n_evaluated.sum() - (mask & 1).sum()),
-                           n_positive=int(completing.size),
-                           mean_tau=float(tau.mean()) if count else 0.0)
+    # tau_sum / count is tau.mean() bit for bit: the sum is exact below 2^53
+    stats = InferenceStats(count, non_root, completing.size, tau_sum / count if count else 0.0)
     return DetectionResults(ids, positive, score, tau, n_evaluated, order.T,
-                            final_belief=grid.centers[belief], partial_score=partial), stats
+                            final_belief=grid.centers.take(belief), partial_score=partial), stats
 
 
 def full_score(model: DetectorModel, provider: ResponseProvider, location_id: int) -> float:

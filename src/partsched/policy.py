@@ -147,7 +147,7 @@ class Policy:
     def n_states(self) -> int:
         return 1 << self.n_parts
 
-    @property
+    @cached_property
     def start(self) -> int:
         """The belief bin every location starts in: the one nearest 0.5."""
         return self.grid.nearest_index(0.5)

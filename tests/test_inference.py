@@ -17,6 +17,7 @@ from partsched import (
     DetectionResults,
     DetectorModel,
     FormatError,
+    InferenceStats,
     InvalidActionError,
     InvalidParameterError,
     MatrixResponseProvider,
@@ -217,6 +218,14 @@ class TestRunGrid:
         actions[:] = part_action(0)  # every state asks for part 0, used or not
         with pytest.raises(InvalidActionError, match="already-used part 0"):
             run_grid(toy_model(2), policy, MatrixResponseProvider(rng.standard_normal((3, 2))))
+        # parts 0 then 1 are valid; the altered state after both re-asks part 1 in round 2
+        actions = np.full((8, 11), LABEL_NEG, dtype=np.uint8)
+        actions[0], actions[1] = part_action(0), part_action(1)
+        policy = Policy(n_parts=3, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
+                        actions=actions, values=np.zeros((8, 11)))
+        actions[3] = part_action(1)
+        with pytest.raises(InvalidActionError, match="already-used part 1 at mask 11$"):
+            run_grid(toy_model(3), policy, MatrixResponseProvider(rng.standard_normal((3, 3))))
 
     def test_overflowing_sum_is_infinite_without_a_warning(self):
         # pyproject turns a numpy RuntimeWarning into a test failure
@@ -318,6 +327,67 @@ class TestRunGrid:
             label = LABEL_POS if r.label == POS_LABEL else LABEL_NEG
             assert [a for a, _ in trace] == [part_action(k) for k in used] + [label], r
             assert r.final_belief == trace[-1][1], r
+
+    @pytest.mark.parametrize("second", [LABEL_NEG, LABEL_POS, part_action(0)])
+    def test_first_decision_row_labelling_or_continuing_at_every_bin(self, rng, second):
+        # the start asks for part 2; the mask-{2} row takes one action at every bin
+        actions = np.full((8, 11), LABEL_NEG, dtype=np.uint8)
+        actions[0], actions[4] = part_action(2), second
+        policy = Policy(n_parts=3, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
+                        actions=actions, values=np.zeros((8, 11)))
+        ids = np.arange(20).tobytes()
+        recording = RecordingProvider(rng.standard_normal((20, 3)))
+        results, stats = run_grid(toy_model(3), policy, recording)
+        if second == LABEL_NEG:
+            assert recording.calls == [(2, ids)]
+            np.testing.assert_array_equal(results.order, [[2, 0, 0]] * 20)
+        elif second == LABEL_POS:  # the completions follow, in part order
+            assert recording.calls == [(2, ids), (0, ids), (1, ids)]
+            np.testing.assert_array_equal(results.order, [[2, 0, 1]] * 20)
+        else:  # every location is sent on to part 0, then stops at the mask-{0, 2} label
+            assert recording.calls == [(2, ids), (0, ids)]
+            np.testing.assert_array_equal(results.order, [[2, 0, 0]] * 20)
+        np.testing.assert_array_equal(results.positive, second == LABEL_POS)
+        np.testing.assert_array_equal(results.tau, 2 if second == part_action(0) else 1)
+        assert stats.mean_tau == results.tau.mean()
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("case", ["scan", "scan-deep"])
+    def test_one_and_two_location_passes_under_a_part_start(self, case, size):
+        # a pass over a window of one or two rows reproduces those rows of the full pass
+        model, policy, provider = regime_inputs(case)
+        assert policy.actions[0, policy.start] >= part_action(0)
+        full = regime_results(case)
+        # scan's rows mostly stop at the first decision, scan-deep's go on and complete
+        assert (full.tau[:60] == 1).any() if case == "scan" else full.positive[:60].any()
+        for i in range(0, 60, size):
+            window, _ = run_grid(model, policy, MatrixResponseProvider(provider.scores[i:i + size]))
+            np.testing.assert_array_equal(window.location_id, np.arange(size))
+            for name in ("positive", "score", "tau", "n_evaluated", "order", "final_belief",
+                         "partial_score"):
+                np.testing.assert_array_equal(getattr(window, name),
+                                              getattr(full, name)[i:i + size],
+                                              err_msg=f"location {i}, {name}")
+
+    @pytest.mark.parametrize("case", [*REGIMES, "part-2-start", "label-start", "empty"])
+    def test_stats_equal_the_values_recomputed_from_the_columns(self, case):
+        model, policy, provider = regime_inputs(case if case in REGIMES else "scan-deep")
+        if case == "part-2-start":  # part 0 is then evaluated in the rounds and completions
+            actions = policy.actions.copy()
+            actions[0] = part_action(2)
+            policy = dataclasses.replace(policy, actions=actions)
+        if case == "label-start":
+            policy = constant_policy(9, LABEL_POS, d=101)
+        if case == "empty":
+            provider = MatrixResponseProvider(np.empty((0, 9)))
+        results, stats = run_grid(model, policy, provider)
+        evaluated = np.arange(results.order.shape[1]) < results.n_evaluated[:, None]
+        uses_root = ((results.order == 0) & evaluated).any(axis=1)
+        assert stats == InferenceStats(
+            n_locations=len(results),
+            non_root_evals=int(results.n_evaluated.sum() - uses_root.sum()),
+            n_positive=int(results.positive.sum()),
+            mean_tau=float(results.tau.mean()) if len(results) else 0.0)
 
     def test_empty_pass_under_a_part_start_action_makes_no_call(self):
         actions = np.full((4, 11), LABEL_NEG, dtype=np.uint8)

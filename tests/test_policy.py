@@ -316,6 +316,16 @@ class TestQueryPolicy:
                 assert query_policy(policy, mask, p) == policy.actions[mask, grid.nearest_index(p)]
 
 
+@pytest.mark.parametrize("d", [2, 11, 100, 101])
+def test_start_is_the_bin_nearest_half_read_once(d):
+    shape = (2, d)
+    policy = Policy(n_parts=1, grid=BeliefGrid(d), costs=CostParams(1.0, 1.0),
+                    actions=np.full(shape, LABEL_NEG, dtype=np.uint8), values=np.zeros(shape))
+    # an even grid has no center at 0.5: the start is the lower nearest one
+    assert policy.start == policy.grid.nearest_index(0.5) == (d - 1) // 2
+    assert vars(policy)["start"] == policy.start  # kept on the policy after the first read
+
+
 class TestPersistence:
     def test_round_trip_bytes_and_content(self, tmp_path, trained_three_part):
         policy, costs, _ = trained_three_part
