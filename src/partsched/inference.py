@@ -47,6 +47,7 @@ NEG_LABEL = "neg"
 # DetectionResults' one-value-per-location fields; the uint8 order matrix is the other
 RESULT_COLUMNS = {"location_id": np.int64, "positive": bool, "score": float, "tau": np.int64,
                   "n_evaluated": np.int64, "final_belief": float, "partial_score": float}
+_BLOCK_ROWS = 2 ** 13  # results.csv rows formatted per write
 
 
 class ResponseProvider:
@@ -419,8 +420,8 @@ def _reject_nan(scores: np.ndarray, path) -> None:
 def save_responses_csv(scores, path) -> None:
     scores = np.asarray(scores, dtype=float)
     lines = ["location_id,part_id,score"]
-    for loc in range(scores.shape[0]):
-        lines.extend(f"{loc},{k},{float(scores[loc, k])!r}" for k in range(scores.shape[1]))
+    for loc, row in enumerate(scores.tolist()):
+        lines.extend(f"{loc},{k},{v!r}" for k, v in enumerate(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -428,7 +429,9 @@ def _response_defect(records):
     loc, part = records["location_id"], records["part_id"]
     if records.size and min(loc.min(), part.min()) < 0:
         return lambda row: f"negative id in row {row!r}"
-    if np.unique(np.column_stack([loc, part]).view("V16")).size < records.size:
+    pairs = np.column_stack([loc, part]).view("V16").ravel()
+    pairs.sort()  # in place: equal pairs end up next to each other
+    if (pairs[1:] == pairs[:-1]).any():
         return lambda row: f"duplicate location {int(row['location_id'])}, part {int(row['part_id'])}"
 
 
@@ -478,17 +481,37 @@ def load_responses(path) -> MatrixResponseProvider:
 
 
 def save_results_csv(results: DetectionResults, path) -> None:
-    """One row per location, streamed; scores go through repr, each distinct order joins once."""
-    width, orders, texts = results.order.shape[1], results.order.tobytes(), {}
+    """One row per location, streamed in blocks of _BLOCK_ROWS rows.
+
+    The rows of one (label, tau, parts_order) group share one suffix, joined
+    once, so a row formats only its location_id and, for a positive, repr of
+    its score; a background score other than -inf, which no engine writes,
+    is formatted too.
+    """
+    groups = np.dtype([("kind", np.uint8), ("tau", np.int64), ("n_evaluated", np.int64),
+                       ("order", np.uint8, (results.order.shape[1],))])
+    suffixes = {}  # group key bytes -> (text before the score, or None for no score; the rest)
     with open(path, "w") as out:
         out.write("location_id,label,score,tau,parts_order\n")
-        for loc, pos, s, t, start, e in zip(
-                results.location_id.tolist(), results.positive.tolist(), results.score.tolist(),
-                results.tau.tolist(), itertools.count(0, width), results.n_evaluated.tolist()):
-            key = orders[start:start + e]
-            if (text := texts.get(key)) is None:
-                text = texts[key] = ";".join(map(str, key))
-            out.write(f"{loc},{POS_LABEL if pos else NEG_LABEL},{s!r},{t},{text}\n")
+        for a in range(0, len(results), _BLOCK_ROWS):
+            block, rows = slice(a, a + _BLOCK_ROWS), []
+            score, pos = results.score[block], results.positive[block]
+            keys = np.empty(score.size, groups)
+            # kind 0: background at -inf, 1: any other background, 2: positive
+            np.add(pos, pos | (score != -math.inf), out=keys["kind"], dtype=np.uint8)
+            for name in ("tau", "n_evaluated", "order"):
+                keys[name] = getattr(results, name)[block]
+            for i, loc, s, key in zip(itertools.count(a), results.location_id[block].tolist(),
+                                      score.tolist(), keys.view(f"V{groups.itemsize}").tolist()):
+                if (suffix := suffixes.get(key)) is None:
+                    order = results.order[i, :results.n_evaluated[i]].tolist()
+                    tail = f",{results.tau[i]},{';'.join(map(str, order))}\n"
+                    suffix = suffixes[key] = (
+                        (None, f",{NEG_LABEL},-inf{tail}") if key[0] == 0
+                        else (f",{POS_LABEL if key[0] == 2 else NEG_LABEL},", tail))
+                head, tail = suffix
+                rows.append(f"{loc}{tail}" if head is None else f"{loc}{head}{s!r}{tail}")
+            out.write("".join(rows))
 
 
 def _order_bytes(records) -> list[bytes]:

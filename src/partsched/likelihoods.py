@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -122,14 +123,18 @@ def _floor_normalize(raw: np.ndarray, width: float) -> np.ndarray:
     bins = raw / total
     if bins.min() >= PDF_FLOOR:
         return bins
-    # bisect on the scale: mass(c) is nondecreasing, mass(0) < 1 <= mass(1/total)
+    # bisect on the scale: mass(c) is nondecreasing, mass(0) < 1 <= mass(1/total); a step
+    # that leaves both ends as they were has reached a fixed point, so the rest are skipped
     c_lo, c_hi = 0.0, 1.0 / total
     for _ in range(80):
+        ends = c_lo, c_hi
         c = 0.5 * (c_lo + c_hi)
         if float(np.maximum(c * raw, PDF_FLOOR).sum()) * width > 1.0:
             c_hi = c
         else:
             c_lo = c
+        if (c_lo, c_hi) == ends:
+            break
     bins = np.maximum(c_lo * raw, PDF_FLOOR)
     bins = bins / (float(bins.sum()) * width)
     return np.maximum(bins, PDF_FLOOR)
@@ -328,46 +333,65 @@ def _read_json(path, kind: str):
 
 
 def _read_csv(path, columns: dict, check) -> np.ndarray:
-    """Records of the named `columns` (name: dtype) of a headed CSV, one np.loadtxt pass.
+    """Records of the named `columns` (name: dtype) of a headed CSV, parsed from the file.
 
-    `check(records)` raises ValueError for a bad row, or returns a function
-    that words the first bad record's defect from its {column: text} row.  Its
-    first call sees every record, and on a valid file it is the only one.  A
-    failure is a FormatError "path:LINE:", found by bisecting on line prefixes.
+    The text is read once, for the header's length and a NUL check, and let go
+    before np.loadtxt parses the body from the open file in one pass, so a
+    valid file's text and records are never held together.  `check(records)`
+    raises ValueError for a bad row, or returns a function that words the
+    first bad record's defect from its {column: text} row.  Its first call
+    sees every record, and on a valid file it is the only one.  A failure is a
+    FormatError "path:LINE:", found by bisecting on line prefixes: only then
+    is the text read again and split into lines.
     """
-    try:
-        stream = io.StringIO(Path(path).read_text())
-        header = next(reader := csv.reader(stream), [])
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from exc
-    index = {name: i for i, name in enumerate(header)}  # a repeated name: the last one
-    if not set(columns) <= set(index):
-        raise FormatError(f"{path}: expected header {','.join(columns)}")
-    dtype = np.dtype(list(columns.items()))
-
-    def parse(body: str):
-        """The records of the lines in `body`, or how the last of them fails."""
+    with open(path) as body:
         try:
-            if "\0" in body:  # fixed-width numpy strings drop a trailing NUL
-                raise ValueError("NUL character")
-            records = (np.loadtxt(io.StringIO(body), dtype, delimiter=",", comments=None,
-                                  quotechar='"', usecols=[index[c] for c in columns], ndmin=1)
-                       if body.strip("\n") else np.empty(0, dtype))  # no "no data" warning
-            defect = check(records)
-        except ValueError:
-            return lambda row: f"bad row {row!r}"
-        return defect if callable(defect) else records
+            text = body.read()
+            body.seek(0)
+            header = next(reader := csv.reader(body), [])
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: unreadable header: {exc}") from exc
+        index = {name: i for i, name in enumerate(header)}  # a repeated name: the last one
+        if not set(columns) <= set(index):
+            raise FormatError(f"{path}: expected header {','.join(columns)}")
+        dtype = np.dtype(list(columns.items()))
+        start = 0  # the body's offset in the text
+        for _ in range(reader.line_num):
+            start = text.find("\n", start) + 1 or len(text)
 
-    if not callable(records := parse(rest := stream.read())):
-        return records
-    lines = io.StringIO(rest).readlines()
+        def scan(end: int) -> tuple[bool, bool]:
+            """Whether the body's text up to offset `end` holds a NUL, and whether it is blank."""
+            return text.find("\0", start, end) >= 0, text.count("\n", start, end) == end - start
+
+        def parse(lines, nul: bool, blank: bool):
+            """The records of `lines`, or how the last of them fails; `scan` gives the flags."""
+            try:
+                if nul:  # fixed-width numpy strings drop a trailing NUL
+                    raise ValueError("NUL character")
+                records = (np.empty(0, dtype) if blank  # no "no data" warning
+                           else np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                                           quotechar='"', usecols=[index[c] for c in columns],
+                                           ndmin=1))
+                defect = check(records)
+            except ValueError:
+                return lambda row: f"bad row {row!r}"
+            return defect if callable(defect) else records
+
+        flags = scan(len(text))
+        del text  # not held while the body is parsed
+        if not callable(records := parse(body, *flags)):
+            return records
+    text = Path(path).read_text()  # a bad row: read again for `scan` and split into lines
+    lines = io.StringIO(text[start:]).readlines()
+    ends = list(itertools.accumulate(map(len, lines), initial=start))
     bad = bisect.bisect_left(range(len(lines) + 1), True,
-                             key=lambda n: callable(parse("".join(lines[:n]))))
+                             key=lambda n: callable(parse(lines[:n], *scan(ends[n]))))
     try:
         row = next(csv.DictReader(lines[bad - 1:bad], fieldnames=header))
     except csv.Error:  # a field over the csv module's size limit
         row = dict(zip(header, lines[bad - 1].rstrip("\n").split(",")))
-    raise FormatError(f"{path}:{reader.line_num + bad}: {parse(''.join(lines[:bad]))(row)}")
+    raise FormatError(f"{path}:{reader.line_num + bad}: "
+                      f"{parse(lines[:bad], *scan(ends[bad]))(row)}")
 
 
 def _sample_defect(records):
@@ -390,8 +414,8 @@ def read_sample_sets(path) -> list[ScoreSampleSet]:
 def save_sample_sets(sets, path) -> None:
     lines = ["part_id,label,score"]
     for s in sets:
-        lines.extend(f"{s.part_id},pos,{float(v)!r}" for v in s.positives)
-        lines.extend(f"{s.part_id},neg,{float(v)!r}" for v in s.negatives)
+        lines.extend(f"{s.part_id},pos,{v!r}" for v in s.positives.tolist())
+        lines.extend(f"{s.part_id},neg,{v!r}" for v in s.negatives.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -402,8 +426,8 @@ def save_likelihoods(likelihoods, path) -> None:
             "part_id": lik.part_id,
             "lo": lik.pos.lo,
             "hi": lik.pos.hi,
-            "pos": [float(v) for v in lik.pos.bins],
-            "neg": [float(v) for v in lik.neg.bins],
+            "pos": lik.pos.bins.tolist(),
+            "neg": lik.neg.bins.tolist(),
         }
         for lik in sorted(likelihoods, key=lambda l: l.part_id)
     ]

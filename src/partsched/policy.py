@@ -250,16 +250,17 @@ def query_policy(policy: Policy, mask: int, p: float) -> int:
 # by mask then belief bin.
 
 def save_policy(policy: Policy, path) -> None:
+    """Write the header line, then each table straight from its buffer."""
     header = {
         "n_parts": policy.n_parts,
         "d": policy.grid.d,
         "lambda_fp": policy.costs.lambda_fp,
         "lambda_fn": policy.costs.lambda_fn,
     }
-    blob = (json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-            + policy.actions.astype(np.uint8).tobytes()
-            + policy.values.astype("<f8").tobytes())
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as out:
+        out.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        out.write(np.ascontiguousarray(policy.actions))  # uint8 already; a copy only if strided
+        out.write(np.ascontiguousarray(policy.values, dtype="<f8"))
 
 
 def load_policy(path) -> Policy:

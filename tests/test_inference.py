@@ -92,6 +92,15 @@ def regime_results(case, n_locations=10_000):
     return run_grid(*regime_inputs(case, n_locations))[0]
 
 
+def per_row_results_csv(results) -> str:
+    """results.csv text formatted one f-string per row, as the writer first did."""
+    lines = ["location_id,label,score,tau,parts_order\n"]
+    for r in results:
+        lines.append(f"{r.location_id},{r.label},{r.score!r},{r.tau},"
+                     f"{';'.join(map(str, r.parts_evaluated))}\n")
+    return "".join(lines)
+
+
 class RecordingProvider(MatrixResponseProvider):
     """Gathering provider that records each batch call as (part_id, location id bytes)."""
 
@@ -644,6 +653,19 @@ class TestResponseFiles:
         with pytest.raises(FormatError):
             load_responses_csv(path)
 
+    def test_csv_load_memory_stays_near_file_size(self, tmp_path, rng):
+        path = tmp_path / "responses.csv"
+        save_responses_csv(rng.standard_normal((4000, 12)), path)
+        assert path.stat().st_size >= 2 ** 20
+        load_responses_csv(path)  # a first call may import numpy submodules
+        tracemalloc.start()
+        try:
+            load_responses_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size  # text plus parsed copies: 10x before
+
     def test_bin_round_trip(self, tmp_path, rng):
         scores = rng.standard_normal((5, 4))
         path = tmp_path / "responses.bin"
@@ -741,6 +763,19 @@ class TestResultsFiles:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_writer_blocks_match_per_row_reference(self, tmp_path, offset):
+        n = inference._BLOCK_ROWS + offset
+        results = regime_results("scan-deep", n)
+        # backgrounds no engine writes format their scores, and a positive may score anything
+        neg, pos = np.flatnonzero(~results.positive), np.flatnonzero(results.positive)
+        score = results.score.copy()
+        score[[neg[0], neg[-1], pos[0], pos[-1]]] = [1.5, math.nan, -0.0, math.inf]
+        results = dataclasses.replace(results, score=score)
+        path = tmp_path / "r.csv"
+        save_results_csv(results, path)
+        assert path.read_text() == per_row_results_csv(results)
 
     @pytest.mark.parametrize("row, defect", [
         ("-5,neg,-inf,0,", "negative location_id"),

@@ -266,6 +266,56 @@ def test_from_weights_invariants(masses):
     assert pdf.bins.min() >= PDF_FLOOR
 
 
+def floor_normalize_80_steps(raw, width):
+    """_floor_normalize with its bisection always run for all 80 steps."""
+    raw = np.maximum(np.asarray(raw, dtype=float), 0.0)
+    total = float(raw.sum()) * width
+    if total <= 0.0:
+        return np.full(raw.size, 1.0 / (width * raw.size))
+    if math.isinf(1.0 / total):
+        raw = raw / raw.max()
+        total = float(raw.sum()) * width
+    bins = raw / total
+    if bins.min() >= PDF_FLOOR:
+        return bins
+    c_lo, c_hi = 0.0, 1.0 / total
+    for _ in range(80):
+        c = 0.5 * (c_lo + c_hi)
+        if float(np.maximum(c * raw, PDF_FLOOR).sum()) * width > 1.0:
+            c_hi = c
+        else:
+            c_lo = c
+    bins = np.maximum(c_lo * raw, PDF_FLOOR)
+    bins = bins / (float(bins.sum()) * width)
+    return np.maximum(bins, PDF_FLOOR)
+
+
+class TestFloorNormalize:
+    """The bisection stops at its fixed point, bit-identical to running all 80 steps."""
+
+    def test_matches_80_steps_on_random_inputs(self):
+        rng = np.random.default_rng(80)
+        for _ in range(500):
+            n = int(rng.integers(2, 300))
+            raw = rng.exponential(1.0, n) * (rng.random(n) < rng.random())
+            raw *= 10.0 ** rng.uniform(-12.0, 12.0)
+            width = 10.0 ** rng.uniform(-4.0, math.log10(0.999 / (PDF_FLOOR * n)))
+            assert np.array_equal(likelihoods._floor_normalize(raw, width),
+                                  floor_normalize_80_steps(raw, width))
+
+    @pytest.mark.parametrize("raw, width", [
+        # a subnormal total: the bisection runs on raw / raw.max()
+        (np.array([1e-310, 0.0, 3e-311]), 1.0),
+        (np.array([0.0, 2.2250738585e-313, 0.0, 0.0]), 0.5),
+        # the floor alone rounds past unit mass at any scale, so no step is a fixed point
+        # and all 80 run
+        (np.eye(1, 1000)[0], 999.9999999999999),
+    ], ids=["subnormal-total", "subnormal-single", "all-80-steps"])
+    def test_matches_80_steps_at_the_edges(self, raw, width):
+        assert np.array_equal(likelihoods._floor_normalize(raw, width),
+                              floor_normalize_80_steps(raw, width))
+
+
 class TestPersistence:
     def test_csv_round_trip(self, tmp_path, rng):
         path = tmp_path / "samples.csv"
@@ -278,6 +328,21 @@ class TestPersistence:
         assert [s.part_id for s in sets] == [0, 1]
         np.testing.assert_array_equal(sets[0].positives, [1.5, 2.5])
         np.testing.assert_array_equal(sets[1].negatives, [0.25, -0.5])
+
+    def test_csv_read_memory_stays_near_file_size(self, tmp_path, rng):
+        path = tmp_path / "samples.csv"
+        likelihoods.save_sample_sets([ScoreSampleSet(k, rng.standard_normal(2000) + 1.0,
+                                                      rng.standard_normal(2000) - 1.0)
+                                      for k in range(12)], path)
+        assert path.stat().st_size >= 2 ** 20
+        read_sample_sets(path)  # a first call may import numpy submodules
+        tracemalloc.start()
+        try:
+            read_sample_sets(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size  # text plus parsed copies: 10x before
 
     def test_csv_bad_label(self, tmp_path):
         path = tmp_path / "samples.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,30 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             load_policy(path)
+
+    def test_save_writes_tables_from_their_buffers(self, tmp_path, rng):
+        shape = (1 << 12, 101)
+        values = rng.standard_normal(shape)
+        policy = Policy(n_parts=12, grid=BeliefGrid(101), costs=CostParams(20.0, 5.0),
+                        actions=np.ones(shape, dtype=np.uint8), values=values)
+        path = tmp_path / "p.bin"
+        tracemalloc.start()
+        try:
+            save_policy(policy, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the tables take 3.7 MB; one blob of them, 7.4 MB
+        header = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+        assert path.read_bytes() == header + policy.actions.tobytes() + values.tobytes()
+
+    def test_save_bytes_ignore_table_memory_layout(self, tmp_path, trained_three_part):
+        policy, _, _ = trained_three_part
+        strided = dataclasses.replace(policy, actions=np.asfortranarray(policy.actions),
+                                      values=policy.values.astype(">f8"))
+        save_policy(policy, tmp_path / "c.bin")
+        save_policy(strided, tmp_path / "f.bin")
+        assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
 
     def test_tables_are_read_only_views(self, tmp_path, trained_three_part):
         policy, _, _ = trained_three_part
