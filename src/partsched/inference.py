@@ -37,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigurationError, FormatError, InvalidActionError, InvalidParameterError,
-                     ProviderError)
+from .errors import ConfigurationError, FormatError, InvalidParameterError, ProviderError
 from .likelihoods import ScoreLikelihood, _check_part_set, _read_csv
 from .policy import _PART_BASE, LABEL_POS, BeliefGrid, CostParams, Policy, _score_bin_transitions
 
@@ -328,11 +327,6 @@ def run_grid(model: DetectorModel, policy: Policy,
             if not rows.size:
                 break
             part = action.astype(np.intp) - _PART_BASE
-            taken = (used >> part) & 1
-            if taken.any():
-                i = int(taken.argmax())
-                raise InvalidActionError(f"policy named already-used part {part[i]} "
-                                         f"at mask {int(used[i]):b}")
             order[r, rows] = part
             # each part group's responses and score bins land in frontier order
             m = np.empty(rows.size)
@@ -449,9 +443,11 @@ def load_responses_csv(path) -> MatrixResponseProvider:
 
 
 def save_responses_bin(scores, path) -> None:
-    scores = np.asarray(scores, dtype=float)
-    header = f"{scores.shape[0]},{scores.shape[1]}\n".encode()
-    Path(path).write_bytes(header + scores.astype("<f8").tobytes())
+    """Write the header line, then the scores straight from their buffer."""
+    scores = np.ascontiguousarray(scores, dtype="<f8")  # a copy only if strided or not <f8
+    with open(path, "wb") as out:
+        out.write(f"{scores.shape[0]},{scores.shape[1]}\n".encode())
+        out.write(scores)
 
 
 def load_responses_bin(path) -> MatrixResponseProvider:

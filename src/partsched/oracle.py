@@ -38,12 +38,6 @@ TINY_SCORE_BINS = 8
 SIMULATION_CHUNK = 16384  # trials walked per batch; fixes the RNG draw order
 
 
-def _active_bins(pdf: DiscretePdf) -> int:
-    """Bins needed to cover 99.9% of the pdf's mass."""
-    mass = np.sort(pdf.bins * pdf.bin_width)[::-1]
-    return int(np.searchsorted(np.cumsum(mass), 1.0 - 1e-3) + 1)
-
-
 @dataclass(frozen=True)
 class TinyInstance:
     """A problem small enough for exhaustive policy-tree enumeration."""
@@ -59,13 +53,6 @@ class TinyInstance:
             raise CapacityError(f"tiny instances support 1..{MAX_TINY_PARTS} parts, got {n}")
         if self.grid.d > MAX_TINY_BELIEF_BINS:
             raise CapacityError(f"tiny instances support d <= {MAX_TINY_BELIEF_BINS}, got {self.grid.d}")
-        active = 0
-        for lik in self.likelihoods:
-            if lik.pos.n_bins != self.likelihoods[0].pos.n_bins:
-                raise ValueError("all tiny-instance likelihoods must share one bin count")
-            active = max(active, _active_bins(lik.pos), _active_bins(lik.neg))
-        if active > MAX_TINY_ACTIVE_BINS:
-            raise CapacityError(f"likelihoods carry mass on {active} bins, limit is {MAX_TINY_ACTIVE_BINS}")
 
     @property
     def n_parts(self) -> int:
@@ -95,7 +82,7 @@ def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray
     if any(lik.pos.n_bins != n_bins for lik in likelihoods):
         raise InvalidParameterError("all likelihoods must share one bin count")
     weights = np.empty((len(likelihoods), grid.d, n_bins))
-    successors = np.empty((len(likelihoods), grid.d, n_bins), dtype=np.int64)
+    successors = np.empty((len(likelihoods), grid.d, n_bins), dtype=np.min_scalar_type(grid.d - 1))
     p = grid.centers[:, None]
     for k, lik in enumerate(likelihoods):
         num = p * lik.pos.bins[None, :]
@@ -178,12 +165,6 @@ class PolicyCostEstimate:
     fn_rate: float
     n_trials: int
 
-    def __post_init__(self):
-        if self.n_trials <= 0:
-            raise InvalidParameterError("n_trials must be positive")
-        if self.std_error < 0.0 or not (0.0 <= self.fp_rate <= 1.0) or not (0.0 <= self.fn_rate <= 1.0):
-            raise ValueError("inconsistent estimate fields")
-
 
 def _outcome_bins(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """min(count of cdf[rows[i]] entries <= u[i], n_bins - 1), bisecting the nondecreasing rows."""
@@ -221,7 +202,7 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
     if not math.isfinite(prior):
         raise InvalidParameterError(f"prior must be finite, got {prior}")
     weights, successors = _chain_tables(likelihoods, policy.grid)
-    cdf = np.cumsum(weights, axis=2)
+    cdf = np.cumsum(weights, axis=2, out=weights)  # in place: the weights are not read again
     centers = policy.grid.centers
     start = int(_snap(centers, min(max(prior, 0.0), 1.0)))
     costs = policy.costs

@@ -110,8 +110,11 @@ class BeliefGrid:
 class Policy:
     """Lookup tables mapping (used-parts mask, belief bin) to action and value.
 
-    An action code past the last part, or one naming a part its mask already
-    uses, is an InvalidActionError."""
+    The policy checks its action codes once, on a uint8 copy of its own: a
+    code that is not an integer in 0..n_parts+1, or one naming a part its
+    mask already uses, is an InvalidActionError.  The copy is read-only, so
+    the checked table is the one every lookup reads.  `values` is a
+    read-only view of the caller's array; nothing checks it at run time."""
 
     n_parts: int
     grid: BeliefGrid
@@ -123,10 +126,15 @@ class Policy:
         if not (1 <= self.n_parts <= MAX_PARTS):
             raise CapacityError(f"n_parts must be in 1..{MAX_PARTS}, got {self.n_parts}")
         shape = (1 << self.n_parts, self.grid.d)
-        actions = np.asarray(self.actions, dtype=np.uint8)
+        codes = np.asarray(self.actions)
         values = np.asarray(self.values, dtype=float)
-        if actions.shape != shape or values.shape != shape:
+        if codes.shape != shape or values.shape != shape:
             raise ValueError(f"tables must have shape {shape}")
+        # the cast wraps, truncates or (for NaN) warns; any code it changes is rejected
+        with np.errstate(invalid="ignore"):
+            actions = np.array(codes, dtype=np.uint8, order="C")
+        if (actions != codes).any():
+            raise InvalidActionError(f"action code {codes[actions != codes][0]} out of range")
         if actions.max() >= _PART_BASE + self.n_parts:
             raise InvalidActionError(f"action code {actions.max()} out of range")
         # rows whose mask has bit k set must not name part k; one view per part,
@@ -134,9 +142,8 @@ class Policy:
         for k in range(self.n_parts):
             if (actions.reshape(-1, 2, 1 << k, shape[1])[:, 1] == part_action(k)).any():
                 raise InvalidActionError("table names an already-used part")
-        # read-only views, not copies: the tables are the policy's largest
-        # allocation, and the trainer and the loader hand over arrays no one else writes
-        actions = actions.view()
+        # the value table is the largest allocation and nothing checks it at run
+        # time, so it stays a view
         values = values.view()
         actions.flags.writeable = False
         values.flags.writeable = False

@@ -18,7 +18,6 @@ from partsched import (
     DetectorModel,
     FormatError,
     InferenceStats,
-    InvalidActionError,
     InvalidParameterError,
     MatrixResponseProvider,
     Policy,
@@ -219,22 +218,20 @@ class TestRunGrid:
         # a provider without locations asks for no part, whatever its width
         assert len(run_grid(model, policy, MatrixResponseProvider(np.empty((0, 4))))[0]) == 0
 
-    def test_table_altered_after_construction_stops(self, rng):
-        # a Policy checks its tables once and keeps views of the caller's arrays
-        actions = np.full((4, 11), LABEL_NEG, dtype=np.uint8)
-        policy = Policy(n_parts=2, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
-                        actions=actions, values=np.zeros((4, 11)))
-        actions[:] = part_action(0)  # every state asks for part 0, used or not
-        with pytest.raises(InvalidActionError, match="already-used part 0"):
-            run_grid(toy_model(2), policy, MatrixResponseProvider(rng.standard_normal((3, 2))))
-        # parts 0 then 1 are valid; the altered state after both re-asks part 1 in round 2
+    def test_caller_array_altered_after_construction_changes_nothing(self, rng):
+        # a Policy checks its own copy of the action codes, not the caller's array
         actions = np.full((8, 11), LABEL_NEG, dtype=np.uint8)
         actions[0], actions[1] = part_action(0), part_action(1)
         policy = Policy(n_parts=3, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
                         actions=actions, values=np.zeros((8, 11)))
-        actions[3] = part_action(1)
-        with pytest.raises(InvalidActionError, match="already-used part 1 at mask 11$"):
-            run_grid(toy_model(3), policy, MatrixResponseProvider(rng.standard_normal((3, 3))))
+        checked = actions.copy()
+        provider = MatrixResponseProvider(rng.standard_normal((3, 3)))
+        before, before_stats = run_grid(toy_model(3), policy, provider)
+        actions[:] = part_action(0)  # every state asks for part 0, used or not
+        np.testing.assert_array_equal(policy.actions, checked)
+        after, after_stats = run_grid(toy_model(3), policy, provider)
+        assert after == before and after_stats == before_stats
+        assert (before.tau == 2).all()  # parts 0 then 1, then background
 
     def test_overflowing_sum_is_infinite_without_a_warning(self):
         # pyproject turns a numpy RuntimeWarning into a test failure
@@ -688,6 +685,18 @@ class TestResponseFiles:
         save(scores, tmp_path / name)
         with pytest.raises(FormatError, match="location 2, part 1"):
             load(tmp_path / name)
+
+    def test_bin_save_writes_scores_from_their_buffer(self, tmp_path, rng):
+        scores = rng.standard_normal((10 ** 5, 9))
+        path = tmp_path / "responses.bin"
+        tracemalloc.start()
+        try:
+            save_responses_bin(scores, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the scores take 7.2 MB; header plus one blob of them, 14.4 MB
+        assert path.read_bytes() == b"100000,9\n" + scores.astype("<f8").tobytes()
 
     def test_bin_size_mismatch(self, tmp_path):
         path = tmp_path / "responses.bin"

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from partsched import (
     CostParams,
     InvalidParameterError,
     MatrixResponseProvider,
+    SyntheticSpec,
     TinyInstance,
     exhaustive_value_row,
+    make_synthetic,
     random_tiny_instance,
     run_grid,
     simulate_policy,
     step_trace,
     train_policy,
 )
+from partsched.cli import VERIFY_TOLERANCE
 from partsched.inference import POS_LABEL
 from partsched.oracle import _chain_tables, _outcome_bins, _snap
 from partsched.policy import LABEL_NEG, LABEL_POS, Policy, _score_bin_transitions, part_action
@@ -47,11 +51,15 @@ class TestTinyInstance:
             TinyInstance(likelihoods=(uninformative_likelihood(0),),
                          costs=CostParams(4.0, 4.0), grid=BeliefGrid(101))
 
-    def test_rejects_diffuse_likelihoods(self):
-        with pytest.raises(CapacityError):
-            TinyInstance(likelihoods=(uninformative_likelihood(0, n_bins=8),
-                                      overlapping_likelihood(1)),
-                         costs=CostParams(4.0, 4.0), grid=BeliefGrid(11))
+    def test_accepts_diffuse_likelihoods(self):
+        # the memoized (mask, belief bin) solver needs no limit on the active score bins
+        inst = TinyInstance(likelihoods=(uninformative_likelihood(0, n_bins=8),
+                                         overlapping_likelihood(1),
+                                         overlapping_likelihood(2, tilt=0.5)),
+                            costs=CostParams(12.0, 12.0), grid=BeliefGrid(11))
+        policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
+        assert (policy.actions[0] >= part_action(0)).any()
+        assert np.max(np.abs(policy.values[0] - exhaustive_value_row(inst))) <= VERIFY_TOLERANCE
 
 
 class TestExhaustiveOptimalValue:
@@ -207,6 +215,24 @@ class TestSimulatePolicy:
         big = simulate_policy(policy, inst.likelihoods, 0.5, 100000, seed=11)
         ratio = big.std_error / small.std_error
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.2)
+
+    def test_chain_tables_bound_memory(self):
+        # n=12, d=101: the float64 weights, reused as the cdf, take 1.95 MB; the trials
+        # walked per chunk add about 1.5 MB
+        spec = SyntheticSpec(n_parts=12, separation=1.0, prior_positive=0.3,
+                             n_locations=1, seed=3)
+        model, _, _ = make_synthetic(spec, CostParams(200.0, 200.0))
+        policy = train_policy(model.likelihoods, model.costs)
+        simulate_policy(policy, model.likelihoods, 0.3, 100, seed=0)  # imports, if any
+        tracemalloc.start()
+        try:
+            est = simulate_policy(policy, model.likelihoods, 0.3, 10 ** 5, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = 12 * 101 * model.likelihoods[0].pos.n_bins * 8
+        assert peak < 2.5 * weights
+        assert est.mean_tau > 1.0  # the trials walk the chain
 
 
 class TestOutcomeBins:

@@ -397,20 +397,21 @@ class TestPersistence:
         save_policy(strided, tmp_path / "f.bin")
         assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
 
-    def test_tables_are_read_only_views(self, tmp_path, trained_three_part):
+    def test_actions_are_an_owned_copy_and_values_a_view(self, tmp_path, trained_three_part):
         policy, _, _ = trained_three_part
         path = tmp_path / "p.bin"
         save_policy(policy, path)
         loaded = load_policy(path)
         for table in (policy.actions, policy.values, loaded.actions, loaded.values):
             assert not table.flags.writeable
-        # the loaded tables view the file's bytes; a constructed policy views its inputs
-        assert not loaded.actions.flags.owndata and not loaded.values.flags.owndata
+        # the checked action codes are the policy's own; the values view the file's bytes
+        assert loaded.actions.flags.owndata and not loaded.values.flags.owndata
+        assert not np.shares_memory(loaded.actions, loaded.values)
         actions = np.zeros((2, 5), dtype=np.uint8)
         values = np.zeros((2, 5))
         built = Policy(n_parts=1, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
                        actions=actions, values=values)
-        assert np.shares_memory(built.actions, actions)
+        assert built.actions.flags.owndata and not np.shares_memory(built.actions, actions)
         assert np.shares_memory(built.values, values)
 
     # mask 0b10 already used part 1, the full mask every part, and code 4
@@ -424,6 +425,16 @@ class TestPersistence:
         actions = np.zeros((4, 5), dtype=np.uint8)
         actions[mask, 3] = action
         with pytest.raises(InvalidActionError, match=message):
+            Policy(n_parts=2, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
+                   actions=actions, values=np.zeros((4, 5)))
+
+    # each would cast to a valid uint8 code: 258 wraps to 2, -255 to 1, 2.7 truncates
+    # to 2 and NaN lands on some byte; a NaN cast warns, which pyproject makes an error
+    @pytest.mark.parametrize("code", [258, -255, 2.7, float("nan")])
+    def test_constructor_rejects_codes_the_cast_changes(self, code):
+        actions = np.zeros((4, 5), dtype=np.asarray(code).dtype)  # int64 or float64
+        actions[0, 3] = code
+        with pytest.raises(InvalidActionError, match="out of range"):
             Policy(n_parts=2, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
                    actions=actions, values=np.zeros((4, 5)))
 
