@@ -4,8 +4,11 @@ A location's state is the policy table's own (used mask, belief bin).  It
 starts at `Policy.start`, the bin nearest 0.5, and repeatedly reads its
 action: evaluate some part (pay for it, add its response to the running
 score, move to the successor bin) or stop with a label.  A foreground stop
-evaluates whatever parts remain so the reported score is the complete
-additive score; a background stop reports negative infinity.
+evaluates whatever parts remain, so the reported score is the complete
+additive score: bit for bit, the left-to-right float sum of the location's
+responses in `parts_order` order, plus the bias.  `full_score` sums in part
+index order, so where the policy reorders parts the two can differ in the
+last bits.  A background stop reports negative infinity.
 
 The successor bin is a table lookup: per part, (belief bin, score bin) ->
 bin, from `policy._score_bin_transitions`, the table training builds its
@@ -46,7 +49,7 @@ NEG_LABEL = "neg"
 # DetectionResults' one-value-per-location fields; the uint8 order matrix is the other
 RESULT_COLUMNS = {"location_id": np.int64, "positive": bool, "score": float, "tau": np.int64,
                   "n_evaluated": np.int64, "final_belief": float, "partial_score": float}
-_BLOCK_ROWS = 2 ** 13  # results.csv rows formatted per write
+_BLOCK_ROWS = 2 ** 13  # results.csv and responses.csv rows formatted per write
 
 
 class ResponseProvider:
@@ -412,11 +415,15 @@ def _reject_nan(scores: np.ndarray, path) -> None:
 
 
 def save_responses_csv(scores, path) -> None:
+    """One row per (location, part), streamed in blocks of about _BLOCK_ROWS rows."""
     scores = np.asarray(scores, dtype=float)
-    lines = ["location_id,part_id,score"]
-    for loc, row in enumerate(scores.tolist()):
-        lines.extend(f"{loc},{k},{v!r}" for k, v in enumerate(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    step = max(_BLOCK_ROWS // max(scores.shape[1], 1), 1)  # locations per write
+    with open(path, "w") as out:
+        out.write("location_id,part_id,score\n")
+        for a in range(0, len(scores), step):
+            out.write("".join(f"{loc},{k},{v!r}\n"
+                              for loc, row in enumerate(scores[a:a + step].tolist(), a)
+                              for k, v in enumerate(row)))
 
 
 def _response_defect(records):

@@ -412,11 +412,12 @@ def read_sample_sets(path) -> list[ScoreSampleSet]:
 
 
 def save_sample_sets(sets, path) -> None:
-    lines = ["part_id,label,score"]
-    for s in sets:
-        lines.extend(f"{s.part_id},pos,{v!r}" for v in s.positives.tolist())
-        lines.extend(f"{s.part_id},neg,{v!r}" for v in s.negatives.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    """CSV with header part_id,label,score, streamed one part and label per write."""
+    with open(path, "w") as out:
+        out.write("part_id,label,score\n")
+        for s in sets:
+            for label, values in (("pos", s.positives), ("neg", s.negatives)):
+                out.write("".join(f"{s.part_id},{label},{v!r}\n" for v in values.tolist()))
 
 
 def save_likelihoods(likelihoods, path) -> None:

@@ -9,10 +9,9 @@ deployed detector would.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,6 @@ from .inference import (
 )
 from .likelihoods import ScoreSampleSet, fit_part_likelihood
 from .policy import BeliefGrid, CostParams, train_policy
-
-log = logging.getLogger(__name__)
 
 DEFAULT_PROFILE_RATIO = 0.8
 
@@ -211,7 +208,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
-    failures: list[tuple[float, float, Exception]] = field(default_factory=list)
 
     def diagonal_diagnostics(self) -> dict:
         """Trend checks along the equal-cost diagonal: error down, savings ratio down."""
@@ -231,41 +227,34 @@ class SweepResult:
 def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> SweepResult:
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
 
-    All points share the same synthetic likelihoods and response grid.  A
-    failing point is recorded, with its exception, and skipped.  An empty grid,
-    a non-finite value or a repeated point raises InvalidParameterError first.
+    All points share the same synthetic likelihoods and response grid.  Every
+    point's CostParams is built first, so an empty grid, a cost that is not
+    finite and positive, or a repeated point raises InvalidParameterError
+    before any work; an error at any point then propagates.
     """
-    points = [(float(fp), float(fn)) for fp, fn in lambda_grid]
-    if not points:
+    try:
+        costs = [CostParams(float(fp), float(fn)) for fp, fn in lambda_grid]
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"lambda grid values must be finite and positive: {exc}") from exc
+    if not costs:
         raise InvalidParameterError("lambda grid must be non-empty")
-    for fp, fn in points:
-        if not (math.isfinite(fp) and math.isfinite(fn)):
-            raise InvalidParameterError(f"lambda grid values must be finite, got ({fp}, {fn})")
-    if len(set(points)) != len(points):
+    if len(set(costs)) != len(costs):
         raise InvalidParameterError("lambda grid points must be unique")
     model, provider, truth = make_synthetic(spec)
     out = SweepResult()
-    for fp, fn in points:
-        try:
-            policy = train_policy(model.likelihoods, CostParams(fp, fn), grid)
-            results, stats = run_grid(model, policy, provider)
-            counts = classification_counts(results, truth)
-            out.rows.append(SweepRow(fp, fn, precision_recall(results, truth).average_precision,
-                                     compute_rnpe(stats, model.n_parts, provider.n_locations),
-                                     stats.mean_tau, counts.fp_rate, counts.fn_rate))
-        except Exception as exc:  # sweep rows fail independently
-            log.warning("sweep point (%s, %s) failed: %s: %s", fp, fn, type(exc).__name__, exc)
-            out.failures.append((fp, fn, exc))
-    diag = out.diagonal_diagnostics()
-    if len(diag["lambdas"]) > 1:
-        log.info("diagonal diagnostics: %s", diag)
+    for c in costs:
+        results, stats = run_grid(model, train_policy(model.likelihoods, c, grid), provider)
+        counts = classification_counts(results, truth)
+        out.rows.append(SweepRow(c.lambda_fp, c.lambda_fn,
+                                 precision_recall(results, truth).average_precision,
+                                 compute_rnpe(stats, model.n_parts, provider.n_locations),
+                                 stats.mean_tau, counts.fp_rate, counts.fn_rate))
     return out
 
 
 def save_sweep_csv(result: SweepResult, path) -> None:
-    lines = ["lambda_fp,lambda_fn,ap,rnpe,mean_tau,fp_rate,fn_rate"]
-    for r in result.rows:
-        lines.append(f"{float(r.lambda_fp)!r},{float(r.lambda_fn)!r},{float(r.ap)!r},"
-                     f"{float(r.rnpe)!r},{float(r.mean_tau)!r},{float(r.fp_rate)!r},"
-                     f"{float(r.fn_rate)!r}")
+    """One row per point, with SweepRow's fields as the columns, in their order."""
+    names = [f.name for f in fields(SweepRow)]
+    lines = [",".join(names)]
+    lines.extend(",".join(repr(float(getattr(r, n))) for n in names) for r in result.rows)
     Path(path).write_text("\n".join(lines) + "\n")

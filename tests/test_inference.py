@@ -182,6 +182,27 @@ class TestRunLocation:
         assert result.score == pytest.approx(full_score(model, provider, 0), abs=1e-12)
         assert sorted(result.parts_evaluated) == [0, 1]
 
+    # a profile whose policy reorders the parts: its positives' scores are sums in another
+    # order than full_score's, so they may differ from it in the last bits
+    @pytest.mark.parametrize("bias", [0.0, -0.7])
+    def test_positive_score_is_the_sum_in_evaluation_order(self, bias):
+        spec = SyntheticSpec(n_parts=6, separation=2.0, prior_positive=0.3, n_locations=10 ** 4,
+                             seed=13, informativeness_profile=(0.3, 0.5, 1.0, 0.4, 0.9, 0.7))
+        model, provider, _ = make_synthetic(spec)
+        model = dataclasses.replace(model, bias=bias)
+        policy = train_policy(model.likelihoods, CostParams(8.0, 8.0), BeliefGrid(101))
+        results, _ = run_grid(model, policy, provider)
+        pos = np.flatnonzero(results.positive)
+        assert (results.n_evaluated[pos] == spec.n_parts).all()
+        order = results.order[pos].astype(np.int64)
+        assert (np.diff(order, axis=1) < 0).any()  # some positive's order is not ascending
+        total = np.zeros(pos.size)
+        for j in range(spec.n_parts):  # left to right, as one float sum per location
+            total += provider.scores[pos, order[:, j]]
+        np.testing.assert_array_equal(results.score[pos], total + bias)
+        exhaustive = [full_score(model, provider, i) for i in pos.tolist()]
+        np.testing.assert_allclose(results.score[pos], exhaustive, rtol=0, atol=1e-12)
+
     def test_arity_mismatch(self, rng):
         model = toy_model(3)
         policy = constant_policy(2, LABEL_NEG)
@@ -662,6 +683,22 @@ class TestResponseFiles:
         finally:
             tracemalloc.stop()
         assert peak < 3 * path.stat().st_size  # text plus parsed copies: 10x before
+
+    def test_csv_write_memory_stays_below_file_size(self, tmp_path, rng):
+        path = tmp_path / "responses.csv"
+        scores = rng.standard_normal((12000, 12))
+        save_responses_csv(scores, path)  # a first call may import what it needs
+        tracemalloc.start()
+        try:
+            save_responses_csv(scores, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size >= 3 * 2 ** 20
+        assert peak < path.stat().st_size / 2  # one block of rows at a time: 5x before
+        rows = [f"{loc},{k},{v!r}\n" for loc, row in enumerate(scores.tolist())
+                for k, v in enumerate(row)]
+        assert path.read_text() == "location_id,part_id,score\n" + "".join(rows)
 
     def test_bin_round_trip(self, tmp_path, rng):
         scores = rng.standard_normal((5, 4))

@@ -344,6 +344,24 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak < 3 * path.stat().st_size  # text plus parsed copies: 10x before
 
+    def test_csv_write_memory_stays_below_file_size(self, tmp_path, rng):
+        path = tmp_path / "samples.csv"
+        sets = [ScoreSampleSet(k, rng.standard_normal(2000) + 1.0, rng.standard_normal(2000) - 1.0)
+                for k in range(12)]
+        likelihoods.save_sample_sets(sets, path)  # a first call may import what it needs
+        tracemalloc.start()
+        try:
+            likelihoods.save_sample_sets(sets, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size >= 2 ** 20
+        assert peak < path.stat().st_size / 2  # one part and label at a time: 5x before
+        rows = [f"{s.part_id},{label},{v!r}\n" for s in sets
+                for label, values in (("pos", s.positives), ("neg", s.negatives))
+                for v in values.tolist()]
+        assert path.read_text() == "part_id,label,score\n" + "".join(rows)
+
     def test_csv_bad_label(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("part_id,label,score\n0,maybe,1.0\n")
