@@ -97,7 +97,7 @@ def cmd_infer(args) -> int:
 def cmd_simulate(args) -> int:
     policy = load_policy(args.policy)
     likelihoods = load_likelihoods(args.likelihoods)
-    estimate = oracle.simulate_policy(policy, likelihoods, args.prior, args.trials, args.seed)
+    estimate = oracle.simulate_policy(policy, likelihoods, args.trials, args.seed)
     _dump_json({
         "mean_cost": estimate.mean_cost,
         "std_error": estimate.std_error,
@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
         "fp_rate": estimate.fp_rate,
         "fn_rate": estimate.fn_rate,
         "trials": estimate.n_trials,
-        "dp_value": float(policy.values[0, policy.grid.nearest_index(args.prior)]),
+        "dp_value": float(policy.values[0, policy.start]),
     }, args.out)
     return EXIT_OK
 
@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
         dp_row = policy.values[0]
         oracle_row = oracle.exhaustive_value_row(inst)
         diff = float(np.max(np.abs(dp_row - oracle_row)))
-        estimate = oracle.simulate_policy(policy, inst.likelihoods, 0.5, args.trials, seed)
+        estimate = oracle.simulate_policy(policy, inst.likelihoods, args.trials, seed)
         reports.append({
             "seed": seed,
             "optimal_value": float(oracle_row[policy.start]),
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo cost estimate of a trained policy")
     p.add_argument("--policy", required=True)
     p.add_argument("--likelihoods", required=True)
-    p.add_argument("--prior", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write report JSON here instead of stdout")

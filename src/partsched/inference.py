@@ -1,7 +1,7 @@
 """Sequential inference over candidate locations.
 
 A location's state is the policy table's own (used mask, belief bin).  It
-starts at `Policy.start`, the bin nearest 0.5, and repeatedly reads its
+starts at `Policy.start`, the middle belief bin, and repeatedly reads its
 action: evaluate some part (pay for it, add its response to the running
 score, move to the successor bin) or stop with a label.  A foreground stop
 evaluates whatever parts remain, so the reported score is the complete

@@ -1,15 +1,16 @@
 """Brute-force verifiers for the dynamic program and the inference engine.
 
 The snapped belief chain is rebuilt here from the raw histograms, in one
-(outcome weight, successor bin) table with its own distance-based
-nearest-center rule, instead of reusing the training code's tables.  The
-exhaustive solver recomputes the optimal expected cost of tiny instances by
-top-down recursion over every reachable (used-parts, belief-bin) decision
+(outcome weight, successor bin) table with its own nearest-center rule,
+decided in grid coordinates, instead of reusing the training code's tables.
+The exhaustive solver recomputes the optimal expected cost of tiny instances
+by top-down recursion over every reachable (used-parts, belief-bin) decision
 node on that table, so agreement with the trained tables certifies the
 backward induction rather than restating it.  The Monte Carlo simulator
 replays a policy on the same table and estimates its cost and error rates,
 and `step_trace` replays one location's walk along the chain, snapping each
-posterior with the same rule, as the inference engine takes it.
+posterior with the same rule, as the inference engine takes it.  Every walk
+starts where the engine's does, at mask 0 in `Policy.start`.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ class TinyInstance:
 def _snap(centers: np.ndarray, p):
     """Index of the belief center nearest p, elementwise; the lower one wins a tie.
 
-    The distance to the sorted centers falls, then rises, so the nearest is
-    one of the two around p.
+    Decided in grid coordinates x = p * (d - 1): the bin floor(x), or the one
+    above when x lies more than half a bin past it.  Comparing float distances
+    to the rounded centers instead would break some exact ties upward.
     """
-    above = np.clip(np.searchsorted(centers, p), 1, centers.size - 1)
-    below = above - 1
-    return np.where(np.abs(p - centers[below]) <= np.abs(p - centers[above]), below, above)
+    x = np.asarray(p, dtype=float) * (centers.size - 1)
+    below = np.floor(x)
+    return np.clip(below + (x - below > 0.5), 0, centers.size - 1).astype(np.int64)
 
 
 def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -177,18 +179,17 @@ def _outcome_bins(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return j
 
 
-def simulate_policy(policy: Policy, likelihoods, prior: float,
-                    n_trials: int, seed: int) -> PolicyCostEstimate:
+def simulate_policy(policy: Policy, likelihoods, n_trials: int, seed: int) -> PolicyCostEstimate:
     """Estimate a policy's expected cost on the discretized belief chain.
 
-    Each trial walks the same chain the training tables describe: the belief
-    starts at the grid bin nearest `prior`, outcome bins are drawn by
-    inverse-CDF from the belief-weighted score mixture, and the successor
-    belief is the snapped posterior.  The realized cost charges one unit per
-    part plus the terminal misclassification risk under `policy.costs`; a
+    Each trial walks the same chain the training tables describe from the
+    same start, `Policy.start` (the bin `_snap` gives 0.5): outcome bins are
+    drawn by inverse-CDF from the belief-weighted score mixture, and the
+    successor belief is the snapped posterior.  The realized cost charges one
+    unit per part plus the terminal misclassification risk under
+    `policy.costs`, so its mean estimates `policy.values[0, policy.start]`; a
     hidden label drawn from the final belief feeds the fp/fn rates.
-    Deterministic given the seed, a non-negative integer.  A prior outside
-    [0, 1] is clamped; a NaN or infinite prior is rejected.
+    Deterministic given the seed, a non-negative integer.
     """
     if n_trials < 1:
         raise InvalidParameterError(f"n_trials must be >= 1, got {n_trials}")
@@ -198,13 +199,10 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
     if len(likelihoods) != policy.n_parts:
         raise ConfigurationError(f"{len(likelihoods)} likelihoods for a "
                                  f"{policy.n_parts}-part policy")
-    prior = float(prior)
-    if not math.isfinite(prior):
-        raise InvalidParameterError(f"prior must be finite, got {prior}")
     weights, successors = _chain_tables(likelihoods, policy.grid)
     cdf = np.cumsum(weights, axis=2, out=weights)  # in place: the weights are not read again
     centers = policy.grid.centers
-    start = int(_snap(centers, min(max(prior, 0.0), 1.0)))
+    start = int(_snap(centers, 0.5))
     costs = policy.costs
     rng = np.random.default_rng(seed)
 
@@ -270,10 +268,11 @@ def simulate_policy(policy: Policy, likelihoods, prior: float,
 def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, float]]:
     """Replay the stop-or-evaluate loop on scripted scores along the snapped chain.
 
-    The belief starts at the center nearest 0.5 and moves to the center
-    nearest each posterior.  Returns the (action, belief center at query)
-    sequence, consuming one scripted score per part evaluation; must match
-    the inference engine's trace on an equivalent provider.
+    The belief starts in `Policy.start`, the bin `_snap` gives 0.5, and moves
+    to the bin `_snap` gives each posterior.  Returns the (action, belief
+    center at query) sequence, consuming one scripted score per part
+    evaluation; must match the inference engine's trace on an equivalent
+    provider.
     """
     likelihoods = list(likelihoods)
     scripts = iter(scripted_scores)

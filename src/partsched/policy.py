@@ -156,8 +156,9 @@ class Policy:
 
     @cached_property
     def start(self) -> int:
-        """The belief bin every location starts in: the one nearest 0.5."""
-        return self.grid.nearest_index(0.5)
+        """Every location's start bin, with mask 0: the middle bin (d - 1) // 2, whose center
+        is 0.5, up to its last bit, on an odd grid and the lower neighbour of 0.5 on an even one."""
+        return (self.grid.d - 1) // 2
 
 
 def _popcount(n_parts: int) -> np.ndarray:

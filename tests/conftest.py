@@ -124,7 +124,8 @@ def assert_labelled_alone_alike(model, policy, scores, results, i, where=None):
 SCAN_REGIMES = {"scan": (4.0, 0.01, CostParams(20.0, 5.0)),
                 "scan-deep": (1.0, 0.3, CostParams(200.0, 200.0))}
 # an even grid has no center at 0.5: the start belief is the lower nearest one
-ENGINE_TRACE_CASES = ("two-part", "two-part-even", "scan", "scan-deep",
+TWO_PART_GRIDS = {"two-part": 11, "two-part-even": 10, "two-part-d4": 4, "two-part-d20": 20}
+ENGINE_TRACE_CASES = (*TWO_PART_GRIDS, "scan", "scan-deep",
                       "tiny-0", "tiny-1", "tiny-2", "tiny-3", "tiny-4", "tiny-5")
 
 
@@ -140,10 +141,16 @@ def scan_synthetic(case):
 
 def engine_trace_case(case):
     """(model, policy, response rows) for the engine-vs-step_trace comparison."""
-    if case.startswith("two-part"):
-        inst = two_part_instance(costs=CostParams(60.0, 60.0), d=10 if case.endswith("even") else 11)
-        # high-bin scores, as a positive location would produce, then mixed rows
-        scores = np.array([[0.93, 0.88], [0.88, 0.93], [0.05, 0.97], [0.5, 0.02], [1.7, -0.4]])
+    if case in TWO_PART_GRIDS:
+        inst = two_part_instance(costs=CostParams(60.0, 60.0), d=TWO_PART_GRIDS[case])
+        if inst.grid.d in (4, 20):
+            # even grids on which the float distances from 0.5 to its two neighbouring
+            # centers differ, so a distance-based snap would start one bin high;
+            # rows across the support and a little past it
+            scores = np.random.default_rng(0).uniform(-0.2, 1.2, (300, 2))
+        else:
+            # high-bin scores, as a positive location would produce, then mixed rows
+            scores = np.array([[0.93, 0.88], [0.88, 0.93], [0.05, 0.97], [0.5, 0.02], [1.7, -0.4]])
         model = DetectorModel(bias=0.0, likelihoods=inst.likelihoods, costs=inst.costs)
         return model, train_policy(inst.likelihoods, inst.costs, inst.grid), scores
     if case.startswith("tiny-"):

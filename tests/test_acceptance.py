@@ -159,7 +159,7 @@ def test_c5_monte_carlo_consistency():
         for seed in (0, 3, 7, 9):
             inst = random_tiny_instance(seed)
             policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-            est = simulate_policy(policy, inst.likelihoods, 0.5, 1_000_000, seed=100 + seed)
+            est = simulate_policy(policy, inst.likelihoods, 1_000_000, seed=100 + seed)
             dp = float(policy.values[0, inst.grid.nearest_index(0.5)])
             diff = abs(est.mean_cost - dp)
             assert diff <= 3.0 * est.std_error + _FLOOR_DUST, \
@@ -222,7 +222,7 @@ def test_c8_uninformative_degeneracy():
         policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
         initial = query_policy(policy, 0, 0.5)
         assert initial in (LABEL_NEG, LABEL_POS)
-        est = simulate_policy(policy, model.likelihoods, 0.5, 100000, seed=2)
+        est = simulate_policy(policy, model.likelihoods, 100000, seed=2)
         expected = min(costs.lambda_fn, costs.lambda_fp) * 0.5
         assert abs(est.mean_cost - expected) <= 3.0 * est.std_error + 1e-9
         print(f"  initial action={'neg' if initial == LABEL_NEG else 'pos'} "

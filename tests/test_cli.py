@@ -92,17 +92,17 @@ V_EMPTY_HALF = re.compile(r"(?<=V\(empty, 0\.5\)=)\S+")
 
 
 # sha256 digests of the recorded chain's likelihoods.json and of its
-# simulate.json at two priors (40000 trials, seed 7), recorded before the
-# samples reader, the KDE and the simulator's outcome draw were vectorized.
+# simulate.json (40000 trials, seed 7), recorded before the samples reader,
+# the KDE and the simulator's outcome draw were vectorized.  The key is the
+# start belief simulate took then, which is the start every command takes now.
 # simulate.json's dp_value is masked like V(empty, 0.5) above: it comes from
 # the trainer's matrix products, not from the simulator, and is compared to
 # the recorded value with a relative tolerance.
 RECORDED_LIKELIHOODS_SHA256 = "7c5f393fc46c356658f48278e90488ccb327e239071384fcf2a24a3ef4333483"
 RECORDED_MASKED_SIMULATE_SHA256 = {
     "0.5": "44a6678bddb294b432738aa062eff366cd908e7127be73a6747468f30440932e",
-    "0.37": "59210fd310f56c09b783b2a78df50bfa164f83bfed5bc5e757380b91d6444673",
 }
-RECORDED_DP_VALUE = {"0.5": 3.788810418727038, "0.37": 3.6215133152576815}
+RECORDED_DP_VALUE = {"0.5": 3.788810418727038}
 DP_VALUE = re.compile(r'(?<="dp_value":)[^,}]+')
 
 
@@ -160,23 +160,39 @@ class TestPipeline:
         masked = V_EMPTY_HALF.sub("*", stdout)
         assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_STDOUT_SHA256
 
-    @pytest.mark.parametrize("prior", ["0.5", "0.37"])
-    def test_fit_and_simulate_match_recorded_digests(self, tmp_path, monkeypatch, prior):
+    def test_fit_and_simulate_match_recorded_digests(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_recorded_inputs()
         assert main(["fit", "--samples", "samples.csv", "--out", "liks.json"]) == 0
         assert main(["train-policy", "--likelihoods", "liks.json", "--lambda-fp", "200",
                      "--lambda-fn", "150", "--out", "policy.bin"]) == 0
         assert main(["simulate", "--policy", "policy.bin", "--likelihoods", "liks.json",
-                     "--prior", prior, "--trials", "40000", "--seed", "7",
-                     "--out", "simulate.json"]) == 0
+                     "--trials", "40000", "--seed", "7", "--out", "simulate.json"]) == 0
         liks = (tmp_path / "liks.json").read_bytes()
         assert hashlib.sha256(liks).hexdigest() == RECORDED_LIKELIHOODS_SHA256
         report = (tmp_path / "simulate.json").read_text()
         (value,) = DP_VALUE.findall(report)
-        assert float(value) == pytest.approx(RECORDED_DP_VALUE[prior], rel=1e-12, abs=0.0)
+        assert float(value) == pytest.approx(RECORDED_DP_VALUE["0.5"], rel=1e-12, abs=0.0)
         masked = DP_VALUE.sub("*", report)
-        assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_SIMULATE_SHA256[prior]
+        assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_SIMULATE_SHA256["0.5"]
+
+    def test_simulate_agrees_with_dp_value_on_an_even_grid(self, tmp_path, monkeypatch, capsys):
+        # d = 20: a simulator that started one bin above the tables' start read
+        # 6.6 standard errors from dp_value here
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(1404)
+        means = 0.8 ** np.arange(6)
+        save_sample_sets([ScoreSampleSet(k, rng.standard_normal(2000) + means[k],
+                                         rng.standard_normal(2000) - means[k])
+                          for k in range(6)], "samples.csv")
+        assert main(["fit", "--samples", "samples.csv", "--out", "liks.json"]) == 0
+        assert main(["train-policy", "--likelihoods", "liks.json", "--lambda-fp", "20",
+                     "--lambda-fn", "5", "--belief-bins", "20", "--out", "policy.bin"]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--policy", "policy.bin", "--likelihoods", "liks.json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["trials"] == 100000
+        assert abs(report["mean_cost"] - report["dp_value"]) <= 4.0 * report["std_error"]
 
     def test_end_to_end_and_rerun_is_byte_identical(self, pipeline_dir, capsys):
         base, samples, responses = pipeline_dir
@@ -284,19 +300,15 @@ class TestExitCodes:
         assert code == 3
         assert "location 4, part 1" in capsys.readouterr().err
 
-    # "--prior -inf" reads -inf as an option, and "--prior" alone lacks its
-    # value: both are usage errors, which exit 4 too
-    @pytest.mark.parametrize("prior", [["--prior=nan"], ["--prior=inf"], ["--prior=-inf"],
-                                       ["--prior", "-inf"], ["--prior"]],
-                             ids=["nan", "inf", "-inf", "spaced--inf", "missing"])
-    def test_non_finite_prior_exits_4(self, pipeline_dir, prior, capsys):
+    def test_prior_option_is_a_usage_error(self, pipeline_dir, capsys):
+        # every command starts at Policy.start; simulate takes no start belief
         base, samples, responses = pipeline_dir
         liks, policy, _ = run_pipeline(base, samples, responses, "p")
         capsys.readouterr()
         code = main(["simulate", "--policy", str(policy), "--likelihoods", str(liks),
-                     *prior, "--trials", "100"])
+                     "--prior", "0.5", "--trials", "100"])
         assert code == 4
-        assert "prior" in capsys.readouterr().err
+        assert "unrecognized arguments: --prior 0.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bias", [["--bias", "nan"], ["--bias", "inf"], ["--bias=-inf"]],
                              ids=["nan", "inf", "-inf"])

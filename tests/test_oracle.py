@@ -1,5 +1,7 @@
 import hashlib
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,7 +146,7 @@ class TestExhaustiveOptimalValue:
         for theta_lo, theta_hi, order in [(0.2, 0.8, (0, 1)), (0.4, 0.6, (1, 0)),
                                           (0.05, 0.95, (0, 1)), (0.5, 0.5, (1, 0))]:
             policy = threshold_policy(inst, theta_lo, theta_hi, order)
-            est = simulate_policy(policy, inst.likelihoods, 0.5, 40000, seed=9)
+            est = simulate_policy(policy, inst.likelihoods, 40000, seed=9)
             assert est.mean_cost >= optimum - 3.0 * est.std_error - 1e-4
 
 
@@ -173,34 +175,36 @@ def threshold_policy(inst, theta_lo, theta_hi, order) -> Policy:
 
 
 class TestSimulatePolicy:
+    # d = 11: every trial stops at once in the start bin, whose center is 0.5,
+    # and pays lambda * 0.5
     def test_forced_negative(self):
         inst = two_part_instance(costs=CostParams(7.0, 3.0))
         policy = constant_policy(2, LABEL_NEG, d=inst.grid.d, costs=inst.costs)
-        est = simulate_policy(policy, inst.likelihoods, 1.0, 5000, seed=1)
+        est = simulate_policy(policy, inst.likelihoods, 5000, seed=1)
         assert est.fn_rate == 1.0
         assert est.mean_tau == 0.0
-        assert est.mean_cost == pytest.approx(3.0, abs=1e-12)
+        assert est.mean_cost == pytest.approx(1.5, abs=1e-12)
         assert est.std_error == 0.0
 
     def test_forced_positive(self):
         inst = two_part_instance(costs=CostParams(7.0, 3.0))
         policy = constant_policy(2, LABEL_POS, d=inst.grid.d, costs=inst.costs)
-        est = simulate_policy(policy, inst.likelihoods, 0.0, 5000, seed=1)
+        est = simulate_policy(policy, inst.likelihoods, 5000, seed=1)
         assert est.fp_rate == 1.0
-        assert est.mean_cost == pytest.approx(7.0, abs=1e-12)
+        assert est.mean_cost == pytest.approx(3.5, abs=1e-12)
 
     def test_consistent_with_dp_value(self):
         inst = random_tiny_instance(7)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        est = simulate_policy(policy, inst.likelihoods, 0.5, 200000, seed=5)
+        est = simulate_policy(policy, inst.likelihoods, 200000, seed=5)
         dp = policy.values[0, inst.grid.nearest_index(0.5)]
         assert abs(est.mean_cost - dp) <= 4.0 * est.std_error + 1e-9
 
     def test_seeded_reproducibility(self):
         inst = random_tiny_instance(2)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        a = simulate_policy(policy, inst.likelihoods, 0.5, 30000, seed=3)
-        b = simulate_policy(policy, inst.likelihoods, 0.5, 30000, seed=3)
+        a = simulate_policy(policy, inst.likelihoods, 30000, seed=3)
+        b = simulate_policy(policy, inst.likelihoods, 30000, seed=3)
         assert a == b
 
     def test_doubling_trials_shrinks_std_error(self):
@@ -211,8 +215,8 @@ class TestSimulatePolicy:
             likelihoods=(mixed_likelihood(0), mixed_likelihood(1)),
             costs=CostParams(12.0, 12.0), grid=BeliefGrid(11))
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        small = simulate_policy(policy, inst.likelihoods, 0.5, 50000, seed=11)
-        big = simulate_policy(policy, inst.likelihoods, 0.5, 100000, seed=11)
+        small = simulate_policy(policy, inst.likelihoods, 50000, seed=11)
+        big = simulate_policy(policy, inst.likelihoods, 100000, seed=11)
         ratio = big.std_error / small.std_error
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.2)
 
@@ -223,10 +227,10 @@ class TestSimulatePolicy:
                              n_locations=1, seed=3)
         model, _, _ = make_synthetic(spec, CostParams(200.0, 200.0))
         policy = train_policy(model.likelihoods, model.costs)
-        simulate_policy(policy, model.likelihoods, 0.3, 100, seed=0)  # imports, if any
+        simulate_policy(policy, model.likelihoods, 100, seed=0)  # imports, if any
         tracemalloc.start()
         try:
-            est = simulate_policy(policy, model.likelihoods, 0.3, 10 ** 5, seed=1)
+            est = simulate_policy(policy, model.likelihoods, 10 ** 5, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -275,17 +279,49 @@ class TestOutcomeBins:
 
 
 class TestSnap:
-    """`_snap` is the first argmin of the distance to the centers."""
+    """`_snap` rounds p * (d - 1) to the nearest bin, an exact tie to the lower one."""
+
+    @staticmethod
+    def exact(d, p):
+        x = Fraction(p) * (d - 1)  # exact: every float is a dyadic rational
+        below = math.floor(x)
+        return min(max(below + (x - below > Fraction(1, 2)), 0), d - 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9, 10, 11, 20, 22, 101, 1001, 1025, 2000])
+    def test_matches_exact_rounding(self, d):
+        centers = BeliefGrid(d).centers
+        points = set(centers.tolist())
+        quarter = 0.25 / (d - 1)  # a quarter bin either side of each midpoint
+        points.update((i + 0.5) / (d - 1) + s * quarter for i in range(d - 1) for s in (-1, 1))
+        if d % 2 == 0:
+            points.add(0.5)  # the middle midpoint, exact in binary on every even grid
+        if (d - 1) & (d - 2) == 0:  # d - 1 a power of two: every midpoint is exact in binary
+            points.update((i + 0.5) / (d - 1) for i in range(d - 1))
+        p = np.array(sorted(points))
+        expected = [self.exact(d, x) for x in p.tolist()]
+        assert _snap(centers, p).tolist() == expected
+        assert [int(_snap(centers, x)) for x in p.tolist()] == expected
 
     @pytest.mark.parametrize("d", [2, 3, 11, 101, 1001])
-    def test_matches_first_argmin(self, d):
+    def test_matches_nearest_index(self, d):
         centers = BeliefGrid(d).centers
         mid = (centers[:-1] + centers[1:]) / 2.0  # ties, wherever the float sum is exact
         p = np.concatenate([centers, mid, np.nextafter(mid, 0.0), np.nextafter(mid, 1.0),
                             [0.0, 1.0, -1.0, -0.25, -1e-9, 1.0 + 1e-9, 1.25, 2.0]])
-        expected = np.argmin(np.abs(centers[None, :] - p[:, None]), axis=1)
+        expected = BeliefGrid(d).nearest_index(p)
         assert np.array_equal(_snap(centers, p), expected)
         assert [int(_snap(centers, float(x))) for x in p] == expected.tolist()
+
+    def test_start_is_the_middle_bin(self):
+        # the engine starts at Policy.start, the oracle at _snap(centers, 0.5)
+        for d in range(2, 2001):
+            centers = BeliefGrid(d).centers
+            start = constant_policy(1, LABEL_NEG, d=d).start
+            assert start == int(_snap(centers, 0.5)) == (d - 1) // 2, d
+            if d % 2:  # 0.5 up to its last bit
+                assert abs(centers[start] - 0.5) <= np.spacing(0.5), d
+            else:
+                assert centers[start] < 0.5 < centers[start + 1], d
 
 
 def training_successors(likelihoods, grid):
@@ -293,7 +329,7 @@ def training_successors(likelihoods, grid):
 
 
 class TestChainTables:
-    """The oracle's distance-based snap agrees with training's rounding formula."""
+    """The oracle's chain tables, snapped by `_snap`, have training's successors."""
 
     @pytest.mark.parametrize("d", [11, 21, 101, 201, 1001])
     @pytest.mark.parametrize("regime", ["scan", "scan-deep"])

@@ -308,7 +308,7 @@ class TestDegenerateSeparation:
         costs = CostParams(3.0, 3.0)
         policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
         assert query_policy(policy, 0, 0.5) in (LABEL_NEG, LABEL_POS)
-        est = simulate_policy(policy, model.likelihoods, 0.5, 20000, seed=3)
+        est = simulate_policy(policy, model.likelihoods, 20000, seed=3)
         assert abs(est.mean_cost - 1.5) <= 3.0 * est.std_error + 1e-9
 
     def test_accuracy_indistinguishable_from_prior_classifier(self):
