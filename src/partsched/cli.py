@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ def cmd_train_policy(args) -> int:
     save_policy(policy, args.out)
     print(f"states={policy.n_states} belief_bins={policy.grid.d} "
           f"table_entries={policy.n_states * policy.grid.d}")
-    print(f"V(empty, 0.5)={float(policy.values[0, policy.start])!r} "
+    print(f"V(empty, {policy.grid.centers[policy.start]:.4g})={float(policy.values[0, policy.start])!r} "
           f"initial_action={action_name(int(policy.actions[0, policy.start]))}")
     print(f"wrote policy to {args.out}")
     return EXIT_OK
@@ -191,21 +192,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     policy = load_policy(args.policy)
-    half = policy.start
+    start, p = policy.start, f"{policy.grid.centers[policy.start]:.4g}"
     print(f"n_parts={policy.n_parts} belief_bins={policy.grid.d} "
           f"lambda_fp={policy.costs.lambda_fp!r} lambda_fn={policy.costs.lambda_fn!r}")
-    print(f"V(empty, 0.5)={float(policy.values[0, half])!r}")
-    print(f"initial action at p=0.5: {action_name(int(policy.actions[0, half]))}")
+    print(f"V(empty, {p})={float(policy.values[0, start])!r}")
+    print(f"initial action at p={p}: {action_name(int(policy.actions[0, start]))}")
     if policy.n_states <= 64:
         for mask in range(policy.n_states):
             row = policy.actions[mask]
-            summary = {}
-            for a in row:
-                name = action_name(int(a))
-                summary[name] = summary.get(name, 0) + 1
+            summary = Counter(action_name(int(a)) for a in row)
             bits = format(mask, f"0{policy.n_parts}b")
-            at_half = action_name(int(row[half]))
-            print(f"mask {bits}: at p=0.5 -> {at_half}; "
+            at_start = action_name(int(row[start]))
+            print(f"mask {bits}: at p={p} -> {at_start}; "
                   + " ".join(f"{k}={v}" for k, v in sorted(summary.items())))
     else:
         popcount = _popcount(policy.n_parts)
@@ -214,9 +212,9 @@ def cmd_inspect(args) -> int:
             rows = policy.actions[masks]
             n_label = int((rows < _PART_BASE).sum())
             n_part = int(rows.size - n_label)
-            mean_v = float(policy.values[masks, half].mean())
+            mean_v = float(policy.values[masks, start].mean())
             print(f"stage used={used}: masks={len(masks)} label_entries={n_label} "
-                  f"part_entries={n_part} mean_V(p=0.5)={mean_v:.4f}")
+                  f"part_entries={n_part} mean_V(p={p})={mean_v:.4f}")
     return EXIT_OK
 
 

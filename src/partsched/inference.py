@@ -59,8 +59,8 @@ class ResponseProvider:
     each pair at most once per pass.  It asks in batches: one
     `get_responses(location_ids, part_id)` call per requested part per
     round, with a 1-D integer array of location ids, expecting one float
-    per id back.  The default `get_responses` calls `get_response` once per
-    id, so a subclass that implements only `get_response` sees every fetch.
+    per id back.  A subclass implements either; each default reads the
+    other one id at a time, so a `get_response`-only subclass sees every fetch.
     A NaN response is a provider fault (ProviderError); ±inf responses fall
     into the part's edge score bins.
     """
@@ -69,7 +69,9 @@ class ResponseProvider:
     n_locations: int
 
     def get_response(self, location_id: int, part_id: int) -> float:
-        raise NotImplementedError
+        if type(self).get_responses is ResponseProvider.get_responses:
+            raise NotImplementedError("a provider implements get_response or get_responses")
+        return self.get_responses(np.array([location_id]), part_id)[0]
 
     def get_responses(self, location_ids, part_id: int) -> np.ndarray:
         """Part `part_id`'s response at each of `location_ids`, one `get_response` call per id."""

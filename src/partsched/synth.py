@@ -23,6 +23,7 @@ from .inference import (
     InferenceStats,
     MatrixResponseProvider,
     POS_LABEL,
+    full_score,
     run_grid,
 )
 from .likelihoods import ScoreSampleSet, fit_part_likelihood
@@ -171,18 +172,19 @@ def precision_recall(results, truth) -> PrCurve:
     InvalidParameterError.
     """
     truth = np.asarray(truth, dtype=bool)
-    n_positive = int(truth.sum())
+    location_id, _, scores = _columns(results)
+    return _curve(scores, truth[location_id], int(truth.sum()))
+
+
+def _curve(scores, labels, n_positive) -> PrCurve:
     if n_positive == 0:
         raise InvalidParameterError("precision/recall needs at least one positive location")
-    location_id, _, scores = _columns(results)
-    labels = truth[location_id]
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
     labels = labels[order]
-    # one threshold per distinct score value; equality (not diff) so tied
-    # -inf groups stay single thresholds
-    boundaries = np.flatnonzero(scores[1:] != scores[:-1]) if scores.size else np.array([], dtype=int)
-    ends = np.concatenate([boundaries, [scores.size - 1]]) if scores.size else np.array([], dtype=int)
+    # one threshold per distinct score value, at its last index; equality (not
+    # diff) so tied -inf groups stay single thresholds
+    ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], scores.size > 0))
     tp_cum = np.cumsum(labels)[ends]
     n_cum = ends + 1
     precision = tp_cum / n_cum
@@ -196,6 +198,8 @@ def precision_recall(results, truth) -> PrCurve:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One cost point.  ap_full is the AP of `full_score` everywhere; delta_ap = ap_full - ap."""
+
     lambda_fp: float
     lambda_fn: float
     ap: float
@@ -203,6 +207,8 @@ class SweepRow:
     mean_tau: float
     fp_rate: float
     fn_rate: float
+    ap_full: float
+    delta_ap: float
 
 
 @dataclass
@@ -227,10 +233,11 @@ class SweepResult:
 def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> SweepResult:
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
 
-    All points share the same synthetic likelihoods and response grid.  Every
-    point's CostParams is built first, so an empty grid, a cost that is not
-    finite and positive, or a repeated point raises InvalidParameterError
-    before any work; an error at any point then propagates.
+    All points share the same synthetic likelihoods, response grid and
+    ap_full, the AP of `full_score` at every location.  Every point's
+    CostParams is built first, so an empty grid, a cost that is not finite and
+    positive, or a repeated point raises InvalidParameterError before any work,
+    as a spec with no positive location does before any training.
     """
     try:
         costs = [CostParams(float(fp), float(fn)) for fp, fn in lambda_grid]
@@ -241,14 +248,16 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
     if len(set(costs)) != len(costs):
         raise InvalidParameterError("lambda grid points must be unique")
     model, provider, truth = make_synthetic(spec)
+    full = np.array([full_score(model, provider, i) for i in range(provider.n_locations)])
+    ap_full = _curve(full, truth, int(truth.sum())).average_precision
     out = SweepResult()
     for c in costs:
         results, stats = run_grid(model, train_policy(model.likelihoods, c, grid), provider)
         counts = classification_counts(results, truth)
-        out.rows.append(SweepRow(c.lambda_fp, c.lambda_fn,
-                                 precision_recall(results, truth).average_precision,
+        ap = precision_recall(results, truth).average_precision
+        out.rows.append(SweepRow(c.lambda_fp, c.lambda_fn, ap,
                                  compute_rnpe(stats, model.n_parts, provider.n_locations),
-                                 stats.mean_tau, counts.fp_rate, counts.fn_rate))
+                                 stats.mean_tau, counts.fp_rate, counts.fn_rate, ap_full, ap_full - ap))
     return out
 
 

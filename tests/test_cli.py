@@ -1043,7 +1043,7 @@ class TestSweepAndInspect:
                      "--belief-bins", "21", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "lambda_fp,lambda_fn,ap,rnpe,mean_tau,fp_rate,fn_rate"
+        assert lines[0] == "lambda_fp,lambda_fn,ap,rnpe,mean_tau,fp_rate,fn_rate,ap_full,delta_ap"
         assert len(lines) == 2
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert meta["spec"]["seed"] == 8
@@ -1146,6 +1146,25 @@ class TestSweepAndInspect:
         assert "initial action at p=0.5:" in out
         action = out.split("initial action at p=0.5: ")[1].split()[0]
         assert action in ("neg", "pos")
+
+    def test_start_is_labelled_with_its_center_on_an_even_grid(self, tmp_path, rng, capsys):
+        # d = 20: Policy.start is bin 9, whose center is 9/19, not 0.5
+        liks = [fit_part_likelihood(ScoreSampleSet(
+            k, rng.standard_normal(200) + 1.0, rng.standard_normal(200) - 1.0)) for k in range(2)]
+        liks_path, policy_path = tmp_path / "l.json", tmp_path / "p.bin"
+        save_likelihoods(liks, liks_path)
+        capsys.readouterr()
+        assert main(["train-policy", "--likelihoods", str(liks_path), "--lambda-fp", "20",
+                     "--lambda-fn", "5", "--belief-bins", "20", "--out", str(policy_path)]) == 0
+        train_out = capsys.readouterr().out
+        assert main(["inspect", "--policy", str(policy_path)]) == 0
+        inspect_out = capsys.readouterr().out
+        policy = load_policy(policy_path)
+        value = f"V(empty, 0.4737)={float(policy.values[0, 9])!r}"
+        assert value in train_out and value in inspect_out
+        assert "initial action at p=0.4737: " in inspect_out
+        assert inspect_out.count(" at p=0.4737 -> ") == 4
+        assert "p=0.5" not in inspect_out and "(empty, 0.5)" not in train_out + inspect_out
 
     def test_inspect_per_mask_summary(self, pipeline_dir, capsys):
         base, samples, responses = pipeline_dir

@@ -22,6 +22,7 @@ from partsched import (
     MatrixResponseProvider,
     Policy,
     ProviderError,
+    ResponseProvider,
     SyntheticSpec,
     full_score,
     load_responses_bin,
@@ -132,6 +133,17 @@ class CountingProvider(MatrixResponseProvider):
         return super().get_response(location_id, part_id)
 
 
+class BatchOnlyProvider(ResponseProvider):
+    """Matrix-backed provider that implements `get_responses` and not `get_response`."""
+
+    def __init__(self, scores):
+        self.scores = scores
+        self.n_locations, self.n_parts = scores.shape
+
+    def get_responses(self, location_ids, part_id):
+        return self.scores[location_ids, part_id]
+
+
 def toy_model(n_parts, bias=0.0):
     liks = tuple(separable_likelihood(k) for k in range(n_parts))
     return DetectorModel(bias=bias, likelihoods=liks, costs=CostParams(4.0, 4.0))
@@ -221,6 +233,26 @@ class TestRunLocation:
 
 
 class TestRunGrid:
+    @pytest.mark.parametrize("case", ["scan", "scan-deep"])
+    def test_batch_only_provider_matches_matrix_provider(self, case):
+        model, policy, provider = regime_inputs(case, 2000)
+        batch = BatchOnlyProvider(provider.scores)
+        assert run_grid(model, policy, batch) == run_grid(model, policy, provider)
+        assert ([full_score(model, batch, loc) for loc in range(2000)]
+                == [full_score(model, provider, loc) for loc in range(2000)])
+
+    def test_provider_with_neither_method_is_a_provider_error(self):
+        class Neither(ResponseProvider):
+            n_parts, n_locations = 2, 3
+
+        model = toy_model(2)
+        with pytest.raises(ProviderError, match="location 0, part 0") as run_error:
+            run_grid(model, constant_policy(2, LABEL_POS), Neither())
+        with pytest.raises(ProviderError, match="location 1, part 0") as score_error:
+            full_score(model, Neither(), 1)
+        for error in (run_error, score_error):
+            assert isinstance(error.value.__cause__, NotImplementedError)
+
     def test_empty_grid(self):
         model = toy_model(2)
         policy = constant_policy(2, LABEL_NEG)

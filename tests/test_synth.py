@@ -12,6 +12,7 @@ from partsched import (
     SyntheticSpec,
     classification_counts,
     compute_rnpe,
+    full_score,
     lambda_sweep,
     make_synthetic,
     precision_recall,
@@ -183,6 +184,11 @@ class TestPrecisionRecall:
                            match="precision/recall needs at least one positive location"):
             precision_recall([result_stub(0, POS_LABEL, 1.0)], np.array([False]))
 
+    def test_empty_results_give_an_empty_curve(self):
+        curve = precision_recall([], np.array([True, False]))
+        assert (curve.precision.size, curve.recall.size, curve.thresholds.size) == (0, 0, 0)
+        assert curve.average_precision == 0.0
+
 
 def test_metrics_read_result_columns(small_spec, monkeypatch):
     # on a DetectionResults the metrics read its arrays and build no
@@ -224,12 +230,29 @@ class TestLambdaSweep:
         policy = train_policy(model.likelihoods, CostParams(8.0, 4.0), grid)
         results, stats = run_grid(model, policy, provider)
         counts = classification_counts(results, truth)
-        direct = synth.SweepRow(lambda_fp=8.0, lambda_fn=4.0,
-                                ap=precision_recall(results, truth).average_precision,
+        # the full detector: every location scored exhaustively, labelled positive
+        baseline = [DetectionResult(loc, POS_LABEL, full_score(model, provider, loc),
+                                    tuple(range(model.n_parts)), 0, 0.5, 0.0)
+                    for loc in range(provider.n_locations)]
+        ap = precision_recall(results, truth).average_precision
+        ap_full = precision_recall(baseline, truth).average_precision
+        direct = synth.SweepRow(lambda_fp=8.0, lambda_fn=4.0, ap=ap,
                                 rnpe=compute_rnpe(stats, model.n_parts, provider.n_locations),
                                 mean_tau=stats.mean_tau, fp_rate=counts.fp_rate,
-                                fn_rate=counts.fn_rate)
+                                fn_rate=counts.fn_rate, ap_full=ap_full, delta_ap=ap_full - ap)
         assert sweep.rows[0] == direct
+
+    def test_ap_full_is_shared_by_every_point(self, small_spec):
+        rows = lambda_sweep(small_spec, [(4.0, 4.0), (16.0, 8.0)], BeliefGrid(21)).rows
+        assert rows[0].ap_full == rows[1].ap_full
+        assert all(r.delta_ap == r.ap_full - r.ap for r in rows)
+
+    def test_spec_without_a_positive_fails_before_any_training(self, monkeypatch):
+        spec = SyntheticSpec(n_parts=2, separation=1.0, prior_positive=0.0,
+                             n_locations=20, seed=1, train_samples=300)
+        monkeypatch.setattr(synth, "train_policy", None)  # any training would call it
+        with pytest.raises(InvalidParameterError, match="at least one positive location"):
+            lambda_sweep(spec, [(4.0, 4.0)])
 
     def test_duplicate_points_rejected(self, small_spec):
         with pytest.raises(InvalidParameterError):
@@ -297,7 +320,7 @@ class TestLambdaSweep:
         assert len(rows) == 1
         assert float(rows[0]["lambda_fp"]) == 8.0
         assert set(rows[0]) == {"lambda_fp", "lambda_fn", "ap", "rnpe",
-                                "mean_tau", "fp_rate", "fn_rate"}
+                                "mean_tau", "fp_rate", "fn_rate", "ap_full", "delta_ap"}
 
 
 class TestDegenerateSeparation:
