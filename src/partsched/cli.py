@@ -1,9 +1,10 @@
 """Command-line front door wiring the modules into reproducible pipelines.
 
 Exit codes, stable for scripting: 0 success, 1 verification failure,
-2 capacity (a table or array that cannot be allocated included), 3 input
-format or a file that cannot be read or written, 4 invalid parameter,
-5 mismatched components, such as part counts that disagree.
+2 capacity (training that needs more than physical memory, and a table or
+array that cannot be allocated, included), 3 input format or a file that
+cannot be read or written, 4 invalid parameter, 5 mismatched components,
+such as part counts that disagree or a policy trained on other likelihoods.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, synth
-from .errors import CapacityError, FormatError, InvalidParameterError, PartschedError
+from .errors import (CapacityError, ConfigurationError, FormatError, InvalidParameterError,
+                     PartschedError)
 from .inference import DetectorModel, load_responses, run_grid, save_results_csv
-from .likelihoods import (DEFAULT_BINS, _read_json, fit_part_likelihood, load_likelihoods,
-                          read_sample_sets, save_likelihoods)
+from .likelihoods import (DEFAULT_BINS, _likelihoods_sha256, _read_json, fit_part_likelihood,
+                          load_likelihoods, read_sample_sets, save_likelihoods)
 from .policy import (
     _PART_BASE,
     DEFAULT_BELIEF_BINS,
@@ -75,15 +77,26 @@ def cmd_train_policy(args) -> int:
     save_policy(policy, args.out)
     print(f"states={policy.n_states} belief_bins={policy.grid.d} "
           f"table_entries={policy.n_states * policy.grid.d}")
-    print(f"V(empty, {policy.grid.centers[policy.start]:.4g})={float(policy.values[0, policy.start])!r} "
+    print(f"V(empty, {policy.grid.centers[policy.start]:.4g})={float(policy.values[policy.start])!r} "
           f"initial_action={action_name(int(policy.actions[0, policy.start]))}")
     print(f"wrote policy to {args.out}")
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
+def _load_trained_pair(args):
+    """The policy and likelihood files, or ConfigurationError unless the policy was trained on
+    those likelihoods."""
     policy = load_policy(args.policy)
     likelihoods = load_likelihoods(args.likelihoods)
+    if _likelihoods_sha256(likelihoods) != policy.likelihoods_sha256:
+        raise ConfigurationError(f"{args.policy} was trained on other likelihoods than "
+                                 f"{args.likelihoods} (a {policy.n_parts}-part policy, "
+                                 f"{len(likelihoods)} likelihoods)")
+    return policy, likelihoods
+
+
+def cmd_infer(args) -> int:
+    policy, likelihoods = _load_trained_pair(args)
     provider = load_responses(args.responses)
     model = DetectorModel(bias=args.bias, likelihoods=tuple(likelihoods), costs=policy.costs)
     results, stats = run_grid(model, policy, provider)
@@ -96,8 +109,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    policy = load_policy(args.policy)
-    likelihoods = load_likelihoods(args.likelihoods)
+    policy, likelihoods = _load_trained_pair(args)
     estimate = oracle.simulate_policy(policy, likelihoods, args.trials, args.seed)
     _dump_json({
         "mean_cost": estimate.mean_cost,
@@ -106,7 +118,7 @@ def cmd_simulate(args) -> int:
         "fp_rate": estimate.fp_rate,
         "fn_rate": estimate.fn_rate,
         "trials": estimate.n_trials,
-        "dp_value": float(policy.values[0, policy.start]),
+        "dp_value": float(policy.values[policy.start]),
     }, args.out)
     return EXIT_OK
 
@@ -120,7 +132,7 @@ def cmd_verify(args) -> int:
     for seed in range(args.seeds):
         inst = oracle.random_tiny_instance(seed)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
-        dp_row = policy.values[0]
+        dp_row = policy.values
         oracle_row = oracle.exhaustive_value_row(inst)
         diff = float(np.max(np.abs(dp_row - oracle_row)))
         estimate = oracle.simulate_policy(policy, inst.likelihoods, args.trials, seed)
@@ -195,7 +207,7 @@ def cmd_inspect(args) -> int:
     start, p = policy.start, f"{policy.grid.centers[policy.start]:.4g}"
     print(f"n_parts={policy.n_parts} belief_bins={policy.grid.d} "
           f"lambda_fp={policy.costs.lambda_fp!r} lambda_fn={policy.costs.lambda_fn!r}")
-    print(f"V(empty, {p})={float(policy.values[0, start])!r}")
+    print(f"V(empty, {p})={float(policy.values[start])!r}")
     print(f"initial action at p={p}: {action_name(int(policy.actions[0, start]))}")
     if policy.n_states <= 64:
         for mask in range(policy.n_states):
@@ -212,9 +224,8 @@ def cmd_inspect(args) -> int:
             rows = policy.actions[masks]
             n_label = int((rows < _PART_BASE).sum())
             n_part = int(rows.size - n_label)
-            mean_v = float(policy.values[masks, start].mean())
             print(f"stage used={used}: masks={len(masks)} label_entries={n_label} "
-                  f"part_entries={n_part} mean_V(p={p})={mean_v:.4f}")
+                  f"part_entries={n_part}")
     return EXIT_OK
 
 

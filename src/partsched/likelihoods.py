@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -276,6 +277,18 @@ def _check_part_set(likelihoods) -> None:
     bin_counts = sorted({lik.pos.n_bins for lik in likelihoods})
     if len(bin_counts) > 1:
         raise ConfigurationError(f"parts must share one bin count, got {bin_counts}")
+
+
+def _likelihoods_sha256(likelihoods) -> str:
+    """sha256 over each part's lo, hi, pos and neg bins, in order, as little-endian float64.
+
+    A likelihood file and the policy trained on it share this digest; a JSON
+    round trip keeps every float, so it survives `save_likelihoods`."""
+    digest = hashlib.sha256()
+    for lik in likelihoods:
+        for values in ([lik.pos.lo, lik.pos.hi], lik.pos.bins, lik.neg.bins):
+            digest.update(np.asarray(values, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = None,

@@ -187,7 +187,7 @@ def simulate_policy(policy: Policy, likelihoods, n_trials: int, seed: int) -> Po
     drawn by inverse-CDF from the belief-weighted score mixture, and the
     successor belief is the snapped posterior.  The realized cost charges one
     unit per part plus the terminal misclassification risk under
-    `policy.costs`, so its mean estimates `policy.values[0, policy.start]`; a
+    `policy.costs`, so its mean estimates `policy.values[policy.start]`; a
     hidden label drawn from the final belief feeds the fp/fn rates.
     Deterministic given the seed, a non-negative integer.
     """

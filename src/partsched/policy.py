@@ -20,16 +20,26 @@ matrix per part, T_k[i, i'] = total weight of the score bins that move bin i
 to bin i' (the fixed-grid POMDP approximation, Lovejoy, Oper. Res. 1991).
 A stage is every mask with t used parts; for each part k the continuation
 values of all its masks without bit k are one matrix product,
-values[mask | 1<<k] @ T_k.T.  Training costs O(2^n * n * d^2) floating-point
-work, done by BLAS.  The products sum in another order than a per-bin loop
-would, so values agree with per-bin summation to about 1e-13, not bit for
-bit; the action tables are the same.
+V_{t+1}[rank[mask | 1<<k]] @ T_k.T, where a layer V_t holds the values of
+stage t's masks in ascending order and rank[mask] is a mask's row in its
+layer.  Only two layers are alive at a time, so training holds the action
+table, a stage and a rank per mask and the two largest adjacent layers, and
+it checks that sum against physical memory before it allocates anything.  Training
+costs O(2^n * n * d^2) floating-point work, done by BLAS.  The products sum
+in another order than a per-bin loop would, so values agree with per-bin
+summation to about 1e-13, not bit for bit; the action tables are the same.
+
+A policy keeps what inference reads: the actions of every state and the
+value row V(empty, .), the expected cost from each start belief.  Its file
+holds a JSON header line, naming the sha256 of the likelihoods it was
+trained on, then those two tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,9 +52,9 @@ from .errors import (
     InvalidActionError,
     InvalidParameterError,
 )
-from .likelihoods import ScoreLikelihood, _check_part_set, _clamped_index, _json_int, _json_real
+from .likelihoods import (ScoreLikelihood, _check_part_set, _clamped_index, _json_int, _json_real,
+                          _likelihoods_sha256)
 
-MAX_PARTS = 24
 DEFAULT_BELIEF_BINS = 101
 
 # Action encoding, also used verbatim in the persisted table:
@@ -108,28 +118,32 @@ class BeliefGrid:
 
 @dataclass(frozen=True)
 class Policy:
-    """Lookup tables mapping (used-parts mask, belief bin) to action and value.
+    """Action lookup table over (used-parts mask, belief bin), and the value row V(empty, .).
 
     The policy checks its action codes once, on a uint8 copy of its own: a
     code that is not an integer in 0..n_parts+1, or one naming a part its
     mask already uses, is an InvalidActionError.  The copy is read-only, so
-    the checked table is the one every lookup reads.  `values` is a
-    read-only view of the caller's array; nothing checks it at run time."""
+    the checked table is the one every lookup reads.  `values` is a read-only
+    float64 copy of V(empty, .), one expected cost per start bin; the values
+    of other masks are not kept.  `likelihoods_sha256` names the likelihoods
+    the policy was trained on (see `_likelihoods_sha256`)."""
 
     n_parts: int
     grid: BeliefGrid
     costs: CostParams
     actions: np.ndarray  # (2**n_parts, d) uint8
-    values: np.ndarray   # (2**n_parts, d) float64
+    values: np.ndarray   # (d,) float64: V(empty, .)
+    likelihoods_sha256: str
 
     def __post_init__(self):
-        if not (1 <= self.n_parts <= MAX_PARTS):
-            raise CapacityError(f"n_parts must be in 1..{MAX_PARTS}, got {self.n_parts}")
-        shape = (1 << self.n_parts, self.grid.d)
+        d = self.grid.d
         codes = np.asarray(self.actions)
-        values = np.asarray(self.values, dtype=float)
-        if codes.shape != shape or values.shape != shape:
-            raise ValueError(f"tables must have shape {shape}")
+        values = np.array(self.values, dtype=float)
+        # no numpy dimension reaches 2**63, so the shift stays small
+        if not (0 < self.n_parts < 63 and codes.shape == (1 << self.n_parts, d)
+                and values.shape == (d,)):
+            raise ValueError(f"a {self.n_parts}-part policy on {d} belief bins needs a "
+                             f"(2**{self.n_parts}, {d}) action table and a ({d},) value row")
         # the cast wraps, truncates or (for NaN) warns; any code it changes is rejected
         with np.errstate(invalid="ignore"):
             actions = np.array(codes, dtype=np.uint8, order="C")
@@ -140,11 +154,8 @@ class Policy:
         # rows whose mask has bit k set must not name part k; one view per part,
         # so the only temporary is a boolean half-table
         for k in range(self.n_parts):
-            if (actions.reshape(-1, 2, 1 << k, shape[1])[:, 1] == part_action(k)).any():
+            if (actions.reshape(-1, 2, 1 << k, d)[:, 1] == part_action(k)).any():
                 raise InvalidActionError("table names an already-used part")
-        # the value table is the largest allocation and nothing checks it at run
-        # time, so it stays a view
-        values = values.view()
         actions.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "actions", actions)
@@ -162,9 +173,44 @@ class Policy:
 
 
 def _popcount(n_parts: int) -> np.ndarray:
-    """Number of used parts, i.e. the stage, of every mask 0..2^n_parts - 1."""
-    masks = np.arange(1 << n_parts)
-    return sum((masks >> k) & 1 for k in range(n_parts))
+    """Number of used parts, i.e. the stage, of every mask 0..2^n_parts - 1, as uint8."""
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_parts):  # masks with the next bit set use one part more
+        popcount = np.concatenate([popcount, popcount + 1])
+    return popcount
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or numpy's largest array size where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return np.iinfo(np.intp).max
+
+
+def _training_bytes(n_parts: int, d: int) -> int:
+    """An upper bound on the bytes `train_policy` holds at once.
+
+    Per mask: its action row (d bytes), its stage (1) and its rank (8).  The
+    transition matrices: n_parts * d^2 float64.  At the largest stage, of
+    C(n_parts, n_parts // 2) masks: two adjacent value layers (8 bytes per
+    entry each, and no stage is larger), the best-part table (1) and one
+    part's temporaries, a gathered layer or its product, the running best it
+    replaces, a compare and a part table (18); 35 bytes per entry in all.
+    """
+    largest = math.comb(n_parts, n_parts // 2)
+    return (1 << n_parts) * (d + 9) + n_parts * d * d * 8 + 35 * largest * d
+
+
+def _check_training_bytes(n_parts: int, d: int) -> None:
+    """CapacityError unless `_training_bytes` fits in physical memory; allocates nothing."""
+    memory = _physical_memory()
+    # past this part count the action table alone, 2^n_parts * d bytes, outgrows memory
+    need = _training_bytes(n_parts, d) if n_parts < memory.bit_length() else None
+    if need is None or need > memory:
+        amount = f"{need} bytes" if need is not None else f"more than {memory} bytes"
+        raise CapacityError(f"training {n_parts} parts on {d} belief bins needs {amount}, "
+                            f"more than the {memory} bytes of physical memory")
 
 
 def _score_bin_transitions(lik: ScoreLikelihood, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -193,28 +239,24 @@ def _transition_matrix(lik: ScoreLikelihood, grid: BeliefGrid) -> np.ndarray:
 
 
 def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None) -> Policy:
-    """Compute the optimal policy and value tables by backward induction.
+    """Compute the optimal action table and V(empty, .) by backward induction.
 
     Stages run from the all-used mask down to the empty mask.  A stage is the
     set of masks with one popcount; for each part it takes one matrix product
-    over all of them.  Ties resolve deterministically: background label, then
-    foreground label, then the lowest-indexed part.  At the all-used mask no
-    part is free, so its value is the cheaper label's belief-weighted risk.
+    over all of them, reading the layer of the stage after it.  Ties resolve
+    deterministically: background label, then foreground label, then the
+    lowest-indexed part.  At the all-used mask no part is free, so its value
+    is the cheaper label's belief-weighted risk.  A problem whose
+    `_training_bytes` exceed physical memory is a CapacityError, raised
+    before any allocation.
     """
     likelihoods = list(likelihoods)
     n_parts = len(likelihoods)
-    if n_parts > MAX_PARTS:
-        raise CapacityError(f"{n_parts} parts exceeds the {MAX_PARTS}-part table budget")
-    _check_part_set(likelihoods)
     grid = grid or BeliefGrid()
-
     d = grid.d
-    n_states = 1 << n_parts
-    if n_states * d * 8 > np.iinfo(np.intp).max:  # numpy's own limit: "array is too big"
-        raise CapacityError(f"a {n_states} x {d} value table needs {n_states * d * 8} bytes, "
-                            f"more than numpy can allocate")
-    values = np.empty((n_states, d))
-    actions = np.empty((n_states, d), dtype=np.uint8)
+    _check_training_bytes(n_parts, d)
+    _check_part_set(likelihoods)
+    actions = np.empty((1 << n_parts, d), dtype=np.uint8)
 
     transitions_t = [_transition_matrix(lik, grid).T for lik in likelihoods]
     p = grid.centers
@@ -225,24 +267,30 @@ def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None)
     stop_action = np.where(stop_neg == stop, LABEL_NEG, LABEL_POS).astype(np.uint8)
 
     popcount = _popcount(n_parts)
+    rank = np.empty(popcount.size, dtype=np.intp)
+    nxt = np.empty((0, d))  # the layer of stage t + 1; there is none after the last stage
     for t in range(n_parts, -1, -1):
         stage = np.flatnonzero(popcount == t)
-        best_q = np.full((stage.size, d), np.inf)
+        rank[stage] = np.arange(stage.size)
+        cur = np.full((stage.size, d), np.inf)
         best_k = np.zeros((stage.size, d), dtype=np.uint8)
         # ascending k with a strict < keeps the lowest-indexed part on ties
         for k in range(n_parts):
             free = np.flatnonzero((stage >> k) & 1 == 0)
-            q = values[stage[free] | (1 << k)] @ transitions_t[k]
-            rows, ks = best_q[free], best_k[free]
+            q = nxt[rank[stage[free] | (1 << k)]] @ transitions_t[k]
+            rows, ks = cur[free], best_k[free]
             better = q < rows
             np.copyto(rows, q, where=better)
             ks[better] = k
-            best_q[free], best_k[free] = rows, ks
-        v = np.minimum(stop, 1.0 + best_q)
-        values[stage] = v
-        actions[stage] = np.where(v == stop, stop_action, part_action(best_k))
+            cur[free], best_k[free] = rows, ks
+            del q, rows, ks, better  # freed before the next part's are built
+        cur += 1.0
+        np.minimum(stop, cur, out=cur)
+        actions[stage] = np.where(cur == stop, stop_action, part_action(best_k))
+        nxt = cur
 
-    return Policy(n_parts=n_parts, grid=grid, costs=costs, actions=actions, values=values)
+    return Policy(n_parts=n_parts, grid=grid, costs=costs, actions=actions, values=nxt[0],
+                  likelihoods_sha256=_likelihoods_sha256(likelihoods))
 
 
 def query_policy(policy: Policy, mask: int, p: float) -> int:
@@ -254,8 +302,8 @@ def query_policy(policy: Policy, mask: int, p: float) -> int:
 
 # ---------------------------------------------------------------------------
 # Persistence: one JSON header line, then the raw action bytes (one per
-# entry) and the value table as little-endian 8-byte floats, both row-major
-# by mask then belief bin.
+# entry, row-major by mask then belief bin) and V(empty, .) as little-endian
+# 8-byte floats.
 
 def save_policy(policy: Policy, path) -> None:
     """Write the header line, then each table straight from its buffer."""
@@ -264,6 +312,7 @@ def save_policy(policy: Policy, path) -> None:
         "d": policy.grid.d,
         "lambda_fp": policy.costs.lambda_fp,
         "lambda_fn": policy.costs.lambda_fn,
+        "likelihoods_sha256": policy.likelihoods_sha256,
     }
     with open(path, "wb") as out:
         out.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
@@ -271,7 +320,18 @@ def save_policy(policy: Policy, path) -> None:
         out.write(np.ascontiguousarray(policy.values, dtype="<f8"))
 
 
+def _json_sha256(value) -> str:
+    if not (isinstance(value, str) and len(value) == 64 and set(value) <= set("0123456789abcdef")):
+        raise ValueError(f"expected a lowercase hex sha256, got {value!r}")
+    return value
+
+
 def load_policy(path) -> Policy:
+    """Read a policy file; its payload must be (2^n_parts + 8) * d bytes for its header.
+
+    The header's part count is checked against the payload's length before
+    anything is shifted or allocated, so a header with 10^9 parts is a
+    FormatError at once."""
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     if newline < 0:
@@ -281,21 +341,21 @@ def load_policy(path) -> Policy:
         n_parts = _json_int(header["n_parts"])
         d = _json_int(header["d"])
         costs = CostParams(_json_real(header["lambda_fp"]), _json_real(header["lambda_fn"]))
+        digest = _json_sha256(header["likelihoods_sha256"])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed policy header: {exc}") from exc
-    if n_parts > MAX_PARTS:
-        raise CapacityError(f"{path}: {n_parts} parts exceeds the {MAX_PARTS}-part budget")
     if n_parts < 1 or d < 2:
         raise FormatError(f"{path}: invalid table dimensions {n_parts} x {d}")
-    n_states = 1 << n_parts
     body = memoryview(data)[newline + 1:]
-    expected = n_states * d * 9
-    if len(body) != expected:
-        raise FormatError(f"{path}: table payload is {len(body)} bytes, expected {expected}")
+    # 2^n_parts rows of d bytes fit in the payload only below its bit length
+    if n_parts >= len(body).bit_length() or len(body) != ((1 << n_parts) + 8) * d:
+        raise FormatError(f"{path}: table payload is {len(body)} bytes, not the "
+                          f"(2**{n_parts} + 8) * {d} of a {n_parts}-part, {d}-bin policy")
+    n_states = 1 << n_parts
     actions = np.frombuffer(body[:n_states * d], dtype=np.uint8).reshape(n_states, d)
-    values = np.frombuffer(body[n_states * d:], dtype="<f8").reshape(n_states, d)
+    values = np.frombuffer(body[n_states * d:], dtype="<f8")
     try:
         return Policy(n_parts=n_parts, grid=BeliefGrid(d), costs=costs, actions=actions,
-                      values=values)
+                      values=values, likelihoods_sha256=digest)
     except InvalidActionError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -23,7 +23,7 @@ from .inference import (
     InferenceStats,
     MatrixResponseProvider,
     POS_LABEL,
-    full_score,
+    _fetch,
     run_grid,
 )
 from .likelihoods import ScoreSampleSet, fit_part_likelihood
@@ -230,6 +230,20 @@ class SweepResult:
         }
 
 
+def _full_scores(model: DetectorModel, provider) -> np.ndarray:
+    """`full_score` at every location, bit for bit, from one provider call per part.
+
+    The columns are summed left to right in part-index order from 0.0, then
+    the bias is added, as `full_score` adds them one location at a time.  A NaN
+    response is a ProviderError; +inf and -inf at one location sum to NaN."""
+    ids = np.arange(provider.n_locations)
+    total = np.zeros(provider.n_locations)
+    with np.errstate(invalid="ignore"):
+        for k in range(model.n_parts):
+            total += _fetch(provider, ids, k)
+        return total + model.bias
+
+
 def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> SweepResult:
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
 
@@ -248,8 +262,7 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
     if len(set(costs)) != len(costs):
         raise InvalidParameterError("lambda grid points must be unique")
     model, provider, truth = make_synthetic(spec)
-    full = np.array([full_score(model, provider, i) for i in range(provider.n_locations)])
-    ap_full = _curve(full, truth, int(truth.sum())).average_precision
+    ap_full = _curve(_full_scores(model, provider), truth, int(truth.sum())).average_precision
     out = SweepResult()
     for c in costs:
         results, stats = run_grid(model, train_policy(model.likelihoods, c, grid), provider)

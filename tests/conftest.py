@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -19,6 +20,9 @@ from partsched import (
     train_policy,
 )
 from partsched.policy import LABEL_NEG, LABEL_POS
+
+# the likelihoods digest of a hand-built policy, which no likelihood file trained
+UNTRAINED_SHA256 = "0" * 64
 
 
 def pdf_from_masses(masses, lo=0.0, hi=1.0):
@@ -88,6 +92,18 @@ def two_part_instance(costs=None, d=11):
     )
 
 
+def value_row(likelihoods, costs, grid, mask):
+    """V(mask, .), which a policy does not keep, through the identity V(s, .) = V(empty, .) of
+    the DP over the parts s leaves free (renumbered 0..m-1 in order); the stop risk when
+    none is free.  It agrees with the trainer's own layers to about 1e-15: the products
+    batch other rows."""
+    free = [lik for k, lik in enumerate(likelihoods) if not (mask >> k) & 1]
+    if not free:
+        return np.minimum(costs.lambda_fn * grid.centers, costs.lambda_fp * (1.0 - grid.centers))
+    free = [dataclasses.replace(lik, part_id=j) for j, lik in enumerate(free)]
+    return train_policy(free, costs, grid).values
+
+
 def constant_policy(n_parts, action, d=11, costs=None):
     """Policy that takes the same (label) action in every state."""
     assert action in (LABEL_NEG, LABEL_POS)
@@ -97,7 +113,8 @@ def constant_policy(n_parts, action, d=11, costs=None):
         grid=BeliefGrid(d),
         costs=costs or CostParams(1.0, 1.0),
         actions=np.full(shape, action, dtype=np.uint8),
-        values=np.zeros(shape),
+        values=np.zeros(d),
+        likelihoods_sha256=UNTRAINED_SHA256,
     )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -253,9 +254,10 @@ class TestExitCodes:
         assert code == 4
 
     def test_capacity_exceeded_exits_2(self, tmp_path, rng):
-        liks = [fit_part_likelihood(ScoreSampleSet(
-            k, rng.standard_normal(20) + 1.0, rng.standard_normal(20) - 1.0), n_bins=16)
-            for k in range(25)]
+        # 2^64 action rows pass any machine's memory
+        lik = fit_part_likelihood(ScoreSampleSet(
+            0, rng.standard_normal(20) + 1.0, rng.standard_normal(20) - 1.0), n_bins=16)
+        liks = [dataclasses.replace(lik, part_id=k) for k in range(64)]
         path = tmp_path / "liks.json"
         save_likelihoods(liks, path)
         code = main(["train-policy", "--likelihoods", str(path), "--lambda-fp", "4",
@@ -503,6 +505,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "2" in err and "3" in err
 
+    @pytest.mark.parametrize("command", ["infer", "simulate"])
+    def test_policy_trained_on_other_likelihoods_exits_5(self, pipeline_dir, rng, command,
+                                                         capsys):
+        # the same part and bin counts, fitted from other samples; the check comes before
+        # the responses file is read, so a missing one does not make it exit 3
+        base, samples, responses = pipeline_dir
+        _, policy, _ = run_pipeline(base, samples, responses, "other")
+        other = base / "other.json"
+        save_likelihoods([fit_part_likelihood(ScoreSampleSet(
+            k, rng.standard_normal(300) + 1.0, rng.standard_normal(300) - 1.0))
+            for k in range(3)], other)
+        out = base / "out"
+        argv = {"infer": ["--responses", str(base / "missing.bin"), "--out", str(out)],
+                "simulate": ["--trials", "100", "--out", str(out)]}[command]
+        capsys.readouterr()
+        assert main([command, "--policy", str(policy), "--likelihoods", str(other), *argv]) == 5
+        assert "was trained on other likelihoods than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_policy_header_with_a_billion_parts_exits_3(self, pipeline_dir, capsys):
+        # the payload's length is checked before 1 << n_parts is computed
+        base, samples, responses = pipeline_dir
+        _, policy, _ = run_pipeline(base, samples, responses, "billion")
+        header, body = policy.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        fields["n_parts"] = 10 ** 9
+        bad = base / "billion.bin"
+        bad.write_bytes(json.dumps(fields).encode() + b"\n" + body)
+        capsys.readouterr()
+        assert main(["inspect", "--policy", str(bad)]) == 3
+        assert "table payload is" in capsys.readouterr().err
+
     # json.loads reads Infinity, and int(inf) raises OverflowError
     @pytest.mark.parametrize("value", [math.inf, -math.inf, 10 ** 400],
                              ids=["Infinity", "-Infinity", "1e400"])
@@ -543,8 +577,9 @@ class TestExitCodes:
     def test_non_integral_policy_header_field_exits_3(self, tmp_path, n_parts, d, capsys):
         entries = (1 << int(n_parts)) * int(d)
         bad = tmp_path / "bad.bin"
-        header = json.dumps({"d": d, "lambda_fn": 1.0, "lambda_fp": 1.0, "n_parts": n_parts})
-        bad.write_bytes(header.encode() + b"\n" + bytes(entries) + bytes(8 * entries))
+        header = json.dumps({"d": d, "lambda_fn": 1.0, "lambda_fp": 1.0, "n_parts": n_parts,
+                             "likelihoods_sha256": "0" * 64})
+        bad.write_bytes(header.encode() + b"\n" + bytes(entries) + bytes(8 * int(d)))
         capsys.readouterr()
         assert main(["inspect", "--policy", str(bad)]) == 3
         assert "expected an integer" in capsys.readouterr().err
@@ -829,7 +864,8 @@ def policy_files(draw, base):
     fields = json.loads(header)
     choice = draw(st.sampled_from(["field", "header", "raw"]))
     if choice == "field":
-        key = draw(st.sampled_from(["n_parts", "d", "lambda_fp", "lambda_fn", "extra"]))
+        key = draw(st.sampled_from(["n_parts", "d", "lambda_fp", "lambda_fn",
+                                    "likelihoods_sha256", "extra"]))
         fields[key] = draw(JSON_ODD)
         header = json.dumps(fields).encode()
     elif choice == "header":
@@ -1160,7 +1196,7 @@ class TestSweepAndInspect:
         assert main(["inspect", "--policy", str(policy_path)]) == 0
         inspect_out = capsys.readouterr().out
         policy = load_policy(policy_path)
-        value = f"V(empty, 0.4737)={float(policy.values[0, 9])!r}"
+        value = f"V(empty, 0.4737)={float(policy.values[9])!r}"
         assert value in train_out and value in inspect_out
         assert "initial action at p=0.4737: " in inspect_out
         assert inspect_out.count(" at p=0.4737 -> ") == 4
@@ -1193,6 +1229,5 @@ class TestSweepAndInspect:
             masks = [m for m in range(128) if bin(m).count("1") == used]
             n_label = int((policy.actions[masks] <= 1).sum())
             expected.append(f"stage used={used}: masks={len(masks)} label_entries={n_label} "
-                            f"part_entries={len(masks) * 11 - n_label} "
-                            f"mean_V(p=0.5)={float(policy.values[masks, 5].mean()):.4f}")
+                            f"part_entries={len(masks) * 11 - n_label}")
         assert stages == expected

@@ -40,8 +40,9 @@ from partsched.inference import NEG_LABEL, POS_LABEL
 from partsched.oracle import _chain_tables, step_trace
 from partsched.policy import LABEL_NEG, LABEL_POS, _score_bin_transitions, part_action
 
-from conftest import (ENGINE_TRACE_CASES, SCAN_REGIMES, assert_labelled_alone_alike,
-                      constant_policy, engine_trace_case, scan_synthetic, separable_likelihood)
+from conftest import (ENGINE_TRACE_CASES, SCAN_REGIMES, UNTRAINED_SHA256,
+                      assert_labelled_alone_alike, constant_policy, engine_trace_case,
+                      scan_synthetic, separable_likelihood)
 
 # sha256 of results.csv, recorded before the writer streamed its rows: the two
 # n=9 scan regimes (scan-deep completes ~38% of its locations), a 12-part
@@ -276,7 +277,8 @@ class TestRunGrid:
         actions = np.full((8, 11), LABEL_NEG, dtype=np.uint8)
         actions[0], actions[1] = part_action(0), part_action(1)
         policy = Policy(n_parts=3, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
-                        actions=actions, values=np.zeros((8, 11)))
+                        actions=actions, values=np.zeros(11),
+                        likelihoods_sha256=UNTRAINED_SHA256)
         checked = actions.copy()
         provider = MatrixResponseProvider(rng.standard_normal((3, 3)))
         before, before_stats = run_grid(toy_model(3), policy, provider)
@@ -393,7 +395,8 @@ class TestRunGrid:
         actions = np.full((8, 11), LABEL_NEG, dtype=np.uint8)
         actions[0], actions[4] = part_action(2), second
         policy = Policy(n_parts=3, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
-                        actions=actions, values=np.zeros((8, 11)))
+                        actions=actions, values=np.zeros(11),
+                        likelihoods_sha256=UNTRAINED_SHA256)
         ids = np.arange(20).tobytes()
         recording = RecordingProvider(rng.standard_normal((20, 3)))
         results, stats = run_grid(toy_model(3), policy, recording)
@@ -452,7 +455,8 @@ class TestRunGrid:
         actions = np.full((4, 11), LABEL_NEG, dtype=np.uint8)
         actions[0] = part_action(1)
         policy = Policy(n_parts=2, grid=BeliefGrid(11), costs=CostParams(1.0, 1.0),
-                        actions=actions, values=np.zeros((4, 11)))
+                        actions=actions, values=np.zeros(11),
+                        likelihoods_sha256=UNTRAINED_SHA256)
         recording = RecordingProvider(np.empty((0, 2)))
         results, stats = run_grid(toy_model(2), policy, recording)
         assert recording.calls == []

@@ -29,6 +29,7 @@ from partsched.policy import LABEL_NEG, LABEL_POS, Policy, _score_bin_transition
 
 from conftest import (
     ENGINE_TRACE_CASES,
+    UNTRAINED_SHA256,
     assert_labelled_alone_alike,
     constant_policy,
     engine_trace_case,
@@ -61,7 +62,7 @@ class TestTinyInstance:
                             costs=CostParams(12.0, 12.0), grid=BeliefGrid(11))
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
         assert (policy.actions[0] >= part_action(0)).any()
-        assert np.max(np.abs(policy.values[0] - exhaustive_value_row(inst))) <= VERIFY_TOLERANCE
+        assert np.max(np.abs(policy.values - exhaustive_value_row(inst))) <= VERIFY_TOLERANCE
 
 
 class TestExhaustiveOptimalValue:
@@ -90,7 +91,7 @@ class TestExhaustiveOptimalValue:
             inst = random_tiny_instance(seed)
             policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
             row = exhaustive_value_row(inst)
-            assert np.max(np.abs(policy.values[0] - row)) <= 1e-6, f"seed {seed}"
+            assert np.max(np.abs(policy.values - row)) <= 1e-6, f"seed {seed}"
 
     def test_two_parts_three_bins_matches_to_nano(self):
         from partsched import DiscretePdf, ScoreLikelihood
@@ -108,7 +109,7 @@ class TestExhaustiveOptimalValue:
         )
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
         row = exhaustive_value_row(inst)
-        assert np.max(np.abs(policy.values[0] - row)) <= 1e-9
+        assert np.max(np.abs(policy.values - row)) <= 1e-9
 
     def test_trained_actions_match_oracle_tree_on_every_path(self):
         from partsched.oracle import _ExhaustiveTreeSolver
@@ -171,7 +172,8 @@ def threshold_policy(inst, theta_lo, theta_hi, order) -> Policy:
             else:
                 actions[mask, i] = terminal[i]
     return Policy(n_parts=n, grid=grid, costs=inst.costs,
-                  actions=actions, values=np.zeros((n_states, grid.d)))
+                  actions=actions, values=np.zeros(grid.d),
+                  likelihoods_sha256=UNTRAINED_SHA256)
 
 
 class TestSimulatePolicy:
@@ -197,7 +199,7 @@ class TestSimulatePolicy:
         inst = random_tiny_instance(7)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
         est = simulate_policy(policy, inst.likelihoods, 200000, seed=5)
-        dp = policy.values[0, inst.grid.nearest_index(0.5)]
+        dp = policy.values[inst.grid.nearest_index(0.5)]
         assert abs(est.mean_cost - dp) <= 4.0 * est.std_error + 1e-9
 
     def test_seeded_reproducibility(self):
@@ -364,7 +366,8 @@ class TestStepTrace:
         actions[0b00, :] = 2 + 0
         actions[0b01, :] = 2 + 1
         policy = Policy(n_parts=2, grid=inst_grid, costs=CostParams(4.0, 4.0),
-                        actions=actions, values=np.zeros((4, 11)))
+                        actions=actions, values=np.zeros(11),
+                        likelihoods_sha256=UNTRAINED_SHA256)
         trace = step_trace(policy, liks, [0.3, 0.9])
         assert len(trace) == 3
         for _, belief in trace:

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import json
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from partsched import (
     InvalidParameterError,
     Policy,
     SyntheticSpec,
+    TinyInstance,
     exhaustive_value_row,
     load_policy,
     make_synthetic,
@@ -25,18 +29,22 @@ from partsched import (
     train_policy,
 )
 from partsched.cli import VERIFY_TOLERANCE
+from partsched import policy as policy_module
 from partsched.policy import (
     LABEL_NEG,
     LABEL_POS,
     _score_bin_transitions,
+    _training_bytes,
     part_action,
 )
 
 from conftest import (
+    UNTRAINED_SHA256,
     overlapping_likelihood,
     separable_likelihood,
     spiked_likelihood,
     uninformative_likelihood,
+    value_row,
 )
 
 
@@ -91,9 +99,14 @@ class TestBeliefGrid:
 
 
 def terminal_stage(costs, grid):
-    """The trained values and labels once every part has been used."""
+    """The trained values and labels once every part has been used.
+
+    The labels are the full mask's action row.  The values are V(empty, .) of a
+    DP whose one part is uninformative: it leaves the belief where it is, so it
+    is never worth its unit cost and V(empty, .) is the stop risk, as V(full, .) is."""
     policy = train_policy([uninformative_likelihood(0)], costs, grid)
-    return policy.values[-1], policy.actions[-1]
+    assert np.array_equal(policy.actions[0], policy.actions[-1])
+    return policy.values, policy.actions[-1]
 
 
 class TestTerminalStage:
@@ -218,7 +231,7 @@ class TestTrainPolicy:
         policy = train_policy([uninformative_likelihood(0)], CostParams(10.0, 10.0),
                               BeliefGrid(11))
         half = policy.grid.nearest_index(0.5)
-        assert policy.values[0, half] == 5.0
+        assert policy.values[half] == 5.0
         assert policy.actions[0, half] in (LABEL_NEG, LABEL_POS)
 
     def test_tie_prefers_background_label(self):
@@ -228,9 +241,40 @@ class TestTrainPolicy:
         assert query_policy(policy, 0, 0.5) == LABEL_NEG
 
     def test_capacity_limit(self):
-        liks = [uninformative_likelihood(k) for k in range(25)]
-        with pytest.raises(CapacityError):
+        # 2^64 action rows pass any machine's memory
+        liks = [uninformative_likelihood(k) for k in range(64)]
+        with pytest.raises(CapacityError, match="physical memory"):
             train_policy(liks, CostParams(4.0, 4.0), BeliefGrid(3))
+
+    def test_byte_budget_is_checked_against_physical_memory(self, monkeypatch):
+        liks = [overlapping_likelihood(k) for k in range(3)]
+        need = _training_bytes(3, 11)
+        monkeypatch.setattr(policy_module, "_physical_memory", lambda: need)
+        train_policy(liks, CostParams(4.0, 4.0), BeliefGrid(11))
+        monkeypatch.setattr(policy_module, "_physical_memory", lambda: need - 1)
+        with pytest.raises(CapacityError, match=f"needs {need} bytes"):
+            train_policy(liks, CostParams(4.0, 4.0), BeliefGrid(11))
+
+    def test_peak_memory_is_the_actions_and_two_stage_layers(self):
+        # n=12, d=101: the largest stage holds C(12, 6) = 924 masks, a layer of
+        # 746,592 bytes.  Two adjacent layers, the best-part table and one part's
+        # temporaries fit in four; a table of every mask's values alone takes 3.3 MB,
+        # four and a half.
+        spec = SyntheticSpec(n_parts=12, separation=2.0, prior_positive=0.3,
+                             n_locations=10, seed=31)
+        liks = make_synthetic(spec)[0].likelihoods
+        d = 101
+        layer = math.comb(12, 6) * d * 8
+        transitions = 12 * d * d * 8
+        tracemalloc.start()
+        try:
+            policy = train_policy(liks, CostParams(20.0, 5.0), BeliefGrid(d))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert policy.actions.nbytes == (1 << 12) * d
+        assert peak <= policy.actions.nbytes + transitions + 4 * layer
+        assert peak <= _training_bytes(12, d)
 
     def test_full_mask_matches_terminal_stage(self):
         liks = [separable_likelihood(0), overlapping_likelihood(1)]
@@ -239,10 +283,12 @@ class TestTrainPolicy:
         policy = train_policy(liks, costs, grid)
         stop_neg = costs.lambda_fn * grid.centers
         stop_pos = costs.lambda_fp * (1.0 - grid.centers)
-        values = np.minimum(stop_neg, stop_pos)
         actions = np.where(stop_neg <= stop_pos, LABEL_NEG, LABEL_POS)
-        assert np.array_equal(policy.values[-1], values)
         assert np.array_equal(policy.actions[-1], actions)
+        # the exhaustive full-mask row is the stop risk, and V(empty, .) built on it agrees
+        inst = TinyInstance(likelihoods=liks, costs=costs, grid=grid)
+        assert np.array_equal(exhaustive_value_row(inst, 0b11), np.minimum(stop_neg, stop_pos))
+        assert np.max(np.abs(policy.values - exhaustive_value_row(inst))) <= 1e-12
 
     def test_deterministic(self):
         liks = [overlapping_likelihood(0), separable_likelihood(1)]
@@ -252,35 +298,57 @@ class TestTrainPolicy:
         assert np.array_equal(a.actions, b.actions)
 
 
-@pytest.fixture(scope="module")
-def trained_three_part():
-    liks = [overlapping_likelihood(0, tilt=0.5),
+def three_part_likelihoods():
+    return [overlapping_likelihood(0, tilt=0.5),
             separable_likelihood(1),
             overlapping_likelihood(2, tilt=0.8)]
+
+
+@pytest.fixture(scope="module")
+def trained_three_part():
     costs = CostParams(12.0, 5.0)
     grid = BeliefGrid(41)
-    return train_policy(liks, costs, grid), costs, grid
+    return train_policy(three_part_likelihoods(), costs, grid), costs, grid
+
+
+@pytest.fixture(scope="module")
+def three_part_rows(trained_three_part):
+    """V(s, .) of trained_three_part's problem for every mask s, one row each."""
+    policy, costs, grid = trained_three_part
+    rows = np.array([value_row(three_part_likelihoods(), costs, grid, s)
+                     for s in range(policy.n_states)])
+    assert np.array_equal(rows[0], policy.values)
+    return rows
 
 
 class TestPolicyInvariants:
-    def test_stopping_bound(self, trained_three_part):
-        policy, costs, grid = trained_three_part
+    def test_value_row_identity_matches_exhaustive_rows(self):
+        # V(s, .) = V(empty, .) of the DP over the parts s leaves free, checked
+        # against the oracle's rows started at every mask s
+        for seed in range(8):
+            inst = random_tiny_instance(seed)
+            for s in range(1 << inst.n_parts):
+                row = value_row(inst.likelihoods, inst.costs, inst.grid, s)
+                assert np.max(np.abs(row - exhaustive_value_row(inst, s))) <= VERIFY_TOLERANCE
+
+    def test_stopping_bound(self, trained_three_part, three_part_rows):
+        _, costs, grid = trained_three_part
         stop = np.minimum(costs.lambda_fn * grid.centers,
                           costs.lambda_fp * (1.0 - grid.centers))
-        assert np.all(policy.values <= stop[None, :] + 1e-12)
+        assert np.all(three_part_rows <= stop[None, :] + 1e-12)
 
-    def test_more_options_never_hurt(self, trained_three_part):
+    def test_more_options_never_hurt(self, trained_three_part, three_part_rows):
         policy, _, _ = trained_three_part
         for s in range(policy.n_states):
             for k in range(policy.n_parts):
                 if not (s >> k) & 1:
                     superset = s | (1 << k)
-                    assert np.all(policy.values[s] <= policy.values[superset] + 1e-12)
+                    assert np.all(three_part_rows[s] <= three_part_rows[superset] + 1e-12)
 
-    def test_boundary_certainty(self, trained_three_part):
+    def test_boundary_certainty(self, trained_three_part, three_part_rows):
         policy, _, _ = trained_three_part
-        assert np.all(policy.values[:, 0] == 0.0)
-        assert np.all(policy.values[:, -1] == 0.0)
+        assert np.all(three_part_rows[:, 0] == 0.0)
+        assert np.all(three_part_rows[:, -1] == 0.0)
         assert np.all(policy.actions[:, 0] == LABEL_NEG)
         assert np.all(policy.actions[:, -1] == LABEL_POS)
 
@@ -292,9 +360,8 @@ class TestPolicyInvariants:
                     assert not (s >> (int(a) - 2)) & 1
         assert policy.actions[-1].max() <= LABEL_POS
 
-    def test_values_non_negative(self, trained_three_part):
-        policy, _, _ = trained_three_part
-        assert policy.values.min() >= 0.0
+    def test_values_non_negative(self, three_part_rows):
+        assert three_part_rows.min() >= 0.0
 
 
 class TestQueryPolicy:
@@ -321,7 +388,8 @@ class TestQueryPolicy:
 def test_start_is_the_bin_nearest_half_read_once(d):
     shape = (2, d)
     policy = Policy(n_parts=1, grid=BeliefGrid(d), costs=CostParams(1.0, 1.0),
-                    actions=np.full(shape, LABEL_NEG, dtype=np.uint8), values=np.zeros(shape))
+                    actions=np.full(shape, LABEL_NEG, dtype=np.uint8), values=np.zeros(d),
+                    likelihoods_sha256=UNTRAINED_SHA256)
     # an even grid has no center at 0.5: the start is the lower nearest one
     assert policy.start == policy.grid.nearest_index(0.5) == (d - 1) // 2
     assert vars(policy)["start"] == policy.start  # kept on the policy after the first read
@@ -342,13 +410,50 @@ class TestPersistence:
         assert np.array_equal(loaded.values, policy.values)
 
     def test_header_schema(self, tmp_path, trained_three_part):
-        import json
-
         policy, _, _ = trained_three_part
         path = tmp_path / "p.bin"
         save_policy(policy, path)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert set(header) == {"n_parts", "d", "lambda_fp", "lambda_fn"}
+        assert set(header) == {"n_parts", "d", "lambda_fp", "lambda_fn", "likelihoods_sha256"}
+        assert header["likelihoods_sha256"] == policy.likelihoods_sha256
+
+    def test_file_is_header_actions_and_value_row(self, tmp_path, trained_three_part):
+        policy, _, grid = trained_three_part
+        path = tmp_path / "p.bin"
+        save_policy(policy, path)
+        header = path.read_bytes().split(b"\n", 1)[0]
+        assert path.stat().st_size == len(header) + 1 + (1 << 3) * grid.d + 8 * grid.d
+
+    def test_likelihoods_digest_covers_every_float(self):
+        liks = [overlapping_likelihood(0), separable_likelihood(1, n_bins=8, lo=-1.0, hi=2.0)]
+        policy = train_policy(liks, CostParams(4.0, 4.0), BeliefGrid(11))
+        payload = b"".join(struct.pack("<2d", lik.pos.lo, lik.pos.hi)
+                           + struct.pack("<8d", *lik.pos.bins) + struct.pack("<8d", *lik.neg.bins)
+                           for lik in liks)
+        assert policy.likelihoods_sha256 == hashlib.sha256(payload).hexdigest()
+        swapped = [dataclasses.replace(liks[0], pos=liks[0].neg, neg=liks[0].pos), liks[1]]
+        other = train_policy(swapped, CostParams(4.0, 4.0), BeliefGrid(11))
+        assert other.likelihoods_sha256 != policy.likelihoods_sha256
+
+    def test_old_format_file_rejected(self, tmp_path, trained_three_part):
+        # a header without the digest, then the whole value table
+        policy, _, grid = trained_three_part
+        header = b'{"d":41,"lambda_fn":5.0,"lambda_fp":12.0,"n_parts":3}\n'
+        path = tmp_path / "old.bin"
+        path.write_bytes(header + policy.actions.tobytes() + bytes(8 * 8 * grid.d))
+        with pytest.raises(FormatError, match="likelihoods_sha256"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("n_parts", [10 ** 9, 64, 4, 2])
+    def test_part_count_checked_against_the_payload_first(self, tmp_path, n_parts):
+        # 10^9 parts would shift to a 125 MB integer and 2^64 rows pass any memory;
+        # the 3-part payload does not fit 2 or 4 parts either
+        header = json.dumps({"d": 11, "lambda_fn": 1.0, "lambda_fp": 1.0, "n_parts": n_parts,
+                             "likelihoods_sha256": UNTRAINED_SHA256})
+        path = tmp_path / "p.bin"
+        path.write_bytes(header.encode() + b"\n" + bytes(8 * 11 + 8 * 11))
+        with pytest.raises(FormatError, match="table payload is 176 bytes"):
+            load_policy(path)
 
     def test_truncated_payload_rejected(self, tmp_path, trained_three_part):
         from partsched import FormatError
@@ -375,9 +480,10 @@ class TestPersistence:
 
     def test_save_writes_tables_from_their_buffers(self, tmp_path, rng):
         shape = (1 << 12, 101)
-        values = rng.standard_normal(shape)
+        values = rng.standard_normal(101)
         policy = Policy(n_parts=12, grid=BeliefGrid(101), costs=CostParams(20.0, 5.0),
-                        actions=np.ones(shape, dtype=np.uint8), values=values)
+                        actions=np.ones(shape, dtype=np.uint8), values=values,
+                        likelihoods_sha256=UNTRAINED_SHA256)
         path = tmp_path / "p.bin"
         tracemalloc.start()
         try:
@@ -385,7 +491,7 @@ class TestPersistence:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20  # the tables take 3.7 MB; one blob of them, 7.4 MB
+        assert peak < 2 ** 16  # the tables take 414 KB; one blob of them, as much again
         header = path.read_bytes().split(b"\n", 1)[0] + b"\n"
         assert path.read_bytes() == header + policy.actions.tobytes() + values.tobytes()
 
@@ -397,22 +503,32 @@ class TestPersistence:
         save_policy(strided, tmp_path / "f.bin")
         assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
 
-    def test_actions_are_an_owned_copy_and_values_a_view(self, tmp_path, trained_three_part):
+    def test_tables_are_read_only_owned_copies(self, tmp_path, trained_three_part):
         policy, _, _ = trained_three_part
         path = tmp_path / "p.bin"
         save_policy(policy, path)
         loaded = load_policy(path)
         for table in (policy.actions, policy.values, loaded.actions, loaded.values):
             assert not table.flags.writeable
-        # the checked action codes are the policy's own; the values view the file's bytes
-        assert loaded.actions.flags.owndata and not loaded.values.flags.owndata
-        assert not np.shares_memory(loaded.actions, loaded.values)
+            assert table.flags.owndata
         actions = np.zeros((2, 5), dtype=np.uint8)
-        values = np.zeros((2, 5))
+        values = np.zeros(5)
         built = Policy(n_parts=1, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
-                       actions=actions, values=values)
-        assert built.actions.flags.owndata and not np.shares_memory(built.actions, actions)
-        assert np.shares_memory(built.values, values)
+                       actions=actions, values=values, likelihoods_sha256=UNTRAINED_SHA256)
+        assert not np.shares_memory(built.actions, actions)
+        assert not np.shares_memory(built.values, values)
+
+    @pytest.mark.parametrize("n_parts, actions, values", [
+        (1, (2, 5), (2, 5)),   # the whole value table of the old format
+        (1, (2, 5), (4,)),
+        (2, (2, 5), (5,)),
+        (0, (1, 5), (5,)),
+    ], ids=["value-table", "short-row", "rows-for-1-part", "no-parts"])
+    def test_constructor_rejects_table_shapes(self, n_parts, actions, values):
+        with pytest.raises(ValueError, match="action table and a \\(5,\\) value row"):
+            Policy(n_parts=n_parts, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
+                   actions=np.zeros(actions, dtype=np.uint8), values=np.zeros(values),
+                   likelihoods_sha256=UNTRAINED_SHA256)
 
     # mask 0b10 already used part 1, the full mask every part, and code 4
     # would be part 2 of a 2-part policy
@@ -426,7 +542,7 @@ class TestPersistence:
         actions[mask, 3] = action
         with pytest.raises(InvalidActionError, match=message):
             Policy(n_parts=2, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
-                   actions=actions, values=np.zeros((4, 5)))
+                   actions=actions, values=np.zeros(5), likelihoods_sha256=UNTRAINED_SHA256)
 
     # each would cast to a valid uint8 code: 258 wraps to 2, -255 to 1, 2.7 truncates
     # to 2 and NaN lands on some byte; a NaN cast warns, which pyproject makes an error
@@ -436,7 +552,7 @@ class TestPersistence:
         actions[0, 3] = code
         with pytest.raises(InvalidActionError, match="out of range"):
             Policy(n_parts=2, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
-                   actions=actions, values=np.zeros((4, 5)))
+                   actions=actions, values=np.zeros(5), likelihoods_sha256=UNTRAINED_SHA256)
 
     @pytest.mark.parametrize("d", [11, (1 << 20) + 1])
     def test_used_part_rejected_at_every_size(self, tmp_path, d):
@@ -445,8 +561,9 @@ class TestPersistence:
         actions = np.zeros((4, d), dtype=np.uint8)
         actions[0b01, 0] = part_action(0)
         path = tmp_path / "p.bin"
-        header = b'{"d":%d,"lambda_fn":1.0,"lambda_fp":1.0,"n_parts":2}\n' % d
-        path.write_bytes(header + actions.tobytes() + np.zeros(actions.shape, "<f8").tobytes())
+        header = json.dumps({"d": d, "lambda_fn": 1.0, "lambda_fp": 1.0, "n_parts": 2,
+                             "likelihoods_sha256": UNTRAINED_SHA256}).encode() + b"\n"
+        path.write_bytes(header + actions.tobytes() + np.zeros(d, "<f8").tobytes())
         with pytest.raises(FormatError, match="already-used part"):
             load_policy(path)
 
@@ -494,7 +611,7 @@ def test_action_tables_match_recorded_digests(case):
             inst = random_tiny_instance(seed)
             policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
             digest.update(policy.actions.tobytes())
-            assert np.max(np.abs(policy.values[0] - exhaustive_value_row(inst))) <= VERIFY_TOLERANCE
+            assert np.max(np.abs(policy.values - exhaustive_value_row(inst))) <= VERIFY_TOLERANCE
     else:
         policy = train_policy(*digest_case(case))
         digest.update(policy.actions.tobytes())

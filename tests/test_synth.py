@@ -7,8 +7,10 @@ import pytest
 from partsched import (
     BeliefGrid,
     CostParams,
+    DetectorModel,
     InferenceStats,
     InvalidParameterError,
+    MatrixResponseProvider,
     SyntheticSpec,
     classification_counts,
     compute_rnpe,
@@ -222,6 +224,30 @@ def small_spec():
 
 
 class TestLambdaSweep:
+    def test_full_scores_equal_full_score_bit_for_bit(self, small_spec, rng):
+        # sweep's ap_full baseline: one provider call per part, columns summed left to
+        # right in part-index order, then the bias
+        model = make_synthetic(small_spec)[0]
+        model = DetectorModel(bias=-0.7, likelihoods=model.likelihoods, costs=model.costs)
+        scores = rng.standard_normal((300, 4)) * 5.0
+        scores[1] = [1e16, 1.0, -1e16, 0.5]  # another summation order gives 1.5 or 0.0
+        scores[::7, 1] = np.inf
+        scores[::11, 3] = -np.inf  # rows 0 and 77 hold both, and sum to NaN
+
+        class Counting(MatrixResponseProvider):
+            calls = 0
+
+            def get_responses(self, location_ids, part_id):
+                Counting.calls += 1
+                return super().get_responses(location_ids, part_id)
+
+        provider = Counting(scores)
+        full = synth._full_scores(model, provider)
+        assert Counting.calls == 4
+        expected = np.array([full_score(model, provider, i) for i in range(300)])
+        assert np.isnan(expected[77]) and np.isinf(expected[7]) and expected[1] == 0.5 - 0.7
+        assert full.tobytes() == expected.tobytes()
+
     def test_single_point_matches_direct_evaluation(self, small_spec):
         grid = BeliefGrid(41)
         sweep = lambda_sweep(small_spec, [(8.0, 4.0)], grid)
