@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 from collections import Counter
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -186,19 +187,22 @@ def cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
     points = _parse_lambda_grid(args.grid)
     grid = BeliefGrid(args.belief_bins)
-    result = synth.lambda_sweep(spec, points, grid)
-    synth.save_sweep_csv(result, args.out)
+    rows = synth.lambda_sweep(spec, points, grid)
+    synth.save_sweep_csv(rows, args.out)
     meta = {
         "spec": dataclasses.asdict(spec),
         "grid": [[fp, fn] for fp, fn in points],
         "belief_bins": grid.d,
     }
     _dump_json(meta, str(args.out) + ".meta.json")
-    diag = result.diagonal_diagnostics()
-    if len(diag["lambdas"]) > 1:
-        print(f"diagonal: error_nonincreasing={diag['error_nonincreasing']} "
-              f"rnpe_nonincreasing={diag['rnpe_nonincreasing']}")
-    print(f"wrote {len(result.rows)} rows to {args.out}")
+    # trend checks along the equal-cost diagonal, by growing lambda: error down, savings down
+    diag = sorted((r for r in rows if r.lambda_fp == r.lambda_fn), key=lambda r: r.lambda_fp)
+    if len(diag) > 1:
+        errors = [r.fp_rate + r.fn_rate for r in diag]
+        rnpes = [r.rnpe for r in diag]
+        print(f"diagonal: error_nonincreasing={all(b <= a for a, b in pairwise(errors))} "
+              f"rnpe_nonincreasing={all(b <= a for a, b in pairwise(rnpes))}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 

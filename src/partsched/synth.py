@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,10 @@ from .inference import (
     InferenceStats,
     MatrixResponseProvider,
     POS_LABEL,
-    _fetch,
     run_grid,
 )
-from .likelihoods import ScoreSampleSet, fit_part_likelihood
-from .policy import BeliefGrid, CostParams, train_policy
+from .likelihoods import ScoreSampleSet, _likelihoods_sha256, fit_part_likelihood
+from .policy import LABEL_POS, BeliefGrid, CostParams, Policy, _check_training_bytes, train_policy
 
 DEFAULT_PROFILE_RATIO = 0.8
 
@@ -169,19 +168,17 @@ def precision_recall(results, truth) -> PrCurve:
     every foreground-labeled one; equal scores move across a threshold as one
     group.  Average precision integrates the interpolated (monotone envelope)
     precision over recall.  Truth without a positive location is an
-    InvalidParameterError.
+    InvalidParameterError.  `lambda_sweep` takes both a point's AP and
+    ap_full, the always-foreground pass's, from here.
     """
     truth = np.asarray(truth, dtype=bool)
     location_id, _, scores = _columns(results)
-    return _curve(scores, truth[location_id], int(truth.sum()))
-
-
-def _curve(scores, labels, n_positive) -> PrCurve:
+    n_positive = int(truth.sum())
     if n_positive == 0:
         raise InvalidParameterError("precision/recall needs at least one positive location")
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
-    labels = labels[order]
+    labels = truth[location_id][order]
     # one threshold per distinct score value, at its last index; equality (not
     # diff) so tied -inf groups stay single thresholds
     ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], scores.size > 0))
@@ -211,47 +208,16 @@ class SweepRow:
     delta_ap: float
 
 
-@dataclass
-class SweepResult:
-    rows: list[SweepRow] = field(default_factory=list)
+def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> list[SweepRow]:
+    """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point; one row each.
 
-    def diagonal_diagnostics(self) -> dict:
-        """Trend checks along the equal-cost diagonal: error down, savings ratio down."""
-        diag = sorted((r for r in self.rows if r.lambda_fp == r.lambda_fn),
-                      key=lambda r: r.lambda_fp)
-        errors = [r.fp_rate + r.fn_rate for r in diag]
-        rnpes = [r.rnpe for r in diag]
-        return {
-            "lambdas": [r.lambda_fp for r in diag],
-            "total_error": errors,
-            "rnpe": rnpes,
-            "error_nonincreasing": all(b <= a for a, b in zip(errors, errors[1:])),
-            "rnpe_nonincreasing": all(b <= a for a, b in zip(rnpes, rnpes[1:])),
-        }
-
-
-def _full_scores(model: DetectorModel, provider) -> np.ndarray:
-    """`full_score` at every location, bit for bit, from one provider call per part.
-
-    The columns are summed left to right in part-index order from 0.0, then
-    the bias is added, as `full_score` adds them one location at a time.  A NaN
-    response is a ProviderError; +inf and -inf at one location sum to NaN."""
-    ids = np.arange(provider.n_locations)
-    total = np.zeros(provider.n_locations)
-    with np.errstate(invalid="ignore"):
-        for k in range(model.n_parts):
-            total += _fetch(provider, ids, k)
-        return total + model.bias
-
-
-def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> SweepResult:
-    """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point.
-
-    All points share the same synthetic likelihoods, response grid and
-    ap_full, the AP of `full_score` at every location.  Every point's
-    CostParams is built first, so an empty grid, a cost that is not finite and
-    positive, or a repeated point raises InvalidParameterError before any work,
-    as a spec with no positive location does before any training.
+    Every point's CostParams is built first, so an empty grid, a cost that is
+    not finite and positive, or a repeated point raises InvalidParameterError
+    before any work.  All points share the synthetic likelihoods, responses
+    and ap_full: the AP of one `run_grid` pass of the always-foreground policy,
+    whose scores are `full_score`'s bit for bit.  That pass comes before any
+    training, so a spec with no positive location raises InvalidParameterError
+    there, and it builds the successor table every point reuses.
     """
     try:
         costs = [CostParams(float(fp), float(fn)) for fp, fn in lambda_grid]
@@ -262,21 +228,28 @@ def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = Non
     if len(set(costs)) != len(costs):
         raise InvalidParameterError("lambda grid points must be unique")
     model, provider, truth = make_synthetic(spec)
-    ap_full = _curve(_full_scores(model, provider), truth, int(truth.sum())).average_precision
-    out = SweepResult()
+    grid = grid or BeliefGrid()
+    n = model.n_parts
+    _check_training_bytes(n, grid.d)  # the full detector's table is as large as a trained one's
+    full = Policy(n_parts=n, grid=grid, costs=costs[0],
+                  actions=np.full((1 << n, grid.d), LABEL_POS, dtype=np.uint8),
+                  values=costs[0].lambda_fp * (1.0 - grid.centers),
+                  likelihoods_sha256=_likelihoods_sha256(model.likelihoods))
+    ap_full = precision_recall(run_grid(model, full, provider)[0], truth).average_precision
+    rows = []
     for c in costs:
         results, stats = run_grid(model, train_policy(model.likelihoods, c, grid), provider)
         counts = classification_counts(results, truth)
         ap = precision_recall(results, truth).average_precision
-        out.rows.append(SweepRow(c.lambda_fp, c.lambda_fn, ap,
-                                 compute_rnpe(stats, model.n_parts, provider.n_locations),
-                                 stats.mean_tau, counts.fp_rate, counts.fn_rate, ap_full, ap_full - ap))
-    return out
+        rows.append(SweepRow(c.lambda_fp, c.lambda_fn, ap,
+                             compute_rnpe(stats, n, provider.n_locations),
+                             stats.mean_tau, counts.fp_rate, counts.fn_rate, ap_full, ap_full - ap))
+    return rows
 
 
-def save_sweep_csv(result: SweepResult, path) -> None:
-    """One row per point, with SweepRow's fields as the columns, in their order."""
+def save_sweep_csv(rows: list[SweepRow], path) -> None:
+    """One line per row of `lambda_sweep`, with SweepRow's fields as the columns, in their order."""
     names = [f.name for f in fields(SweepRow)]
     lines = [",".join(names)]
-    lines.extend(",".join(repr(float(getattr(r, n))) for n in names) for r in result.rows)
+    lines.extend(",".join(repr(float(getattr(r, n))) for n in names) for r in rows)
     Path(path).write_text("\n".join(lines) + "\n")

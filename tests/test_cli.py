@@ -244,14 +244,24 @@ class TestExitCodes:
         code = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "o.json")])
         assert code == 3
         assert "part 1" in capsys.readouterr().err
+        # a header that is not UTF-8 is unreadable, not a traceback
+        samples.write_bytes(b"part_id,label,sc\xffore\n0,pos,1.0\n0,neg,-1.0\n")
+        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "o.json")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {samples}: unreadable header: ")
 
-    def test_zero_cost_exits_4(self, pipeline_dir):
+    def test_zero_cost_exits_4(self, pipeline_dir, capsys):
         base, samples, _ = pipeline_dir
         liks = base / "l.json"
         assert main(["fit", "--samples", str(samples), "--out", str(liks)]) == 0
         code = main(["train-policy", "--likelihoods", str(liks), "--lambda-fp", "0",
                      "--lambda-fn", "5", "--out", str(base / "p.bin")])
         assert code == 4
+        # one histogram bin is as invalid a parameter to fit
+        capsys.readouterr()
+        assert main(["fit", "--samples", str(samples), "--bins", "1",
+                     "--out", str(base / "one_bin.json")]) == 4
+        assert "--bins must be >= 2, got 1" in capsys.readouterr().err
+        assert not (base / "one_bin.json").exists()
 
     def test_capacity_exceeded_exits_2(self, tmp_path, rng):
         # 2^64 action rows pass any machine's memory
@@ -489,6 +499,10 @@ class TestExitCodes:
                      "--seed", "-1", "--trials", "100"])
         assert code == 4
         assert "seed" in capsys.readouterr().err
+        # so is a trial count below 1, in simulate and in verify
+        for argv in (["simulate", "--policy", str(policy), "--likelihoods", str(liks)], ["verify"]):
+            assert main([*argv, "--trials", "0"]) == 4
+            assert "n_trials must be >= 1, got 0" in capsys.readouterr().err
 
     def test_simulate_arity_mismatch_exits_5(self, pipeline_dir, rng, capsys):
         # the same pair infer rejects with exit 5: a 3-part policy, 2 likelihoods
@@ -536,6 +550,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["inspect", "--policy", str(bad)]) == 3
         assert "table payload is" in capsys.readouterr().err
+        # no part, or one belief bin: Policy would raise a bare ValueError
+        for field, value in (("n_parts", 0), ("n_parts", -1), ("d", 1)):
+            bad.write_bytes(json.dumps(dict(json.loads(header), **{field: value})).encode()
+                            + b"\n" + body)
+            assert main(["inspect", "--policy", str(bad)]) == 3
+            assert "invalid table dimensions" in capsys.readouterr().err
 
     # json.loads reads Infinity, and int(inf) raises OverflowError
     @pytest.mark.parametrize("value", [math.inf, -math.inf, 10 ** 400],
@@ -1084,6 +1104,18 @@ class TestSweepAndInspect:
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert meta["spec"]["seed"] == 8
         assert meta["grid"] == [[8.0, 4.0]]
+        assert "diagonal:" not in capsys.readouterr().out
+        # the diagonal line reads the equal-cost points in order of lambda, whatever the
+        # grid's order; one equal-cost point has no trend to print
+        printed = {}
+        for grid in ("0.5,0.5;4,4;16,16", "16,16;0.5,0.5;4,4", "8,4;4,4"):
+            assert main(["sweep", "--spec", str(spec_path), "--grid", grid,
+                         "--belief-bins", "21", "--out", str(out)]) == 0
+            printed[grid] = capsys.readouterr().out.splitlines()
+        in_order, shuffled, one_point = printed.values()
+        assert in_order[0] == "diagonal: error_nonincreasing=True rnpe_nonincreasing=True"
+        assert shuffled == [in_order[0], f"wrote 3 rows to {out}"]
+        assert one_point == [f"wrote 2 rows to {out}"]
 
     @pytest.mark.parametrize("profile", list(RECORDED_SWEEP_META_SHA256),
                              ids=["no-profile", "profile"])
@@ -1100,12 +1132,21 @@ class TestSweepAndInspect:
         meta = (tmp_path / "sweep.csv.meta.json").read_bytes()
         assert hashlib.sha256(meta).hexdigest() == RECORDED_SWEEP_META_SHA256[profile]
 
-    def test_sweep_malformed_spec_exits_3(self, tmp_path):
+    def test_sweep_malformed_spec_exits_3(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("{\"n_parts\": 3, \"bogus\": true}")
         code = main(["sweep", "--spec", str(spec_path), "--grid", "4,4",
                      "--out", str(tmp_path / "s.csv")])
         assert code == 3
+        # a JSON array, and an object without the required fields; neither writes a file
+        for text, message in (("[3, 1.0, 0.5, 10, 1]", "spec must be a JSON object"),
+                              ("{\"n_parts\": 3}", "incomplete spec")):
+            spec_path.write_text(text)
+            capsys.readouterr()
+            assert main(["sweep", "--spec", str(spec_path), "--grid", "4,4",
+                         "--out", str(tmp_path / "s.csv")]) == 3
+            assert message in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     # a separation too wide for the density floor or for a finite bandwidth
     # is the spec's fault, not a file's
@@ -1130,7 +1171,7 @@ class TestSweepAndInspect:
         assert field in capsys.readouterr().err
 
     def test_sweep_with_every_point_failing_exits_with_its_code(self, tmp_path, capsys):
-        # 30 parts exceed the policy table budget at the first cost point (exit 2)
+        # 30 parts exceed the policy table budget before any pass or training (exit 2)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "n_parts": 30, "separation": 1.0, "prior_positive": 0.5,

@@ -357,6 +357,19 @@ class TestRunGrid:
             with pytest.raises(ProviderError, match="failed at part 0 for 5 locations"):
                 run_grid(model, policy, Rewriting(rng.standard_normal((5, 2))))
 
+    def test_provider_returning_the_wrong_shape_is_a_provider_error(self, rng):
+        class Short(MatrixResponseProvider):
+            def get_responses(self, location_ids, part_id):
+                return self.scores[location_ids[1:], part_id]
+
+        with pytest.raises(ProviderError, match=r"returned shape \(4,\) for 5 locations, part 0"):
+            run_grid(toy_model(2), constant_policy(2, LABEL_POS), Short(rng.standard_normal((5, 2))))
+
+    def test_matrix_provider_needs_a_matrix(self):
+        for scores in ([1.0, 2.0], 3.0, np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="scores must be 2-D"):
+                MatrixResponseProvider(scores)
+
     def test_label_start_action_fetches_only_completions(self, rng):
         # every location starts in one state: a label there stops all of them at tau 0
         model = toy_model(3, bias=0.25)
@@ -632,6 +645,19 @@ class TestDetectionResults:
         results, _ = run_grid(model, policy, MatrixResponseProvider(rng.standard_normal((12, 3))))
         monkeypatch.setattr(DetectionResults, "__post_init__", lambda self: pytest.fail("built"))
         assert results[4] == list(results)[4]
+
+    def test_inconsistent_columns_are_rejected(self):
+        columns = dict(location_id=[0, 1], positive=[True, False], score=[1.0, -math.inf],
+                       tau=[0, 1], n_evaluated=[2, 1], order=[[0, 1], [1, 0]],
+                       final_belief=[0.5, 0.1], partial_score=[0.0, -1.0])
+        assert len(DetectionResults(**columns)) == 2
+        for name, value in (("score", [1.0]), ("tau", [0, 1, 2]), ("order", [[0, 1]]),
+                            ("order", [0, 1])):
+            with pytest.raises(ValueError, match="one length"):
+                DetectionResults(**dict(columns, **{name: value}))
+        for n_evaluated in ([3, 1], [2, -1]):
+            with pytest.raises(ValueError, match=r"n_evaluated must be in 0\.\.2"):
+                DetectionResults(**dict(columns, n_evaluated=n_evaluated))
 
     def test_arrays_are_read_only(self, rng):
         model = toy_model(3)

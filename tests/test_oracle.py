@@ -9,6 +9,7 @@ import pytest
 from partsched import (
     BeliefGrid,
     CapacityError,
+    ConfigurationError,
     CostParams,
     InvalidParameterError,
     MatrixResponseProvider,
@@ -194,6 +195,12 @@ class TestSimulatePolicy:
         est = simulate_policy(policy, inst.likelihoods, 5000, seed=1)
         assert est.fp_rate == 1.0
         assert est.mean_cost == pytest.approx(3.5, abs=1e-12)
+
+    def test_likelihood_count_must_match_the_policy(self):
+        inst = two_part_instance(costs=CostParams(7.0, 3.0))
+        policy = constant_policy(2, LABEL_POS, d=inst.grid.d, costs=inst.costs)
+        with pytest.raises(ConfigurationError, match="1 likelihoods for a 2-part policy"):
+            simulate_policy(policy, inst.likelihoods[:1], 100, seed=1)
 
     def test_consistent_with_dp_value(self):
         inst = random_tiny_instance(7)

@@ -224,9 +224,21 @@ def small_spec():
 
 
 class TestLambdaSweep:
-    def test_full_scores_equal_full_score_bit_for_bit(self, small_spec, rng):
-        # sweep's ap_full baseline: one provider call per part, columns summed left to
-        # right in part-index order, then the bias
+    def test_full_scores_equal_full_score_bit_for_bit(self, small_spec, rng, monkeypatch):
+        # sweep's ap_full baseline is a run_grid pass of the policy that declares foreground
+        # at once: one provider call per part, each location's parts summed left to right
+        # in part-index order, then the bias
+        policies = []
+
+        def recording_run_grid(model, policy, provider):
+            policies.append(policy)
+            return run_grid(model, policy, provider)
+
+        monkeypatch.setattr(synth, "run_grid", recording_run_grid)
+        lambda_sweep(small_spec, [(8.0, 4.0)], BeliefGrid(21))
+        full = policies[0]  # the baseline pass comes before every point's
+        assert (full.actions == LABEL_POS).all()
+        assert full.values.tobytes() == (8.0 * (1.0 - full.grid.centers)).tobytes()
         model = make_synthetic(small_spec)[0]
         model = DetectorModel(bias=-0.7, likelihoods=model.likelihoods, costs=model.costs)
         scores = rng.standard_normal((300, 4)) * 5.0
@@ -242,16 +254,15 @@ class TestLambdaSweep:
                 return super().get_responses(location_ids, part_id)
 
         provider = Counting(scores)
-        full = synth._full_scores(model, provider)
-        assert Counting.calls == 4
+        results, _ = run_grid(model, full, provider)
+        assert Counting.calls == model.n_parts == 4
         expected = np.array([full_score(model, provider, i) for i in range(300)])
         assert np.isnan(expected[77]) and np.isinf(expected[7]) and expected[1] == 0.5 - 0.7
-        assert full.tobytes() == expected.tobytes()
+        assert results.score.tobytes() == expected.tobytes()
 
     def test_single_point_matches_direct_evaluation(self, small_spec):
         grid = BeliefGrid(41)
-        sweep = lambda_sweep(small_spec, [(8.0, 4.0)], grid)
-        assert len(sweep.rows) == 1
+        rows = lambda_sweep(small_spec, [(8.0, 4.0)], grid)
         model, provider, truth = make_synthetic(small_spec)
         policy = train_policy(model.likelihoods, CostParams(8.0, 4.0), grid)
         results, stats = run_grid(model, policy, provider)
@@ -266,10 +277,10 @@ class TestLambdaSweep:
                                 rnpe=compute_rnpe(stats, model.n_parts, provider.n_locations),
                                 mean_tau=stats.mean_tau, fp_rate=counts.fp_rate,
                                 fn_rate=counts.fn_rate, ap_full=ap_full, delta_ap=ap_full - ap)
-        assert sweep.rows[0] == direct
+        assert rows == [direct]
 
     def test_ap_full_is_shared_by_every_point(self, small_spec):
-        rows = lambda_sweep(small_spec, [(4.0, 4.0), (16.0, 8.0)], BeliefGrid(21)).rows
+        rows = lambda_sweep(small_spec, [(4.0, 4.0), (16.0, 8.0)], BeliefGrid(21))
         assert rows[0].ap_full == rows[1].ap_full
         assert all(r.delta_ap == r.ap_full - r.ap for r in rows)
 
@@ -301,10 +312,9 @@ class TestLambdaSweep:
 
     def test_equal_cost_sweep_trends(self, small_spec):
         grid = BeliefGrid(41)
-        sweep = lambda_sweep(small_spec, [(l, l) for l in (0.5, 4.0, 32.0)], grid)
-        diag = sweep.diagonal_diagnostics()
-        assert diag["lambdas"] == [0.5, 4.0, 32.0]
-        errors = diag["total_error"]
+        rows = lambda_sweep(small_spec, [(l, l) for l in (0.5, 4.0, 32.0)], grid)
+        assert [(r.lambda_fp, r.lambda_fn) for r in rows] == [(0.5, 0.5), (4.0, 4.0), (32.0, 32.0)]
+        errors = [r.fp_rate + r.fn_rate for r in rows]
         n = small_spec.n_locations
         for a, b in zip(errors, errors[1:]):
             se = math.sqrt(max(a * (1 - a), 1e-9) / n) + math.sqrt(max(b * (1 - b), 1e-9) / n)
@@ -313,9 +323,9 @@ class TestLambdaSweep:
     def test_rows_independent_of_other_points(self, small_spec):
         grid = BeliefGrid(21)
         points = [(4.0, 4.0), (16.0, 8.0)]
-        rows = lambda_sweep(small_spec, points, grid).rows
-        assert rows == lambda_sweep(small_spec, points, grid).rows
-        assert rows == [lambda_sweep(small_spec, [p], grid).rows[0] for p in points]
+        rows = lambda_sweep(small_spec, points, grid)
+        assert rows == lambda_sweep(small_spec, points, grid)
+        assert rows == [lambda_sweep(small_spec, [p], grid)[0] for p in points]
 
     def test_triangular_grid_reproduces_cost_ratio_pattern(self):
         # raising lambda_fp at fixed lambda_fn buys fewer false positives and
@@ -324,9 +334,9 @@ class TestLambdaSweep:
                              n_locations=2000, seed=3, train_samples=1000)
         points = [(float(fp), float(fn))
                   for fn in (4, 8, 16, 32, 64) for fp in (4, 8, 16, 32, 64) if fp >= fn]
-        sweep = lambda_sweep(spec, points, BeliefGrid(31))
-        assert len(sweep.rows) == 15
-        fn4 = sorted((r for r in sweep.rows if r.lambda_fn == 4.0),
+        rows = lambda_sweep(spec, points, BeliefGrid(31))
+        assert len(rows) == 15
+        fn4 = sorted((r for r in rows if r.lambda_fn == 4.0),
                      key=lambda r: r.lambda_fp)
         n = spec.n_locations
         for a, b in zip(fn4, fn4[1:]):
