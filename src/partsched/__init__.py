@@ -22,8 +22,6 @@ from .likelihoods import (
     DiscretePdf,
     ScoreLikelihood,
     ScoreSampleSet,
-    discretize,
-    fit_kde,
     fit_part_likelihood,
     load_likelihoods,
     read_sample_sets,

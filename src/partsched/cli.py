@@ -125,8 +125,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seeds < 1:
-        raise InvalidParameterError(f"--seeds must be >= 1, got {args.seeds}")
+    for name, value in (("seeds", args.seeds), ("trials", args.trials)):  # before any work
+        if value < 1:
+            raise InvalidParameterError(f"--{name} must be >= 1, got {value}")
     reports = []
     worst = 0.0
     failing_seed = None

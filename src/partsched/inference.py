@@ -386,8 +386,12 @@ def run_grid(model: DetectorModel, policy: Policy,
 def full_score(model: DetectorModel, provider: ResponseProvider, location_id: int) -> float:
     """Exhaustive additive score: every part response plus the bias.
 
-    An id that is not an integer (a bool included) or lies outside the provider is an
+    A provider with another part count than the model's is a ConfigurationError, an id
+    that is not an integer (a bool included) or lies outside the provider an
     InvalidParameterError, a NaN response a ProviderError."""
+    if provider.n_parts != model.n_parts:
+        raise ConfigurationError(f"responses have {provider.n_parts} parts, "
+                                 f"model has {model.n_parts}")
     if isinstance(location_id, bool) or not hasattr(location_id, "__index__"):
         raise InvalidParameterError(f"location id must be an integer, got {location_id!r}")
     location_id = operator.index(location_id)

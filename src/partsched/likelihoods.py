@@ -2,8 +2,9 @@
 
 A part's response behaves differently depending on whether the object is
 actually present, so each part carries two densities: one fitted to scores
-recorded at positive placements and one at background placements.  Both are
-discretized onto a shared support so that belief updates and policy training
+recorded at positive placements and one at background placements.
+`fit_part_likelihood`, the one fit entry point, evaluates both KDEs at the
+bin centers of a shared support, so that belief updates and policy training
 can evaluate them with a single bin lookup.
 """
 
@@ -27,80 +28,49 @@ from .errors import (CapacityError, ConfigurationError, FormatError, Insufficien
 DEFAULT_BINS = 201
 PDF_FLOOR = 1e-6
 SUPPORT_PADDING_SIGMAS = 3.0
-_BLOCK_ELEMENTS = 2 ** 15  # kernel terms per GaussianKde block: 256 KB of float64
+_BLOCK_ELEMENTS = 2 ** 15  # kernel terms per KDE block: 256 KB of float64
 
 
-@dataclass(frozen=True)
-class GaussianKde:
-    """Gaussian-kernel mixture density over a fixed sample set.
-
-    Evaluates to the average of unit-mass Gaussian kernels centered at the
-    samples, so the density integrates to 1 over the reals.  The points are
-    evaluated in blocks of _BLOCK_ELEMENTS // n_samples (at least one) into
-    two reused buffers, 256 KB each up to 2**15 samples, whatever the number
-    of points.  Each point's kernel terms form one contiguous row summed as a
-    whole, so the result is bit-identical for every block size.
-    """
-
-    samples: np.ndarray
-    bandwidth: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        rows = max(1, _BLOCK_ELEMENTS // self.samples.size)
-        z = np.empty((min(rows, flat.size), self.samples.size))
-        t = np.empty_like(z)
-        sums = np.empty(flat.size)
-        for a in range(0, flat.size, rows):
-            b = min(a + rows, flat.size)
-            zz, tt = z[:b - a], t[:b - a]  # in place: exp(-0.5 * z * z), z = (x - s) / h
-            np.subtract(flat[a:b, None], self.samples, out=zz)
-            zz /= self.bandwidth
-            np.multiply(zz, -0.5, out=tt)
-            tt *= zz
-            np.exp(tt, out=tt)
-            tt.sum(axis=-1, out=sums[a:b])
-        norm = self.samples.size * self.bandwidth * math.sqrt(2.0 * math.pi)
-        out = sums.reshape(x.shape) / norm
-        return float(out) if out.ndim == 0 else out
-
-
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    """Rule-of-thumb bandwidth 1.06 * sigma * N^(-1/5)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by fit_kde
-        sigma = float(np.std(samples, ddof=1))
-    return 1.06 * sigma * samples.size ** (-0.2)
-
-
-def fit_kde(samples, bandwidth: float | None = None) -> GaussianKde:
-    """Fit a Gaussian-kernel density to 1-D samples.
-
-    If no bandwidth is given, Silverman's rule of thumb is used; that rule
-    needs a nonzero sample spread.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("samples must all be finite")
-    if arr.size < 2:
-        raise InsufficientDataError(f"need at least 2 samples to fit, got {arr.size}")
+def _bandwidth(samples: np.ndarray, bandwidth: float | None, name: str) -> float:
+    """`bandwidth`, checked positive and finite, or by default Silverman's rule of thumb
+    1.06 * sigma * N^(-1/5), which needs a nonzero spread; `name` words the samples."""
+    if samples.size < 2:
+        raise InsufficientDataError(f"{name}: need at least 2 samples to fit, got {samples.size}")
     if bandwidth is None:
-        bandwidth = silverman_bandwidth(arr)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            bandwidth = 1.06 * float(np.std(samples, ddof=1)) * samples.size ** (-0.2)
         if bandwidth == 0.0:
-            raise InsufficientDataError(
-                "samples have zero spread; supply an explicit bandwidth"
-            )
+            raise InsufficientDataError(f"{name}: samples have zero spread; "
+                                        "supply an explicit bandwidth")
         if not math.isfinite(bandwidth):
-            raise InvalidRangeError("sample spread overflows float range; "
-                                    "no finite bandwidth")
+            raise InvalidRangeError("sample spread overflows float range; no finite bandwidth")
     bandwidth = float(bandwidth)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return GaussianKde(samples=arr, bandwidth=bandwidth)
+    return bandwidth
+
+
+def _kde(x: np.ndarray, samples: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian KDE of `samples` at the 1-D points `x`: the mean of unit-mass kernels.
+
+    The points are evaluated in blocks of _BLOCK_ELEMENTS // samples.size (at least one)
+    into two reused buffers, 256 KB each up to 2**15 samples, whatever the number of
+    points.  Each point's kernel terms form one contiguous row summed as a whole, so the
+    result is bit-identical for every block size."""
+    rows = max(1, _BLOCK_ELEMENTS // samples.size)
+    z = np.empty((min(rows, x.size), samples.size))
+    t = np.empty_like(z)
+    sums = np.empty(x.size)
+    for a in range(0, x.size, rows):
+        b = min(a + rows, x.size)
+        zz, tt = z[:b - a], t[:b - a]  # in place: exp(-0.5 * z * z), z = (x - s) / h
+        np.subtract(x[a:b, None], samples, out=zz)
+        zz /= bandwidth
+        np.multiply(zz, -0.5, out=tt)
+        tt *= zz
+        np.exp(tt, out=tt)
+        tt.sum(axis=-1, out=sums[a:b])
+    return sums / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
 
 
 def _floor_normalize(raw: np.ndarray, width: float) -> np.ndarray:
@@ -215,26 +185,6 @@ class DiscretePdf:
         return float(self.bins[self.bin_index(m)])
 
 
-def discretize(density, lo: float, hi: float, n_bins: int = DEFAULT_BINS) -> DiscretePdf:
-    """Sample a continuous density at bin centers and normalize into a DiscretePdf."""
-    if not (hi > lo):
-        raise InvalidRangeError(f"need hi > lo, got [{lo}, {hi}]")
-    if n_bins < 2:
-        raise ValueError(f"need at least 2 bins, got {n_bins}")
-    if n_bins * 8 > np.iinfo(np.intp).max:  # numpy's own limit: "array is too big"
-        raise CapacityError(f"{n_bins} bins need {n_bins * 8} bytes per array, "
-                            f"more than numpy can allocate")
-    width = (hi - lo) / n_bins
-    centers = lo + (np.arange(n_bins) + 0.5) * width
-    raw = np.asarray(density(centers), dtype=float)
-    if raw.shape != centers.shape:
-        raise ValueError("density evaluator must return one value per bin center")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("density evaluated to non-finite values")
-    return DiscretePdf(lo=float(lo), hi=float(hi),
-                       bins=_floor_normalize(raw, width))
-
-
 @dataclass(frozen=True)
 class ScoreSampleSet:
     """Labeled score samples for one part."""
@@ -293,29 +243,38 @@ def _likelihoods_sha256(likelihoods) -> str:
 
 def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = None,
                         n_bins: int = DEFAULT_BINS) -> ScoreLikelihood:
-    """Fit positive/negative KDEs and discretize them onto a shared support.
+    """Fit positive/negative Gaussian KDEs and discretize them onto a shared support.
 
-    The support is the pooled sample range padded by 3 pooled standard
-    deviations on each side, so both densities stay evaluable at any score
-    seen in training and at moderate extrapolations.
+    Each class's bandwidth is `bandwidth`, or Silverman's rule on its own samples.  The
+    support is the pooled sample range padded by 3 pooled standard deviations on each
+    side, so both densities stay evaluable at any score seen in training and at moderate
+    extrapolations.  A class's bins are its KDE at the bin centers, floored at PDF_FLOOR
+    and renormalized to unit mass.
     """
-    kdes = []
-    for name, samples in (("pos", sample_set.positives), ("neg", sample_set.negatives)):
-        try:
-            kdes.append(fit_kde(samples, bandwidth))
-        except InsufficientDataError as exc:
-            raise InsufficientDataError(f"part {sample_set.part_id} '{name}' samples: {exc}") from exc
-    pooled = np.concatenate([sample_set.positives, sample_set.negatives])
+    part, classes = sample_set.part_id, (sample_set.positives, sample_set.negatives)
+    bandwidths = [_bandwidth(samples, bandwidth, f"part {part} '{name}' samples")
+                  for name, samples in zip(("pos", "neg"), classes)]
+    pooled = np.concatenate(classes)
     sigma = float(np.std(pooled, ddof=1))
     if sigma == 0.0:
-        raise InsufficientDataError(f"pooled samples have zero spread (part {sample_set.part_id})")
+        raise InsufficientDataError(f"pooled samples have zero spread (part {part})")
     lo = float(pooled.min()) - SUPPORT_PADDING_SIGMAS * sigma
     hi = float(pooled.max()) + SUPPORT_PADDING_SIGMAS * sigma
+    if not (hi > lo):
+        raise InvalidRangeError(f"part {part}: need hi > lo, got [{lo}, {hi}]")
+    if n_bins < 2:
+        raise ValueError(f"need at least 2 bins, got {n_bins}")
+    if n_bins * 8 > np.iinfo(np.intp).max:  # numpy's own limit: "array is too big"
+        raise CapacityError(f"{n_bins} bins need {n_bins * 8} bytes per array, "
+                            f"more than numpy can allocate")
+    width = (hi - lo) / n_bins
+    centers = lo + (np.arange(n_bins) + 0.5) * width
     try:
-        pos, neg = (discretize(kde, lo, hi, n_bins) for kde in kdes)
+        pos, neg = (DiscretePdf(lo=lo, hi=hi, bins=_floor_normalize(_kde(centers, s, h), width))
+                    for s, h in zip(classes, bandwidths))
     except InvalidRangeError as exc:
-        raise InvalidRangeError(f"part {sample_set.part_id}: {exc}") from exc
-    return ScoreLikelihood(part_id=sample_set.part_id, pos=pos, neg=neg)
+        raise InvalidRangeError(f"part {part}: {exc}") from exc
+    return ScoreLikelihood(part_id=part, pos=pos, neg=neg)
 
 
 # ---------------------------------------------------------------------------

@@ -272,9 +272,12 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
     to the bin `_snap` gives each posterior.  Returns the (action, belief
     center at query) sequence, consuming one scripted score per part
     evaluation; must match the inference engine's trace on an equivalent
-    provider.
+    provider.  It takes one likelihood per policy part (ConfigurationError otherwise).
     """
     likelihoods = list(likelihoods)
+    if len(likelihoods) != policy.n_parts:
+        raise ConfigurationError(f"{len(likelihoods)} likelihoods for a "
+                                 f"{policy.n_parts}-part policy")
     scripts = iter(scripted_scores)
     centers = policy.grid.centers.tolist()
     mask = 0

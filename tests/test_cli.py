@@ -500,9 +500,11 @@ class TestExitCodes:
         assert code == 4
         assert "seed" in capsys.readouterr().err
         # so is a trial count below 1, in simulate and in verify
-        for argv in (["simulate", "--policy", str(policy), "--likelihoods", str(liks)], ["verify"]):
+        for argv, message in (
+                (["simulate", "--policy", str(policy), "--likelihoods", str(liks)], "n_trials"),
+                (["verify"], "--trials")):
             assert main([*argv, "--trials", "0"]) == 4
-            assert "n_trials must be >= 1, got 0" in capsys.readouterr().err
+            assert f"{message} must be >= 1, got 0" in capsys.readouterr().err
 
     def test_simulate_arity_mismatch_exits_5(self, pipeline_dir, rng, capsys):
         # the same pair infer rejects with exit 5: a 3-part policy, 2 likelihoods
@@ -1068,6 +1070,16 @@ class TestVerify:
     def test_no_seeds_exits_4(self, seeds, capsys):
         assert main(["verify", "--seeds", seeds, "--trials", "500"]) == 4
         assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exits_4_before_any_work(self, trials, monkeypatch, capsys):
+        def called(*args):
+            raise AssertionError("verify worked before it checked --trials")
+
+        monkeypatch.setattr(cli, "train_policy", called)
+        monkeypatch.setattr(oracle, "exhaustive_value_row", called)
+        assert main(["verify", "--seeds", "2", "--trials", trials]) == 4
+        assert f"--trials must be >= 1, got {trials}" in capsys.readouterr().err
 
     def test_oracle_fields_pinned(self, tmp_path, capsys):
         # dp_value and abs_diff come from the trainer's BLAS products and are

@@ -709,6 +709,17 @@ class TestFullScore:
                            match=f"location id must be an integer, got {location_id!r}"):
             full_score(toy_model(3), provider, location_id)
 
+    @pytest.mark.parametrize("n_provider_parts", [2, 5])
+    def test_part_count_must_match_the_model(self, n_provider_parts):
+        # the pair run_grid rejects: a 5-part provider would give the first 3 parts' sum
+        provider = MatrixResponseProvider(np.ones((2, n_provider_parts)))
+        with pytest.raises(ConfigurationError,
+                           match=f"responses have {n_provider_parts} parts, model has 3"):
+            full_score(toy_model(3), provider, 0)
+        with pytest.raises(ConfigurationError,
+                           match=f"responses have {n_provider_parts} parts, policy has 3"):
+            run_grid(toy_model(3), constant_policy(3, LABEL_POS), provider)
+
     def test_nan_response_is_a_provider_fault(self):
         provider = MatrixResponseProvider([[2.0, -1.0, 0.5], [1.0, math.nan, 0.0]])
         with pytest.raises(ProviderError, match="NaN at location 1, part 1"):

@@ -12,17 +12,31 @@ from partsched import (
     InsufficientDataError,
     InvalidRangeError,
     ScoreSampleSet,
-    discretize,
-    fit_kde,
     fit_part_likelihood,
     load_likelihoods,
     read_sample_sets,
     save_likelihoods,
 )
 from partsched import likelihoods
-from partsched.likelihoods import PDF_FLOOR, silverman_bandwidth
+from partsched.likelihoods import PDF_FLOOR, _kde
 
 GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi)
+
+# `_likelihoods_sha256` of `explicit_fits()`, recorded when the KDE was a density object
+# that a separate `discretize` sampled at the bin centers
+RECORDED_EXPLICIT_FITS_SHA256 = "60b5c01c0ec546edac43248f9096f943423b66eed72e749786bb6646dc132127"
+
+
+def explicit_fits():
+    """Fits of a seeded sample set with explicit bandwidths at 2, 7 and 1001 bins; part 2's
+    positives outnumber one KDE block, so each of its bin centers is a block of its own."""
+    rng = np.random.default_rng(2030)
+    sets = [ScoreSampleSet(0, rng.standard_normal(3) + 1.0, rng.standard_normal(2) - 1.0),
+            ScoreSampleSet(1, rng.standard_normal(300) * 2.0, rng.standard_normal(250) + 0.5),
+            ScoreSampleSet(2, rng.standard_normal(2 ** 15 + 5) - 2.0,
+                           rng.standard_normal(40) + 3.0)]
+    return [fit_part_likelihood(s, bandwidth=h, n_bins=n)
+            for s in sets for h in (0.05, 0.7, 3.0) for n in (2, 7, 1001)]
 
 
 def gauss_bin_mass(lo, hi):
@@ -32,94 +46,121 @@ def gauss_bin_mass(lo, hi):
     return phi(hi) - phi(lo)
 
 
+def rule_of_thumb(samples):
+    """Silverman's rule, 1.06 * sigma * N^(-1/5), in the fit's order of operations."""
+    return 1.06 * float(np.std(samples, ddof=1)) * samples.size ** (-0.2)
+
+
+def unit_gaussian_fit():
+    """A likelihood whose positive density is the unit Gaussian: one kernel of bandwidth 1
+    at 0, twice, on the symmetric support [-3.45, 3.45] with a bin centered at 0."""
+    return fit_part_likelihood(ScoreSampleSet(0, [0.0, 0.0], [-1.0, 1.0]), bandwidth=1.0)
+
+
 class TestFitKde:
+    """The KDE fit: fit_part_likelihood's checks and bandwidth, and its evaluator `_kde`."""
+
     def test_single_sample_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            fit_kde([0.0])
-        with pytest.raises(InsufficientDataError):
-            fit_kde([0.0], bandwidth=0.5)
+        for bandwidth in (None, 0.5):
+            with pytest.raises(InsufficientDataError, match="part 0 'pos' samples: .*got 1"):
+                fit_part_likelihood(ScoreSampleSet(0, [0.0], [0.0, 1.0]), bandwidth)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            fit_kde([0.0, math.nan])
-        with pytest.raises(ValueError):
-            fit_kde([0.0, math.inf])
+        # a sample set checks its scores once; the fit does not check them again
+        for score in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite scores"):
+                ScoreSampleSet(0, [0.0, score], [0.0, 1.0])
 
     def test_zero_spread_needs_explicit_bandwidth(self):
-        with pytest.raises(InsufficientDataError):
-            fit_kde([1.0, 1.0])
-        assert fit_kde([1.0, 1.0], bandwidth=0.3)(1.0) > 0.0
+        samples = ScoreSampleSet(0, [1.0, 1.0], [0.0, 2.0])
+        with pytest.raises(InsufficientDataError, match="part 0 'pos' samples: samples have "
+                                                        "zero spread; supply an explicit"):
+            fit_part_likelihood(samples)
+        lik = fit_part_likelihood(samples, bandwidth=0.3)
+        assert lik.pos.evaluate(1.0) == lik.pos.bins.max() > PDF_FLOOR
 
     def test_symmetric_samples_give_symmetric_density(self):
-        density = fit_kde([-1.0, 1.0], bandwidth=0.5)
-        for x in np.linspace(0.0, 3.0, 13):
-            assert density(-x) == pytest.approx(density(x), abs=1e-12)
+        x = np.linspace(0.0, 3.0, 13)
+        samples = np.array([-1.0, 1.0])
+        np.testing.assert_allclose(_kde(-x, samples, 0.5), _kde(x, samples, 0.5), atol=1e-12)
 
     def test_default_bandwidth_is_rule_of_thumb(self):
-        samples = np.array([0.0, 1.0, 2.0, 5.0])
-        assert fit_kde(samples).bandwidth == silverman_bandwidth(samples)
+        # each class gets the rule on its own samples
+        pos, neg = np.array([0.0, 1.0, 2.0, 5.0]), np.array([-3.0, -1.0, 0.0, 4.0, 7.0])
+        samples = ScoreSampleSet(0, pos, neg)
+        lik = fit_part_likelihood(samples)
+        assert np.array_equal(lik.pos.bins,
+                              fit_part_likelihood(samples, rule_of_thumb(pos)).pos.bins)
+        assert np.array_equal(lik.neg.bins,
+                              fit_part_likelihood(samples, rule_of_thumb(neg)).neg.bins)
 
     def test_standard_normal_draw_matches_peak(self, rng):
         samples = rng.standard_normal(1000)
-        assert fit_kde(samples)(0.0) == pytest.approx(GAUSS_PEAK, abs=0.05)
+        lik = fit_part_likelihood(ScoreSampleSet(0, samples, samples))
+        assert lik.pos.evaluate(0.0) == pytest.approx(GAUSS_PEAK, abs=0.05)
 
     def test_equals_the_expression_it_evaluates_in_place(self, rng):
-        density = fit_kde(rng.standard_normal(300) * 3.0)
-        for x in (0.25, rng.uniform(-20.0, 20.0, 201), rng.uniform(-1e3, 1e3, (3, 7))):
-            assert np.array_equal(density(x), kde_expression(density, x))
+        samples = rng.standard_normal(300) * 3.0
+        for x in (np.array([0.25]), rng.uniform(-20.0, 20.0, 201), rng.uniform(-1e3, 1e3, 287)):
+            assert np.array_equal(_kde(x, samples, 0.9), kde_expression(x, samples, 0.9))
 
     def test_integrates_to_one(self, rng):
-        density = fit_kde(rng.standard_normal(50))
+        samples = rng.standard_normal(50)
         xs = np.linspace(-8, 8, 4001)
-        assert np.trapezoid(density(xs), xs) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(_kde(xs, samples, rule_of_thumb(samples)), xs) == pytest.approx(
+            1.0, abs=1e-6)
 
 
-def kde_expression(density, x):
+def kde_expression(x, samples, bandwidth):
     """The KDE as one whole-matrix expression: the reference for its blocked evaluation."""
-    z = (np.asarray(x, dtype=float)[..., None] - density.samples) / density.bandwidth
-    norm = density.samples.size * density.bandwidth * math.sqrt(2.0 * math.pi)
+    z = (x[:, None] - samples) / bandwidth
+    norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     return np.exp(-0.5 * z * z).sum(axis=-1) / norm
 
 
 class TestKdeBlocks:
-    """GaussianKde walks its points in blocks; every output bit matches kde_expression."""
+    """`_kde` walks its points in blocks; every output bit matches kde_expression."""
 
     def test_ragged_last_block(self, rng):
-        density = fit_kde(rng.standard_normal(300))  # 109 points per block
+        samples = rng.standard_normal(300)  # 109 points per block
         rows = likelihoods._BLOCK_ELEMENTS // 300
         x = rng.uniform(-5.0, 5.0, 2 * rows + 32)
-        assert np.array_equal(density(x), kde_expression(density, x))
+        assert np.array_equal(_kde(x, samples, 0.4), kde_expression(x, samples, 0.4))
 
     def test_more_samples_than_one_block(self, rng):
-        density = fit_kde(rng.standard_normal(likelihoods._BLOCK_ELEMENTS + 777))  # one point per block
+        samples = rng.standard_normal(likelihoods._BLOCK_ELEMENTS + 777)  # one point per block
         x = rng.uniform(-5.0, 5.0, 5)
-        assert np.array_equal(density(x), kde_expression(density, x))
+        assert np.array_equal(_kde(x, samples, 0.4), kde_expression(x, samples, 0.4))
 
-    @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (1, 1), (7, 41)])
+    # 1-D point counts around the 65-point blocks of 500 samples: none, one, one block
+    # exactly, one point past it, and the 201 bin centers of a default fit
+    @pytest.mark.parametrize("shape", [(0,), (1,), (65,), (66,), (201,)])
     def test_shapes(self, rng, shape):
-        density = fit_kde(rng.standard_normal(500))
+        samples = rng.standard_normal(500)
         x = rng.uniform(-5.0, 5.0, shape)
-        got = density(x)
-        if shape == ():
-            assert type(got) is float
-        else:
-            assert got.shape == shape
-        assert np.array_equal(got, kde_expression(density, x))
+        got = _kde(x, samples, 0.4)
+        assert got.shape == shape
+        assert np.array_equal(got, kde_expression(x, samples, 0.4))
 
     @pytest.mark.parametrize("block", [1, 2000, 2 ** 15, 2 ** 22])
     def test_block_size_changes_no_bit(self, rng, monkeypatch, block):
-        density = fit_kde(rng.standard_normal(2000) * 2.0 + 0.5)
+        samples = ScoreSampleSet(0, rng.standard_normal(2000) * 2.0 + 0.5,
+                                 rng.standard_normal(2000) - 1.0)
         x = np.linspace(-12.0, 12.0, 201)
-        expected = kde_expression(density, x)
+        expected = kde_expression(x, samples.positives, 0.3)
+        fitted = fit_part_likelihood(samples, bandwidth=0.3)
         monkeypatch.setattr(likelihoods, "_BLOCK_ELEMENTS", block)
-        assert np.array_equal(density(x), expected)
+        assert np.array_equal(_kde(x, samples.positives, 0.3), expected)
+        refit = fit_part_likelihood(samples, bandwidth=0.3)
+        assert np.array_equal(refit.pos.bins, fitted.pos.bins)
+        assert np.array_equal(refit.neg.bins, fitted.neg.bins)
 
     def test_memory_bounded_by_block(self, rng):
-        density = fit_kde(rng.standard_normal(2000))
+        samples = rng.standard_normal(2000)
         x = rng.uniform(-5.0, 5.0, 10_000)
         tracemalloc.start()
         try:
-            density(x)
+            _kde(x, samples, 0.4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -127,34 +168,39 @@ class TestKdeBlocks:
 
 
 class TestDiscretize:
+    """fit_part_likelihood's discretization: each class's KDE at its bin centers, floored at
+    PDF_FLOOR and renormalized to unit mass on the support."""
+
     def test_uniform_density_gives_unit_bins(self):
-        pdf = discretize(lambda x: np.ones_like(x), 0.0, 1.0)
-        assert pdf.n_bins == 201
-        np.testing.assert_allclose(pdf.bins, 1.0, atol=1e-6)
+        # a bandwidth that dwarfs the support leaves the density flat across it
+        lik = fit_part_likelihood(ScoreSampleSet(0, [0.0, 1.0], [0.0, 1.0]), bandwidth=1e9)
+        assert lik.pos.n_bins == 201
+        np.testing.assert_allclose(lik.pos.bins * (lik.pos.hi - lik.pos.lo), 1.0, atol=1e-6)
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(InvalidRangeError):
-            discretize(lambda x: np.ones_like(x), 0.0, 0.0)
+            DiscretePdf(0.0, 0.0, [1.0, 1.0])
         with pytest.raises(InvalidRangeError):
-            discretize(lambda x: np.ones_like(x), 1.0, 0.0)
+            DiscretePdf(1.0, 0.0, [1.0, 1.0])
 
     def test_gaussian_central_bin_mass(self):
-        density = lambda x: GAUSS_PEAK * np.exp(-0.5 * np.asarray(x) ** 2)
-        pdf = discretize(density, -5.0, 5.0)
+        pdf = unit_gaussian_fit().pos
         center = pdf.n_bins // 2
+        assert pdf.centers[center] == pytest.approx(0.0, abs=1e-12)
         expected = gauss_bin_mass(-pdf.bin_width / 2, pdf.bin_width / 2)
         assert pdf.bins[center] * pdf.bin_width == pytest.approx(expected, rel=0.01)
 
     def test_floor_applies_to_zero_density_regions(self):
-        density = lambda x: np.where(np.asarray(x) < 0.5, 2.0, 0.0)
-        pdf = discretize(density, 0.0, 1.0)
-        assert pdf.bins.min() >= PDF_FLOOR
-        assert pdf.bins.sum() * pdf.bin_width == pytest.approx(1.0, abs=1e-9)
+        # kernels of width 0.05 at 0 vanish across most of the support [-138, 138]
+        lik = fit_part_likelihood(ScoreSampleSet(0, [0.0, 0.0], [-40.0, 40.0]), bandwidth=0.05)
+        for pdf in (lik.pos, lik.neg):
+            assert pdf.bins.min() == PDF_FLOOR
+            assert pdf.bins.sum() * pdf.bin_width == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEvalPdf:
     def test_uniform_midpoint(self):
-        pdf = discretize(lambda x: np.ones_like(x), 0.0, 1.0)
+        pdf = DiscretePdf.from_weights(0.0, 1.0, np.ones(201))
         assert pdf.evaluate(0.5) == pytest.approx(1.0, abs=1e-6)
 
     def test_out_of_support_clamps_to_edges(self):
@@ -165,9 +211,7 @@ class TestEvalPdf:
         assert pdf.evaluate(-math.inf) == pdf.bins[0]
 
     def test_gaussian_peak_lookup(self):
-        density = lambda x: GAUSS_PEAK * np.exp(-0.5 * np.asarray(x) ** 2)
-        pdf = discretize(density, -5.0, 5.0)
-        assert pdf.evaluate(0.0) == pytest.approx(GAUSS_PEAK, rel=0.02)
+        assert unit_gaussian_fit().pos.evaluate(0.0) == pytest.approx(GAUSS_PEAK, rel=0.02)
 
 
 class TestBinIndex:
@@ -235,6 +279,9 @@ class TestFitPartLikelihood:
         np.testing.assert_allclose(mirrored.pos.bins, lik.pos.bins[::-1], atol=1e-9)
         np.testing.assert_allclose(mirrored.neg.bins, lik.neg.bins[::-1], atol=1e-9)
 
+    def test_explicit_bandwidth_fits_match_the_recorded_digest(self):
+        assert likelihoods._likelihoods_sha256(explicit_fits()) == RECORDED_EXPLICIT_FITS_SHA256
+
     def test_deterministic(self, rng):
         pos = rng.standard_normal(30)
         neg = rng.standard_normal(30) + 1.0
@@ -251,10 +298,11 @@ class TestFitPartLikelihood:
     pad=st.floats(0.1, 5.0),
 )
 def test_discretized_kde_invariants(samples, bandwidth, pad):
-    density = fit_kde(samples, bandwidth)
-    pdf = discretize(density, min(samples) - pad, max(samples) + pad)
-    assert abs(pdf.bins.sum() * pdf.bin_width - 1.0) <= 1e-9
-    assert pdf.bins.min() >= PDF_FLOOR
+    # the negatives are the positives shifted by `pad`, so the pooled spread is never zero
+    lik = fit_part_likelihood(ScoreSampleSet(0, samples, [x + pad for x in samples]), bandwidth)
+    for pdf in (lik.pos, lik.neg):
+        assert abs(pdf.bins.sum() * pdf.bin_width - 1.0) <= 1e-9
+        assert pdf.bins.min() >= PDF_FLOOR
 
 
 @settings(deadline=None, max_examples=40)

@@ -387,6 +387,21 @@ class TestStepTrace:
                            match="script exhausted after 0 evaluations without a stop decision"):
             step_trace(policy, inst.likelihoods, [])
 
+    def test_likelihood_count_must_match_the_policy(self):
+        # a 3-part policy whose first action is part 2: one likelihood would index past
+        # the list, four would run on a part the policy does not have
+        liks = tuple(separable_likelihood(k) for k in range(4))
+        actions = np.full((8, 11), LABEL_NEG, dtype=np.uint8)
+        actions[0, :] = part_action(2)
+        policy = Policy(n_parts=3, grid=BeliefGrid(11), costs=CostParams(4.0, 4.0),
+                        actions=actions, values=np.zeros(11), likelihoods_sha256=UNTRAINED_SHA256)
+        for count in (1, 2, 4):
+            with pytest.raises(ConfigurationError,
+                               match=f"{count} likelihoods for a 3-part policy"):
+                step_trace(policy, liks[:count], [0.9])
+        assert step_trace(policy, liks[:3], [0.9]) == [(part_action(2), 0.5),
+                                                      (LABEL_NEG, policy.grid.centers[-1])]
+
     @pytest.mark.filterwarnings("error")  # infinite responses must not trip numpy casts
     def test_matches_inference_engine_trace(self):
         for case in ENGINE_TRACE_CASES:

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "LABEL_NEG", "LABEL_POS", "MatrixResponseProvider", "NEG_LABEL", "PDF_FLOOR", "POS_LABEL",
     "PartschedError", "Policy", "ProviderError", "ResponseProvider", "ScoreLikelihood",
     "ScoreSampleSet", "SyntheticSpec", "TinyInstance", "classification_counts", "compute_rnpe",
-    "discretize", "exhaustive_value_row", "fit_kde",
+    "exhaustive_value_row",
     "fit_part_likelihood", "full_score", "lambda_sweep", "load_likelihoods", "load_policy",
     "load_responses", "load_responses_bin", "load_responses_csv", "load_results_csv",
     "make_synthetic", "part_action", "precision_recall", "query_policy", "random_tiny_instance",
