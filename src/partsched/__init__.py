@@ -19,7 +19,6 @@ from .errors import (
 )
 from .likelihoods import (
     PDF_FLOOR,
-    DiscretePdf,
     ScoreLikelihood,
     ScoreSampleSet,
     fit_part_likelihood,
@@ -36,7 +35,6 @@ from .policy import (
     Policy,
     load_policy,
     part_action,
-    query_policy,
     save_policy,
     train_policy,
 )

@@ -65,7 +65,7 @@ def cmd_fit(args) -> int:
     save_likelihoods(likelihoods, args.out)
     for s, lik in zip(sample_sets, likelihoods):
         print(f"part {lik.part_id}: pos={s.positives.size} neg={s.negatives.size} "
-              f"support=[{lik.pos.lo:.4g}, {lik.pos.hi:.4g}] bins={lik.pos.n_bins}")
+              f"support=[{lik.lo:.4g}, {lik.hi:.4g}] bins={lik.n_bins}")
     print(f"wrote {len(likelihoods)} part likelihoods to {args.out}")
     return EXIT_OK
 

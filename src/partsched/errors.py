@@ -42,9 +42,8 @@ class FormatError(PartschedError, ValueError):
 
 
 class InvalidParameterError(PartschedError, ValueError):
-    """A parameter outside its documented domain: a non-positive cost, a mask outside a
-    policy, a score script that runs out before the policy stops, a metric that needs a
-    positive example and has none."""
+    """A parameter outside its documented domain: a non-positive cost, a score script that
+    runs out before the policy stops, a metric that needs a positive example and has none."""
     exit_code = 4
 
 

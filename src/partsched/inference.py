@@ -91,7 +91,7 @@ class MatrixResponseProvider(ResponseProvider):
     def __init__(self, scores):
         scores = np.asarray(scores, dtype=float)
         if scores.ndim != 2:
-            raise ValueError(f"scores must be 2-D, got shape {scores.shape}")
+            raise InvalidParameterError(f"scores must be 2-D, got shape {scores.shape}")
         self.scores = scores
 
     @property
@@ -140,7 +140,7 @@ class DetectorModel:
         """
         table = self._successor_tables.get(grid.d)
         if table is None:
-            n_bins = self.likelihoods[0].pos.n_bins
+            n_bins = self.likelihoods[0].n_bins
             table = np.empty((self.n_parts, grid.d, n_bins), dtype=np.min_scalar_type(grid.d - 1))
             for k, lik in enumerate(self.likelihoods):
                 table[k] = _score_bin_transitions(lik, grid)[1]
@@ -198,11 +198,11 @@ class DetectionResults:
             object.__setattr__(self, name, arr)
         if (any(getattr(self, name).shape != (len(self),) for name in RESULT_COLUMNS)
                 or self.order.ndim != 2 or self.order.shape[0] != len(self)):
-            raise ValueError("fields must be 1-D arrays of one length and an order matrix "
-                             "with one row per location")
+            raise InvalidParameterError("fields must be 1-D arrays of one length and an order "
+                                        "matrix with one row per location")
         if len(self) and not 0 <= self.n_evaluated.min() <= self.n_evaluated.max() \
                 <= self.order.shape[1]:
-            raise ValueError(f"n_evaluated must be in 0..{self.order.shape[1]}")
+            raise InvalidParameterError(f"n_evaluated must be in 0..{self.order.shape[1]}")
 
     def __len__(self) -> int:
         return self.location_id.size
@@ -310,7 +310,7 @@ def run_grid(model: DetectorModel, policy: Policy,
             k = first - _PART_BASE
             order[0] = k
             partial = _fetch(provider, ids, k) + 0.0  # a fresh array; -0.0 becomes 0.0
-            belief = table[k, start].take(model.likelihoods[k].pos.bin_index(partial))
+            belief = table[k, start].take(model.likelihoods[k].bin_index(partial))
             action = policy.actions[1 << k].take(belief)
             tau0, used0 = 1, 1 << k
         else:
@@ -342,7 +342,7 @@ def run_grid(model: DetectorModel, policy: Policy,
                 sel = slice(None) if groups.size == 1 else (part == k).nonzero()[0]
                 fetched = _fetch(provider, rows[sel], k)
                 m[sel] = fetched
-                score_bins[sel] = model.likelihoods[k].pos.bin_index(fetched)
+                score_bins[sel] = model.likelihoods[k].bin_index(fetched)
             running += m
             bins = successors.take((part * grid.d + bins) * table.shape[2] + score_bins)
             used |= 1 << part

@@ -2,10 +2,11 @@
 
 A part's response behaves differently depending on whether the object is
 actually present, so each part carries two densities: one fitted to scores
-recorded at positive placements and one at background placements.
-`fit_part_likelihood`, the one fit entry point, evaluates both KDEs at the
-bin centers of a shared support, so that belief updates and policy training
-can evaluate them with a single bin lookup.
+recorded at positive placements and one at background placements.  A
+`ScoreLikelihood` holds the part's one support [lo, hi] and the two bin
+arrays on it, so belief updates and policy training evaluate both densities
+with a single bin lookup.  `fit_part_likelihood`, the one fit entry point,
+evaluates both KDEs at the bin centers of that support.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CapacityError, ConfigurationError, FormatError, InsufficientDataError,
-                     InvalidRangeError)
+                     InvalidParameterError, InvalidRangeError)
 
 DEFAULT_BINS = 201
 PDF_FLOOR = 1e-6
@@ -46,7 +47,7 @@ def _bandwidth(samples: np.ndarray, bandwidth: float | None, name: str) -> float
             raise InvalidRangeError("sample spread overflows float range; no finite bandwidth")
     bandwidth = float(bandwidth)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+        raise InvalidParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     return bandwidth
 
 
@@ -112,77 +113,18 @@ def _floor_normalize(raw: np.ndarray, width: float) -> np.ndarray:
 
 
 def _clamped_index(x, last: int, nan_message: str):
-    """Integer parts of x clamped to 0..last, an int for 0-d x; a NaN raises ValueError.
+    """Integer parts of x clamped to 0..last, an int for 0-d x; InvalidParameterError for a NaN.
 
     x is a fresh float array, clamped in place."""
     # min propagates NaN, so the common case needs no full-size mask
     if x.size and np.isnan(x.min()):
-        raise ValueError(nan_message)
+        raise InvalidParameterError(nan_message)
     # clamp before the integer cast, so infinities never reach it
     if not x.ndim:  # a 0-d input gives a numpy scalar, which has no buffer to clamp in place
         return int(min(max(x, 0.0), last))
     np.maximum(x, 0, out=x)
     np.minimum(x, last, out=x)
     return x.astype(np.intp)
-
-
-@dataclass(frozen=True)
-class DiscretePdf:
-    """Piecewise-constant pdf on [lo, hi] with equal-width bins.
-
-    Guarantees: bins are strictly positive and sum(bins) * bin_width == 1
-    within 1e-9, so likelihood ratios never collapse a posterior to exactly
-    0 or 1.
-    """
-
-    lo: float
-    hi: float
-    bins: np.ndarray
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
-            raise InvalidRangeError(f"need finite hi > lo, got [{self.lo}, {self.hi}]")
-        bins = np.asarray(self.bins, dtype=float)
-        if bins.ndim != 1 or bins.size < 2:
-            raise ValueError(f"bins must be 1-D with >= 2 entries, got shape {bins.shape}")
-        if not np.all(np.isfinite(bins)) or bins.min() <= 0.0:
-            raise ValueError("bins must be finite and strictly positive")
-        if abs(float(bins.sum()) * (self.hi - self.lo) / bins.size - 1.0) > 1e-9:
-            raise ValueError("bins do not integrate to 1 over [lo, hi]")
-        bins = bins.copy()
-        bins.flags.writeable = False
-        object.__setattr__(self, "bins", bins)
-
-    @classmethod
-    def from_weights(cls, lo, hi, weights) -> "DiscretePdf":
-        """Build a pdf whose bin masses are proportional to `weights`."""
-        weights = np.asarray(weights, dtype=float)
-        width = (hi - lo) / weights.size
-        return cls(lo=float(lo), hi=float(hi), bins=_floor_normalize(weights / width, width))
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.bins.size)
-
-    @property
-    def bin_width(self) -> float:
-        return (self.hi - self.lo) / self.bins.size
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.bins.size) + 0.5) * self.bin_width
-
-    def bin_index(self, m):
-        """Bin containing score m, elementwise over arrays.
-
-        Out-of-support scores, ±inf included, clamp to the edge bins.  A NaN
-        score has no bin and raises ValueError.
-        """
-        return _clamped_index((np.asarray(m, dtype=float) - self.lo) / self.bin_width,
-                              self.bins.size - 1, "a NaN score has no bin")
-
-    def evaluate(self, m: float) -> float:
-        return float(self.bins[self.bin_index(m)])
 
 
 @dataclass(frozen=True)
@@ -197,25 +139,84 @@ class ScoreSampleSet:
         for name in ("positives", "negatives"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
+                raise InvalidParameterError(f"{name} must be 1-D")
             if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contain non-finite scores (part {self.part_id})")
+                raise InvalidParameterError(f"{name} contain non-finite scores "
+                                            f"(part {self.part_id})")
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
+def _check_support(lo, hi) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise InvalidRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
+
+
+def _check_bin_counts(part_id, pos, neg) -> None:
+    if pos.size != neg.size:
+        raise InvalidParameterError(f"pos/neg must share one bin count, got {pos.size} and "
+                                    f"{neg.size} (part {part_id})")
+
+
 @dataclass(frozen=True)
 class ScoreLikelihood:
-    """Positive and negative score densities for one part, on a shared support."""
+    """Positive and negative score densities of one part: piecewise-constant pdfs with equal-
+    width bins on one support [lo, hi].
+
+    Guarantees: `pos` and `neg` are read-only float64 arrays of one length, at least 2, whose
+    bins are strictly positive with sum(bins) * bin_width == 1 within 1e-9, so likelihood
+    ratios never collapse a posterior to exactly 0 or 1.
+    """
 
     part_id: int
-    pos: DiscretePdf
-    neg: DiscretePdf
+    lo: float
+    hi: float
+    pos: np.ndarray
+    neg: np.ndarray
 
     def __post_init__(self):
-        if (self.pos.lo, self.pos.hi, self.pos.n_bins) != (self.neg.lo, self.neg.hi, self.neg.n_bins):
-            raise ValueError(f"pos/neg pdfs must share support and bin count (part {self.part_id})")
+        _check_support(self.lo, self.hi)
+        for name in ("pos", "neg"):
+            bins = np.asarray(getattr(self, name), dtype=float)
+            if bins.ndim != 1 or bins.size < 2:
+                raise InvalidParameterError(f"bins must be 1-D with >= 2 entries, "
+                                            f"got shape {bins.shape}")
+            if not np.all(np.isfinite(bins)) or bins.min() <= 0.0:
+                raise InvalidParameterError("bins must be finite and strictly positive")
+            if abs(float(bins.sum()) * (self.hi - self.lo) / bins.size - 1.0) > 1e-9:
+                raise InvalidParameterError("bins do not integrate to 1 over [lo, hi]")
+            bins = bins.copy()
+            bins.flags.writeable = False
+            object.__setattr__(self, name, bins)
+        _check_bin_counts(self.part_id, self.pos, self.neg)
+
+    @classmethod
+    def from_weights(cls, part_id, lo, hi, pos_weights, neg_weights) -> "ScoreLikelihood":
+        """Likelihood whose bin masses are proportional to the weights, floored and normalized."""
+        _check_support(lo, hi)
+        pos_weights, neg_weights = (np.asarray(w, dtype=float) for w in (pos_weights, neg_weights))
+        _check_bin_counts(part_id, pos_weights, neg_weights)
+        width = (hi - lo) / pos_weights.size
+        return cls(part_id, float(lo), float(hi),
+                   *(_floor_normalize(w / width, width) for w in (pos_weights, neg_weights)))
+
+    @property
+    def n_bins(self) -> int:
+        return len(self.pos)
+
+    @property
+    def bin_width(self) -> float:
+        return (self.hi - self.lo) / self.n_bins
+
+    def bin_index(self, m):
+        """Bin containing score m, elementwise over arrays.
+
+        Out-of-support scores, ±inf included, clamp to the edge bins.  A NaN
+        score has no bin and raises InvalidParameterError.
+        """
+        return _clamped_index((np.asarray(m, dtype=float) - self.lo) / self.bin_width,
+                              self.n_bins - 1, "a NaN score has no bin")
 
 
 def _check_part_set(likelihoods) -> None:
@@ -224,7 +225,7 @@ def _check_part_set(likelihoods) -> None:
     ids = [lik.part_id for lik in likelihoods]
     if not ids or ids != list(range(len(ids))):
         raise ConfigurationError(f"part ids must be 0..n-1 in order with n >= 1, got {ids}")
-    bin_counts = sorted({lik.pos.n_bins for lik in likelihoods})
+    bin_counts = sorted({lik.n_bins for lik in likelihoods})
     if len(bin_counts) > 1:
         raise ConfigurationError(f"parts must share one bin count, got {bin_counts}")
 
@@ -236,7 +237,7 @@ def _likelihoods_sha256(likelihoods) -> str:
     round trip keeps every float, so it survives `save_likelihoods`."""
     digest = hashlib.sha256()
     for lik in likelihoods:
-        for values in ([lik.pos.lo, lik.pos.hi], lik.pos.bins, lik.neg.bins):
+        for values in ([lik.lo, lik.hi], lik.pos, lik.neg):
             digest.update(np.asarray(values, dtype="<f8").tobytes())
     return digest.hexdigest()
 
@@ -255,26 +256,29 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
     bandwidths = [_bandwidth(samples, bandwidth, f"part {part} '{name}' samples")
                   for name, samples in zip(("pos", "neg"), classes)]
     pooled = np.concatenate(classes)
-    sigma = float(np.std(pooled, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        sigma = float(np.std(pooled, ddof=1))
     if sigma == 0.0:
         raise InsufficientDataError(f"pooled samples have zero spread (part {part})")
+    if not math.isfinite(sigma):
+        raise InvalidRangeError(f"part {part}: pooled sample spread overflows float range; "
+                                "no finite support")
     lo = float(pooled.min()) - SUPPORT_PADDING_SIGMAS * sigma
     hi = float(pooled.max()) + SUPPORT_PADDING_SIGMAS * sigma
     if not (hi > lo):
         raise InvalidRangeError(f"part {part}: need hi > lo, got [{lo}, {hi}]")
     if n_bins < 2:
-        raise ValueError(f"need at least 2 bins, got {n_bins}")
+        raise InvalidParameterError(f"need at least 2 bins, got {n_bins}")
     if n_bins * 8 > np.iinfo(np.intp).max:  # numpy's own limit: "array is too big"
         raise CapacityError(f"{n_bins} bins need {n_bins * 8} bytes per array, "
                             f"more than numpy can allocate")
     width = (hi - lo) / n_bins
     centers = lo + (np.arange(n_bins) + 0.5) * width
     try:
-        pos, neg = (DiscretePdf(lo=lo, hi=hi, bins=_floor_normalize(_kde(centers, s, h), width))
-                    for s, h in zip(classes, bandwidths))
+        return ScoreLikelihood(part, lo, hi, *(_floor_normalize(_kde(centers, s, h), width)
+                                               for s, h in zip(classes, bandwidths)))
     except InvalidRangeError as exc:
         raise InvalidRangeError(f"part {part}: {exc}") from exc
-    return ScoreLikelihood(part_id=part, pos=pos, neg=neg)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +399,8 @@ def save_sample_sets(sets, path) -> None:
 def save_likelihoods(likelihoods, path) -> None:
     """Write likelihoods as a JSON array of per-part objects."""
     payload = [
-        {
-            "part_id": lik.part_id,
-            "lo": lik.pos.lo,
-            "hi": lik.pos.hi,
-            "pos": lik.pos.bins.tolist(),
-            "neg": lik.neg.bins.tolist(),
-        }
+        {"part_id": lik.part_id, "lo": lik.lo, "hi": lik.hi,
+         **{name: getattr(lik, name).tolist() for name in ("pos", "neg")}}
         for lik in sorted(likelihoods, key=lambda l: l.part_id)
     ]
     Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -414,12 +413,9 @@ def load_likelihoods(path) -> list[ScoreLikelihood]:
     out = []
     for entry in payload:
         try:
-            lo, hi = _json_real(entry["lo"]), _json_real(entry["hi"])
             out.append(ScoreLikelihood(
-                part_id=_json_int(entry["part_id"]),
-                pos=DiscretePdf(lo=lo, hi=hi, bins=list(map(_json_real, entry["pos"]))),
-                neg=DiscretePdf(lo=lo, hi=hi, bins=list(map(_json_real, entry["neg"]))),
-            ))
+                _json_int(entry["part_id"]), _json_real(entry["lo"]), _json_real(entry["hi"]),
+                *(list(map(_json_real, entry[name])) for name in ("pos", "neg"))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise FormatError(f"{path}: malformed part entry: {exc}") from exc
     out.sort(key=lambda l: l.part_id)

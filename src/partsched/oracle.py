@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InvalidParameterError
-from .likelihoods import DiscretePdf, ScoreLikelihood
+from .likelihoods import ScoreLikelihood
 from .policy import (
     _PART_BASE,
     LABEL_NEG,
@@ -80,17 +80,17 @@ def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray
     posterior `p * h+ / mix`, all from the raw histograms so the oracle does
     not depend on the training module's internals.
     """
-    n_bins = likelihoods[0].pos.n_bins
-    if any(lik.pos.n_bins != n_bins for lik in likelihoods):
+    n_bins = likelihoods[0].n_bins
+    if any(lik.n_bins != n_bins for lik in likelihoods):
         raise InvalidParameterError("all likelihoods must share one bin count")
     weights = np.empty((len(likelihoods), grid.d, n_bins))
     successors = np.empty((len(likelihoods), grid.d, n_bins), dtype=np.min_scalar_type(grid.d - 1))
     p = grid.centers[:, None]
     for k, lik in enumerate(likelihoods):
-        num = p * lik.pos.bins[None, :]
-        mix = num + (1.0 - p) * lik.neg.bins[None, :]
+        num = p * lik.pos[None, :]
+        mix = num + (1.0 - p) * lik.neg[None, :]
         successors[k] = _snap(grid.centers, num / mix)
-        weights[k] = mix * lik.pos.bin_width
+        weights[k] = mix * lik.bin_width
     return weights, successors
 
 
@@ -296,8 +296,9 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
             raise InvalidParameterError(
                 f"script exhausted after {len(trace) - 1} evaluations without a stop decision"
             ) from None
-        hp = likelihoods[k].pos.evaluate(m)
-        hn = likelihoods[k].neg.evaluate(m)
+        lik = likelihoods[k]
+        j = lik.bin_index(m)
+        hp, hn = float(lik.pos[j]), float(lik.neg[j])
         i = int(_snap(policy.grid.centers, hp * p / (hp * p + hn * (1.0 - p))))
         mask |= 1 << k
 
@@ -310,15 +311,14 @@ def random_tiny_instance(seed: int) -> TinyInstance:
     costs = CostParams(float(10.0 ** rng.uniform(0.0, 1.5)),
                        float(10.0 ** rng.uniform(0.0, 1.5)))
 
-    def random_pdf() -> DiscretePdf:
+    def random_weights() -> np.ndarray:
         n_active = int(rng.integers(1, MAX_TINY_ACTIVE_BINS + 1))
         active = rng.choice(TINY_SCORE_BINS, size=n_active, replace=False)
         weights = np.zeros(TINY_SCORE_BINS)
         weights[active] = rng.dirichlet(np.ones(n_active))
-        return DiscretePdf.from_weights(0.0, 1.0, weights)
+        return weights
 
-    likelihoods = tuple(
-        ScoreLikelihood(part_id=k, pos=random_pdf(), neg=random_pdf())
-        for k in range(n_parts)
-    )
+    # pos weights are drawn before neg weights: the draw order fixes each seed's instance
+    likelihoods = tuple(ScoreLikelihood.from_weights(k, 0.0, 1.0, random_weights(),
+                                                     random_weights()) for k in range(n_parts))
     return TinyInstance(likelihoods=likelihoods, costs=costs, grid=BeliefGrid(d))

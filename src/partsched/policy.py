@@ -110,7 +110,7 @@ class BeliefGrid:
         """Nearest bin, elementwise over arrays; exact midpoints resolve to the lower bin.
 
         Beliefs outside [0, 1] clamp to the edge bins.  A NaN belief has no
-        bin and raises ValueError.
+        bin and raises InvalidParameterError.
         """
         return _clamped_index(np.ceil(np.asarray(p, dtype=float) * (self.d - 1) - 0.5),
                               self.d - 1, "a NaN belief has no bin")
@@ -142,8 +142,9 @@ class Policy:
         # no numpy dimension reaches 2**63, so the shift stays small
         if not (0 < self.n_parts < 63 and codes.shape == (1 << self.n_parts, d)
                 and values.shape == (d,)):
-            raise ValueError(f"a {self.n_parts}-part policy on {d} belief bins needs a "
-                             f"(2**{self.n_parts}, {d}) action table and a ({d},) value row")
+            raise InvalidParameterError(
+                f"a {self.n_parts}-part policy on {d} belief bins needs a "
+                f"(2**{self.n_parts}, {d}) action table and a ({d},) value row")
         # the cast wraps, truncates or (for NaN) warns; any code it changes is rejected
         with np.errstate(invalid="ignore"):
             actions = np.array(codes, dtype=np.uint8, order="C")
@@ -216,14 +217,14 @@ def _check_training_bytes(n_parts: int, d: int) -> None:
 def _score_bin_transitions(lik: ScoreLikelihood, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
     """Per (belief bin, score bin): outcome weight and successor belief bin.
 
-    At a bin's belief p the mixture density is mix = p*h+ + (1-p)*h- (pos and
-    neg share one support); the weight is its mass, mix * bin_width, summing to
+    At a bin's belief p the mixture density is mix = p*h+ + (1-p)*h- on the
+    part's one support; the weight is its mass, mix * bin_width, summing to
     1 over score bins, and the successor is the bin nearest p*h+ / mix.
     """
     p = grid.centers[:, None]
-    num = lik.pos.bins * p
-    mix = num + lik.neg.bins * (1.0 - p)
-    return mix * lik.pos.bin_width, grid.nearest_index(num / mix)
+    num = lik.pos * p
+    mix = num + lik.neg * (1.0 - p)
+    return mix * lik.bin_width, grid.nearest_index(num / mix)
 
 
 def _transition_matrix(lik: ScoreLikelihood, grid: BeliefGrid) -> np.ndarray:
@@ -291,13 +292,6 @@ def train_policy(likelihoods, costs: CostParams, grid: BeliefGrid | None = None)
 
     return Policy(n_parts=n_parts, grid=grid, costs=costs, actions=actions, values=nxt[0],
                   likelihoods_sha256=_likelihoods_sha256(likelihoods))
-
-
-def query_policy(policy: Policy, mask: int, p: float) -> int:
-    """O(1) action lookup at (mask, nearest belief bin)."""
-    if not (0 <= mask < policy.n_states):
-        raise InvalidParameterError(f"mask {mask} outside 0..{policy.n_states - 1}")
-    return int(policy.actions[mask, policy.grid.nearest_index(p)])
 
 
 # ---------------------------------------------------------------------------

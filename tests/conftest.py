@@ -8,7 +8,6 @@ from partsched import (
     BeliefGrid,
     CostParams,
     DetectorModel,
-    DiscretePdf,
     MatrixResponseProvider,
     Policy,
     ScoreLikelihood,
@@ -25,11 +24,6 @@ from partsched.policy import LABEL_NEG, LABEL_POS
 UNTRAINED_SHA256 = "0" * 64
 
 
-def pdf_from_masses(masses, lo=0.0, hi=1.0):
-    """DiscretePdf with the given per-bin probability masses (floored, normalized)."""
-    return DiscretePdf.from_weights(lo, hi, np.asarray(masses, dtype=float))
-
-
 def spiked_likelihood(part_id, n_bins, pos_value, neg_value, spike_bin):
     """Likelihood whose pos/neg densities take chosen values in one bin.
 
@@ -42,14 +36,13 @@ def spiked_likelihood(part_id, n_bins, pos_value, neg_value, spike_bin):
         rest = (1.0 - value * width) / ((n_bins - 1) * width)
         bins = np.full(n_bins, rest)
         bins[spike_bin] = value
-        return DiscretePdf(lo=0.0, hi=1.0, bins=bins)
+        return bins
 
-    return ScoreLikelihood(part_id=part_id, pos=bins_with(pos_value), neg=bins_with(neg_value))
+    return ScoreLikelihood(part_id, 0.0, 1.0, bins_with(pos_value), bins_with(neg_value))
 
 
 def uninformative_likelihood(part_id, n_bins=8):
-    pdf = pdf_from_masses(np.ones(n_bins))
-    return ScoreLikelihood(part_id=part_id, pos=pdf, neg=pdf)
+    return ScoreLikelihood.from_weights(part_id, 0.0, 1.0, np.ones(n_bins), np.ones(n_bins))
 
 
 def separable_likelihood(part_id, n_bins=8, lo=0.0, hi=1.0):
@@ -58,9 +51,7 @@ def separable_likelihood(part_id, n_bins=8, lo=0.0, hi=1.0):
     pos[-1] = 1.0
     neg = np.zeros(n_bins)
     neg[0] = 1.0
-    return ScoreLikelihood(part_id=part_id,
-                           pos=pdf_from_masses(pos, lo, hi),
-                           neg=pdf_from_masses(neg, lo, hi))
+    return ScoreLikelihood.from_weights(part_id, lo, hi, pos, neg)
 
 
 def overlapping_likelihood(part_id, n_bins=8, tilt=0.7, seed=None):
@@ -68,9 +59,7 @@ def overlapping_likelihood(part_id, n_bins=8, tilt=0.7, seed=None):
     idx = np.arange(n_bins)
     pos = tilt ** (n_bins - 1 - idx)
     neg = tilt ** idx
-    return ScoreLikelihood(part_id=part_id,
-                           pos=pdf_from_masses(pos),
-                           neg=pdf_from_masses(neg))
+    return ScoreLikelihood.from_weights(part_id, 0.0, 1.0, pos, neg)
 
 
 def mixed_likelihood(part_id, n_bins=8):
@@ -79,9 +68,7 @@ def mixed_likelihood(part_id, n_bins=8):
     pos[2:6] = [0.1, 0.2, 0.3, 0.4]
     neg = np.zeros(n_bins)
     neg[0:4] = [0.4, 0.3, 0.2, 0.1]
-    return ScoreLikelihood(part_id=part_id,
-                           pos=pdf_from_masses(pos),
-                           neg=pdf_from_masses(neg))
+    return ScoreLikelihood.from_weights(part_id, 0.0, 1.0, pos, neg)
 
 
 def two_part_instance(costs=None, d=11):

@@ -21,7 +21,6 @@ from partsched import (
     full_score,
     make_synthetic,
     precision_recall,
-    query_policy,
     random_tiny_instance,
     run_grid,
     simulate_policy,
@@ -225,7 +224,7 @@ def test_c8_uninformative_degeneracy():
         model, _, _ = make_synthetic(spec)
         costs = CostParams(3.0, 3.0)
         policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
-        initial = query_policy(policy, 0, 0.5)
+        initial = policy.actions[0, policy.grid.nearest_index(0.5)]
         assert initial in (LABEL_NEG, LABEL_POS)
         est = simulate_policy(policy, model.likelihoods, 100000, seed=2)
         expected = min(costs.lambda_fn, costs.lambda_fp) * 0.5

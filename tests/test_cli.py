@@ -21,8 +21,13 @@ from partsched import (
     BeliefGrid,
     CapacityError,
     CostParams,
+    DetectionResults,
     FormatError,
+    InvalidParameterError,
+    MatrixResponseProvider,
     PartschedError,
+    Policy,
+    ScoreLikelihood,
     ScoreSampleSet,
     SyntheticSpec,
     cli,
@@ -35,7 +40,6 @@ from partsched import (
     make_synthetic,
     oracle,
     precision_recall,
-    query_policy,
     read_sample_sets,
     run_grid,
     save_likelihoods,
@@ -336,10 +340,11 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train-policy", "infer", "simulate"])
-    @pytest.mark.parametrize("defect", ["ids-0-2", "ids-0-0", "bins-16-31"])
+    @pytest.mark.parametrize("defect", ["ids-0-2", "ids-0-0", "bins-16-31", "pos-16-neg-15"])
     def test_malformed_part_set_exits_3(self, tmp_path, rng, command, defect, capsys):
-        # a valid two-part policy and responses, then a likelihood file whose
-        # part ids are not 0..n-1 or whose parts differ in bin count
+        # a valid two-part policy and responses, then a likelihood file whose part ids are
+        # not 0..n-1, whose parts differ in bin count, or one of whose parts has pos and
+        # neg bins of different counts (a valid 15-bin uniform density for neg)
         sets = [ScoreSampleSet(k, rng.standard_normal(50) + 1.0, rng.standard_normal(50) - 1.0)
                 for k in range(2)]
         good = tmp_path / "good.json"
@@ -355,7 +360,10 @@ class TestExitCodes:
                               fit_part_likelihood(sets[1], n_bins=31)], bad)
         else:
             payload = json.loads(good.read_text())
-            payload[1]["part_id"] = {"ids-0-2": 2, "ids-0-0": 0}[defect]
+            if defect == "pos-16-neg-15":
+                payload[1]["neg"] = [1.0 / (payload[1]["hi"] - payload[1]["lo"])] * 15
+            else:
+                payload[1]["part_id"] = {"ids-0-2": 2, "ids-0-0": 0}[defect]
             bad.write_text(json.dumps(payload))
         argv = {
             "train-policy": ["--lambda-fp", "4", "--lambda-fn", "4", "--out", str(tmp_path / "p.bin")],
@@ -365,29 +373,41 @@ class TestExitCodes:
         }[command]
         capsys.readouterr()
         assert main([command, "--likelihoods", str(bad), *argv]) == 3
-        assert "part" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "part" in err
+        if defect == "pos-16-neg-15":
+            assert "pos/neg must share one bin count, got 16 and 15 (part 1)" in err
 
     # samples that fit cannot turn into a usable likelihood file: part ids 0
-    # and 2, a support too wide for the density floor, and a spread that
-    # overflows the float range
+    # and 2, a support too wide for the density floor, a class spread that
+    # overflows the float range, and, with an explicit bandwidth, classes near
+    # +1e200 and -1e200 whose pooled spread overflows it
     @pytest.mark.parametrize("defect, messages", [
         ("ids-0-2", ["part ids must be 0..1, got [0, 2]"]),
         ("span-1e6", ["part 0: support too wide", "1/PDF_FLOOR = 1e+06"]),
         ("extreme-1e308", ["overflows float range"]),
-    ], ids=["ids-0-2", "span-1e6", "extreme-1e308"])
+        ("pooled-1e200", ["part 0: pooled sample spread overflows float range"]),
+    ], ids=["ids-0-2", "span-1e6", "extreme-1e308", "pooled-1e200"])
     def test_unfittable_samples_exit_3(self, tmp_path, rng, defect, messages, capsys):
         pos, neg = rng.standard_normal(20) + 1.0, rng.standard_normal(20) - 1.0
         sets = {
             "ids-0-2": [ScoreSampleSet(0, pos, neg), ScoreSampleSet(2, pos, neg)],
             "span-1e6": [ScoreSampleSet(0, np.append(pos, 1e6), neg)],
             "extreme-1e308": [ScoreSampleSet(0, np.append(pos, [1e308, -1e308]), neg)],
+            "pooled-1e200": [ScoreSampleSet(0, pos * 1e190 + 1e200, neg * 1e190 - 1e200)],
         }[defect]
         samples = tmp_path / "samples.csv"
         save_sample_sets(sets, samples)
+        bandwidth = ["--bandwidth", "1"] if defect == "pooled-1e200" else []
         capsys.readouterr()
-        assert main(["fit", "--samples", str(samples), "--out", str(tmp_path / "l.json")]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--samples", str(samples), "--out", str(tmp_path / "l.json"),
+                         *bandwidth])
+        assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(message in err for message in messages)
+        assert caught == [] and "Warning" not in err
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_sample_score_exits_3(self, tmp_path, score, capsys):
@@ -968,10 +988,6 @@ def run_grid_on_three_part_responses():
     run_grid(model, policy, make_synthetic(spec)[1])
 
 
-def query_past_the_last_mask():
-    query_policy(two_part_model_and_policy(4.0)[1], 4, 0.5)
-
-
 def step_trace_on_an_empty_script():
     # errors cost far more than a part, so the start state evaluates one
     model, policy = two_part_model_and_policy(100.0)
@@ -990,7 +1006,6 @@ FOLDED_CLASS_SITES = [
     pytest.param(4, step_trace_on_an_empty_script,
                  "script exhausted after 0 evaluations without a stop decision",
                  id="InsufficientScriptError"),
-    pytest.param(4, query_past_the_last_mask, "mask 4 outside 0..3", id="InvalidStateError"),
     pytest.param(4, precision_recall_without_positives,
                  "precision/recall needs at least one positive location", id="UndefinedMetricError"),
 ]
@@ -1005,6 +1020,53 @@ def test_main_exits_with_the_error_class_code(code, fail, message, monkeypatch, 
     monkeypatch.setattr(cli, "cmd_inspect", lambda args: fail())
     assert main(["inspect", "--policy", "policy.bin"]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# An argument outside a constructor's or function's domain is an InvalidParameterError
+# (exit 4), which is a ValueError, so callers that catch ValueError still catch it.
+RESULT_COLUMNS = dict(location_id=[0], positive=[True], score=[1.0], tau=[0], n_evaluated=[1],
+                      order=[[0]], final_belief=[0.5], partial_score=[0.0])
+OUT_OF_DOMAIN_ARGUMENTS = [
+    pytest.param(lambda: fit_part_likelihood(ScoreSampleSet(0, [0.0, 1.0], [0.0, 1.0]), -1.0),
+                 "bandwidth must be positive and finite, got -1.0", id="bandwidth"),
+    pytest.param(lambda: fit_part_likelihood(ScoreSampleSet(0, [0.0, 1.0], [0.0, 1.0]),
+                                             n_bins=1), "need at least 2 bins, got 1",
+                 id="n_bins"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1.0, [1, 1], [1, 1]).bin_index(
+        math.nan), "a NaN score has no bin", id="nan-score"),
+    pytest.param(lambda: BeliefGrid(11).nearest_index([0.5, math.nan]), "a NaN belief has no bin",
+                 id="nan-belief"),
+    pytest.param(lambda: ScoreSampleSet(0, [[0.0]], [0.0]), "positives must be 1-D",
+                 id="samples-2-d"),
+    pytest.param(lambda: ScoreSampleSet(0, [0.0], [math.inf]), r"negatives contain non-finite "
+                 r"scores \(part 0\)", id="samples-non-finite"),
+    pytest.param(lambda: ScoreLikelihood(0, 0.0, 1.0, [1.0], [1.0]),
+                 r"bins must be 1-D with >= 2 entries, got shape \(1,\)", id="bins-shape"),
+    pytest.param(lambda: ScoreLikelihood(0, 0.0, 1.0, [1.0, 1.0], [2.0, 0.0]),
+                 "bins must be finite and strictly positive", id="bins-zero"),
+    pytest.param(lambda: ScoreLikelihood(0, 0.0, 1.0, [1.0, 2.0], [1.0, 1.0]),
+                 r"bins do not integrate to 1 over \[lo, hi\]", id="bins-mass"),
+    pytest.param(lambda: ScoreLikelihood(0, 0.0, 1.0, [1.0, 1.0], [1.0, 1.0, 1.0]),
+                 r"pos/neg must share one bin count, got 2 and 3 \(part 0\)", id="bin-counts"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1.0, [1.0, 1.0], [1.0]),
+                 r"pos/neg must share one bin count, got 2 and 1 \(part 0\)",
+                 id="weight-counts"),
+    pytest.param(lambda: MatrixResponseProvider(np.zeros(3)),
+                 r"scores must be 2-D, got shape \(3,\)", id="responses-1-d"),
+    pytest.param(lambda: DetectionResults(**dict(RESULT_COLUMNS, tau=[0, 1])),
+                 "fields must be 1-D arrays of one length", id="results-lengths"),
+    pytest.param(lambda: DetectionResults(**dict(RESULT_COLUMNS, n_evaluated=[2])),
+                 r"n_evaluated must be in 0\.\.1", id="results-n-evaluated"),
+    pytest.param(lambda: Policy(1, BeliefGrid(5), CostParams(1.0, 1.0),
+                                np.zeros((2, 4), dtype=np.uint8), np.zeros(5), "0" * 64),
+                 r"needs a \(2\*\*1, 5\) action table", id="policy-shape"),
+]
+
+
+@pytest.mark.parametrize("call, message", OUT_OF_DOMAIN_ARGUMENTS)
+def test_out_of_domain_arguments_raise_invalid_parameter_error(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("message, line", [

@@ -505,7 +505,7 @@ def test_engine_walks_the_training_chain(case):
     for r, row in zip(results, scores):
         i = grid.nearest_index(0.5)
         for k in r.parts_evaluated[:r.tau]:
-            i = successors[k][i, model.likelihoods[k].pos.bin_index(row[k])]
+            i = successors[k][i, model.likelihoods[k].bin_index(row[k])]
         assert r.final_belief == grid.centers[i], (case, r.location_id)
 
 
@@ -517,8 +517,8 @@ def test_infinite_responses_walk_like_responses_past_the_support(case):
     scores = provider.scores[:600]
     side = np.random.default_rng(7).integers(-1, 2, size=scores.shape)  # -1 low, +1 high, 0 kept
     side[:100], side[100:200] = 1, -1  # whole rows past one edge
-    lo = np.array([lik.pos.lo for lik in model.likelihoods])
-    hi = np.array([lik.pos.hi for lik in model.likelihoods])
+    lo = np.array([lik.lo for lik in model.likelihoods])
+    hi = np.array([lik.hi for lik in model.likelihoods])
     infinite = np.where(side == 1, math.inf, np.where(side == -1, -math.inf, scores))
     finite = np.where(side == 1, hi + 1.0, np.where(side == -1, lo - 1.0, scores))
     a, _ = run_grid(model, policy, MatrixResponseProvider(infinite))
@@ -540,7 +540,7 @@ class TestSuccessorTables:
     def test_tables_are_training_and_oracle_successors(self, d):
         model, grid = self.fresh_model(), BeliefGrid(d)
         table = model._successors(grid)
-        assert table.shape == (9, d, model.likelihoods[0].pos.n_bins)
+        assert table.shape == (9, d, model.likelihoods[0].n_bins)
         assert table.dtype == np.uint8
         for k, lik in enumerate(model.likelihoods):
             np.testing.assert_array_equal(table[k], _score_bin_transitions(lik, grid)[1])

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsched import (
-    DiscretePdf,
     InsufficientDataError,
     InvalidRangeError,
+    ScoreLikelihood,
     ScoreSampleSet,
     fit_part_likelihood,
     load_likelihoods,
@@ -51,6 +51,16 @@ def rule_of_thumb(samples):
     return 1.06 * float(np.std(samples, ddof=1)) * samples.size ** (-0.2)
 
 
+def densities_at(lik, m):
+    """(h+, h-) at score m: both classes' bins at `lik.bin_index(m)`."""
+    j = lik.bin_index(m)
+    return lik.pos[j], lik.neg[j]
+
+
+def centers(lik):
+    return lik.lo + (np.arange(lik.n_bins) + 0.5) * lik.bin_width
+
+
 def unit_gaussian_fit():
     """A likelihood whose positive density is the unit Gaussian: one kernel of bandwidth 1
     at 0, twice, on the symmetric support [-3.45, 3.45] with a bin centered at 0."""
@@ -77,7 +87,7 @@ class TestFitKde:
                                                         "zero spread; supply an explicit"):
             fit_part_likelihood(samples)
         lik = fit_part_likelihood(samples, bandwidth=0.3)
-        assert lik.pos.evaluate(1.0) == lik.pos.bins.max() > PDF_FLOOR
+        assert densities_at(lik, 1.0)[0] == lik.pos.max() > PDF_FLOOR
 
     def test_symmetric_samples_give_symmetric_density(self):
         x = np.linspace(0.0, 3.0, 13)
@@ -89,15 +99,13 @@ class TestFitKde:
         pos, neg = np.array([0.0, 1.0, 2.0, 5.0]), np.array([-3.0, -1.0, 0.0, 4.0, 7.0])
         samples = ScoreSampleSet(0, pos, neg)
         lik = fit_part_likelihood(samples)
-        assert np.array_equal(lik.pos.bins,
-                              fit_part_likelihood(samples, rule_of_thumb(pos)).pos.bins)
-        assert np.array_equal(lik.neg.bins,
-                              fit_part_likelihood(samples, rule_of_thumb(neg)).neg.bins)
+        assert np.array_equal(lik.pos, fit_part_likelihood(samples, rule_of_thumb(pos)).pos)
+        assert np.array_equal(lik.neg, fit_part_likelihood(samples, rule_of_thumb(neg)).neg)
 
     def test_standard_normal_draw_matches_peak(self, rng):
         samples = rng.standard_normal(1000)
         lik = fit_part_likelihood(ScoreSampleSet(0, samples, samples))
-        assert lik.pos.evaluate(0.0) == pytest.approx(GAUSS_PEAK, abs=0.05)
+        assert densities_at(lik, 0.0)[0] == pytest.approx(GAUSS_PEAK, abs=0.05)
 
     def test_equals_the_expression_it_evaluates_in_place(self, rng):
         samples = rng.standard_normal(300) * 3.0
@@ -152,8 +160,8 @@ class TestKdeBlocks:
         monkeypatch.setattr(likelihoods, "_BLOCK_ELEMENTS", block)
         assert np.array_equal(_kde(x, samples.positives, 0.3), expected)
         refit = fit_part_likelihood(samples, bandwidth=0.3)
-        assert np.array_equal(refit.pos.bins, fitted.pos.bins)
-        assert np.array_equal(refit.neg.bins, fitted.neg.bins)
+        assert np.array_equal(refit.pos, fitted.pos)
+        assert np.array_equal(refit.neg, fitted.neg)
 
     def test_memory_bounded_by_block(self, rng):
         samples = rng.standard_normal(2000)
@@ -174,70 +182,82 @@ class TestDiscretize:
     def test_uniform_density_gives_unit_bins(self):
         # a bandwidth that dwarfs the support leaves the density flat across it
         lik = fit_part_likelihood(ScoreSampleSet(0, [0.0, 1.0], [0.0, 1.0]), bandwidth=1e9)
-        assert lik.pos.n_bins == 201
-        np.testing.assert_allclose(lik.pos.bins * (lik.pos.hi - lik.pos.lo), 1.0, atol=1e-6)
+        assert lik.n_bins == 201
+        np.testing.assert_allclose(lik.pos * (lik.hi - lik.lo), 1.0, atol=1e-6)
 
     def test_degenerate_range_rejected(self):
-        with pytest.raises(InvalidRangeError):
-            DiscretePdf(0.0, 0.0, [1.0, 1.0])
-        with pytest.raises(InvalidRangeError):
-            DiscretePdf(1.0, 0.0, [1.0, 1.0])
+        # from_weights checks the range before it divides by the bin width
+        for lo, hi in ((0.0, 0.0), (1.0, 0.0), (0.0, math.inf)):
+            with pytest.raises(InvalidRangeError, match="need finite hi > lo"):
+                ScoreLikelihood(0, lo, hi, [1.0, 1.0], [1.0, 1.0])
+            with pytest.raises(InvalidRangeError, match="need finite hi > lo"):
+                ScoreLikelihood.from_weights(0, lo, hi, [1.0, 1.0], [1.0, 1.0])
 
     def test_gaussian_central_bin_mass(self):
-        pdf = unit_gaussian_fit().pos
-        center = pdf.n_bins // 2
-        assert pdf.centers[center] == pytest.approx(0.0, abs=1e-12)
-        expected = gauss_bin_mass(-pdf.bin_width / 2, pdf.bin_width / 2)
-        assert pdf.bins[center] * pdf.bin_width == pytest.approx(expected, rel=0.01)
+        lik = unit_gaussian_fit()
+        center = lik.n_bins // 2
+        assert centers(lik)[center] == pytest.approx(0.0, abs=1e-12)
+        expected = gauss_bin_mass(-lik.bin_width / 2, lik.bin_width / 2)
+        assert lik.pos[center] * lik.bin_width == pytest.approx(expected, rel=0.01)
 
     def test_floor_applies_to_zero_density_regions(self):
         # kernels of width 0.05 at 0 vanish across most of the support [-138, 138]
         lik = fit_part_likelihood(ScoreSampleSet(0, [0.0, 0.0], [-40.0, 40.0]), bandwidth=0.05)
-        for pdf in (lik.pos, lik.neg):
-            assert pdf.bins.min() == PDF_FLOOR
-            assert pdf.bins.sum() * pdf.bin_width == pytest.approx(1.0, abs=1e-9)
+        for bins in (lik.pos, lik.neg):
+            assert bins.min() == PDF_FLOOR
+            assert bins.sum() * lik.bin_width == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEvalPdf:
     def test_uniform_midpoint(self):
-        pdf = DiscretePdf.from_weights(0.0, 1.0, np.ones(201))
-        assert pdf.evaluate(0.5) == pytest.approx(1.0, abs=1e-6)
+        lik = ScoreLikelihood.from_weights(0, 0.0, 1.0, np.ones(201), np.ones(201))
+        assert densities_at(lik, 0.5) == pytest.approx((1.0, 1.0), abs=1e-6)
 
     def test_out_of_support_clamps_to_edges(self):
-        pdf = DiscretePdf.from_weights(0.0, 1.0, np.arange(1, 6, dtype=float))
-        assert pdf.evaluate(pdf.hi + 100.0) == pdf.bins[-1]
-        assert pdf.evaluate(pdf.lo - 100.0) == pdf.bins[0]
-        assert pdf.evaluate(math.inf) == pdf.bins[-1]
-        assert pdf.evaluate(-math.inf) == pdf.bins[0]
+        weights = np.arange(1, 6, dtype=float)
+        lik = ScoreLikelihood.from_weights(0, 0.0, 1.0, weights, weights[::-1])
+        edges = (lik.pos[-1], lik.neg[-1]), (lik.pos[0], lik.neg[0])
+        assert densities_at(lik, lik.hi + 100.0) == densities_at(lik, math.inf) == edges[0]
+        assert densities_at(lik, lik.lo - 100.0) == densities_at(lik, -math.inf) == edges[1]
 
     def test_gaussian_peak_lookup(self):
-        assert unit_gaussian_fit().pos.evaluate(0.0) == pytest.approx(GAUSS_PEAK, rel=0.02)
+        assert densities_at(unit_gaussian_fit(), 0.0)[0] == pytest.approx(GAUSS_PEAK, rel=0.02)
+
+
+class TestScoreLikelihood:
+    def test_bins_are_read_only_float64_copies(self):
+        pos, neg = np.array([1.0, 1.0]), [0.5, 1.5]
+        lik = ScoreLikelihood(0, 0.0, 1.0, pos, neg)
+        for bins in (lik.pos, lik.neg):
+            assert bins.dtype == np.float64 and not bins.flags.writeable
+        assert not np.shares_memory(lik.pos, pos)
+        assert (lik.n_bins, lik.bin_width) == (2, 0.5)
 
 
 class TestBinIndex:
-    pdf = DiscretePdf.from_weights(0.0, 2.0, np.ones(4))  # bins of width 0.5 on [0, 2]
+    lik = ScoreLikelihood.from_weights(0, 0.0, 2.0, np.ones(4), np.ones(4))  # bins of 0.5 on [0, 2]
 
     def test_scalar_gives_an_int_and_an_array_an_intp_array(self):
         for m in (1.1, np.float64(1.1), np.array(1.1)):
-            assert type(self.pdf.bin_index(m)) is int and self.pdf.bin_index(m) == 2
-        idx = self.pdf.bin_index([0.1, 0.6, 1.1, 1.6])
+            assert type(self.lik.bin_index(m)) is int and self.lik.bin_index(m) == 2
+        idx = self.lik.bin_index([0.1, 0.6, 1.1, 1.6])
         assert idx.dtype == np.intp
         np.testing.assert_array_equal(idx, [0, 1, 2, 3])
-        np.testing.assert_array_equal(self.pdf.bin_index([[1.1], [1.6]]), [[2], [3]])
+        np.testing.assert_array_equal(self.lik.bin_index([[1.1], [1.6]]), [[2], [3]])
 
     def test_infinities_clamp_to_the_edges_and_negative_zero_is_bin_0(self):
         scores = np.array([math.inf, -math.inf, -0.0, 0.0, 99.0, -99.0])
-        np.testing.assert_array_equal(self.pdf.bin_index(scores), [3, 0, 0, 0, 3, 0])
-        assert [self.pdf.bin_index(m) for m in scores.tolist()] == [3, 0, 0, 0, 3, 0]
+        np.testing.assert_array_equal(self.lik.bin_index(scores), [3, 0, 0, 0, 3, 0])
+        assert [self.lik.bin_index(m) for m in scores.tolist()] == [3, 0, 0, 0, 3, 0]
         # the clamp works in place on its own copy, never on the caller's array
         np.testing.assert_array_equal(scores, [math.inf, -math.inf, -0.0, 0.0, 99.0, -99.0])
 
     def test_nan_raises_and_an_empty_array_has_no_bins(self):
         for m in (math.nan, [1.1, math.nan], np.array([[math.nan]])):
             with pytest.raises(ValueError, match="NaN score has no bin"):
-                self.pdf.bin_index(m)
+                self.lik.bin_index(m)
         for shape in ((0,), (0, 3)):
-            empty = self.pdf.bin_index(np.empty(shape))
+            empty = self.lik.bin_index(np.empty(shape))
             assert empty.shape == shape and empty.dtype == np.intp
 
 
@@ -245,13 +265,13 @@ class TestFitPartLikelihood:
     def test_identical_classes_give_identical_pdfs(self, rng):
         samples = rng.standard_normal(40)
         lik = fit_part_likelihood(ScoreSampleSet(0, samples, samples.copy()))
-        np.testing.assert_array_equal(lik.pos.bins, lik.neg.bins)
+        np.testing.assert_array_equal(lik.pos, lik.neg)
 
     def test_separated_gaussians_recover_means(self, rng):
         lik = fit_part_likelihood(ScoreSampleSet(
             0, rng.standard_normal(1000) + 2.0, rng.standard_normal(1000) - 2.0))
-        pos_mean = float((lik.pos.centers * lik.pos.bins * lik.pos.bin_width).sum())
-        neg_mean = float((lik.neg.centers * lik.neg.bins * lik.neg.bin_width).sum())
+        pos_mean = float((centers(lik) * lik.pos * lik.bin_width).sum())
+        neg_mean = float((centers(lik) * lik.neg * lik.bin_width).sum())
         assert pos_mean == pytest.approx(2.0, abs=0.2)
         assert neg_mean == pytest.approx(-2.0, abs=0.2)
 
@@ -264,9 +284,13 @@ class TestFitPartLikelihood:
             fit_part_likelihood(ScoreSampleSet(4, [0.0, 1.0], [2.0]))
 
     def test_shared_support(self, rng):
-        lik = fit_part_likelihood(ScoreSampleSet(
-            3, rng.standard_normal(50) + 5.0, rng.standard_normal(50)))
-        assert (lik.pos.lo, lik.pos.hi) == (lik.neg.lo, lik.neg.hi)
+        # one support, padded by 3 pooled standard deviations around both classes
+        pos, neg = rng.standard_normal(50) + 5.0, rng.standard_normal(50)
+        lik = fit_part_likelihood(ScoreSampleSet(3, pos, neg))
+        pooled = np.concatenate([pos, neg])
+        assert lik.lo == pooled.min() - 3.0 * np.std(pooled, ddof=1)
+        assert lik.hi == pooled.max() + 3.0 * np.std(pooled, ddof=1)
+        assert lik.pos.size == lik.neg.size == lik.n_bins
         assert lik.part_id == 3
 
     def test_mirrored_samples_reverse_bins(self, rng):
@@ -274,10 +298,18 @@ class TestFitPartLikelihood:
         neg = rng.standard_normal(60) - 0.5
         lik = fit_part_likelihood(ScoreSampleSet(0, pos, neg))
         mirrored = fit_part_likelihood(ScoreSampleSet(0, -pos, -neg))
-        assert mirrored.pos.lo == -lik.pos.hi
-        assert mirrored.pos.hi == -lik.pos.lo
-        np.testing.assert_allclose(mirrored.pos.bins, lik.pos.bins[::-1], atol=1e-9)
-        np.testing.assert_allclose(mirrored.neg.bins, lik.neg.bins[::-1], atol=1e-9)
+        assert mirrored.lo == -lik.hi
+        assert mirrored.hi == -lik.lo
+        np.testing.assert_allclose(mirrored.pos, lik.pos[::-1], atol=1e-9)
+        np.testing.assert_allclose(mirrored.neg, lik.neg[::-1], atol=1e-9)
+
+    def test_pooled_spread_overflow_is_a_range_error(self):
+        # an explicit bandwidth computes no class spread; the pooled one overflows, and the
+        # fit says so before numpy warns, which the suite's filter turns into an error
+        samples = ScoreSampleSet(5, [1e200, 1e200], [-1e200, -1e200])
+        with pytest.raises(InvalidRangeError,
+                           match="part 5: pooled sample spread overflows float range"):
+            fit_part_likelihood(samples, bandwidth=1.0)
 
     def test_explicit_bandwidth_fits_match_the_recorded_digest(self):
         assert likelihoods._likelihoods_sha256(explicit_fits()) == RECORDED_EXPLICIT_FITS_SHA256
@@ -287,8 +319,8 @@ class TestFitPartLikelihood:
         neg = rng.standard_normal(30) + 1.0
         a = fit_part_likelihood(ScoreSampleSet(0, pos, neg))
         b = fit_part_likelihood(ScoreSampleSet(0, pos, neg))
-        np.testing.assert_array_equal(a.pos.bins, b.pos.bins)
-        np.testing.assert_array_equal(a.neg.bins, b.neg.bins)
+        np.testing.assert_array_equal(a.pos, b.pos)
+        np.testing.assert_array_equal(a.neg, b.neg)
 
 
 @settings(deadline=None, max_examples=40)
@@ -300,18 +332,19 @@ class TestFitPartLikelihood:
 def test_discretized_kde_invariants(samples, bandwidth, pad):
     # the negatives are the positives shifted by `pad`, so the pooled spread is never zero
     lik = fit_part_likelihood(ScoreSampleSet(0, samples, [x + pad for x in samples]), bandwidth)
-    for pdf in (lik.pos, lik.neg):
-        assert abs(pdf.bins.sum() * pdf.bin_width - 1.0) <= 1e-9
-        assert pdf.bins.min() >= PDF_FLOOR
+    for bins in (lik.pos, lik.neg):
+        assert abs(bins.sum() * lik.bin_width - 1.0) <= 1e-9
+        assert bins.min() >= PDF_FLOOR
 
 
 @settings(deadline=None, max_examples=40)
 @given(masses=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=32))
 @example(masses=[0.0, 2.2250738585e-313])  # subnormal total: 1 / total overflows
 def test_from_weights_invariants(masses):
-    pdf = DiscretePdf.from_weights(-1.0, 3.0, masses)
-    assert abs(pdf.bins.sum() * pdf.bin_width - 1.0) <= 1e-9
-    assert pdf.bins.min() >= PDF_FLOOR
+    lik = ScoreLikelihood.from_weights(0, -1.0, 3.0, masses, masses[::-1])
+    for bins in (lik.pos, lik.neg):
+        assert abs(bins.sum() * lik.bin_width - 1.0) <= 1e-9
+        assert bins.min() >= PDF_FLOOR
 
 
 def floor_normalize_80_steps(raw, width):
@@ -437,9 +470,9 @@ class TestPersistence:
         save_likelihoods(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         for orig, back in zip(liks, loaded):
-            np.testing.assert_array_equal(orig.pos.bins, back.pos.bins)
-            np.testing.assert_array_equal(orig.neg.bins, back.neg.bins)
-            assert orig.pos.lo == back.pos.lo and orig.pos.hi == back.pos.hi
+            np.testing.assert_array_equal(orig.pos, back.pos)
+            np.testing.assert_array_equal(orig.neg, back.neg)
+            assert orig.lo == back.lo and orig.hi == back.hi
 
     def test_json_schema_fields(self, tmp_path, rng):
         lik = fit_part_likelihood(ScoreSampleSet(

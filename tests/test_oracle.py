@@ -95,12 +95,10 @@ class TestExhaustiveOptimalValue:
             assert np.max(np.abs(policy.values - row)) <= 1e-6, f"seed {seed}"
 
     def test_two_parts_three_bins_matches_to_nano(self):
-        from partsched import DiscretePdf, ScoreLikelihood
+        from partsched import ScoreLikelihood
 
         def lik(part_id, pos_masses, neg_masses):
-            return ScoreLikelihood(part_id=part_id,
-                                   pos=DiscretePdf.from_weights(0.0, 1.0, pos_masses),
-                                   neg=DiscretePdf.from_weights(0.0, 1.0, neg_masses))
+            return ScoreLikelihood.from_weights(part_id, 0.0, 1.0, pos_masses, neg_masses)
 
         inst = TinyInstance(
             likelihoods=(lik(0, [0.5, 0.3, 0.2], [0.1, 0.3, 0.6]),
@@ -118,7 +116,7 @@ class TestExhaustiveOptimalValue:
         inst = two_part_instance(costs=CostParams(9.0, 7.0))
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
         solver = _ExhaustiveTreeSolver(inst)
-        n_bins = inst.likelihoods[0].pos.n_bins
+        n_bins = inst.likelihoods[0].n_bins
 
         def walk(mask, idx):
             trained = int(policy.actions[mask, idx])
@@ -243,7 +241,7 @@ class TestSimulatePolicy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        weights = 12 * 101 * model.likelihoods[0].pos.n_bins * 8
+        weights = 12 * 101 * model.likelihoods[0].n_bins * 8
         assert peak < 2.5 * weights
         assert est.mean_tau > 1.0  # the trials walk the chain
 
@@ -430,8 +428,8 @@ class TestRandomTinyInstance:
         assert a.costs == b.costs
         assert a.grid == b.grid
         for la, lb in zip(a.likelihoods, b.likelihoods):
-            np.testing.assert_array_equal(la.pos.bins, lb.pos.bins)
-            np.testing.assert_array_equal(la.neg.bins, lb.neg.bins)
+            np.testing.assert_array_equal(la.pos, lb.pos)
+            np.testing.assert_array_equal(la.neg, lb.neg)
 
     def test_seeds_vary(self):
         costs = {random_tiny_instance(s).costs for s in range(6)}

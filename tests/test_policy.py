@@ -23,7 +23,6 @@ from partsched import (
     exhaustive_value_row,
     load_policy,
     make_synthetic,
-    query_policy,
     random_tiny_instance,
     save_policy,
     train_policy,
@@ -150,24 +149,25 @@ class TestBeliefUpdate:
         lik = uninformative_likelihood(0)
         grid = BeliefGrid(11)
         successors = _score_bin_transitions(lik, grid)[1]
-        assert np.array_equal(successors[:, lik.pos.bin_index(0.3)], np.arange(grid.d))
+        assert np.array_equal(successors[:, lik.bin_index(0.3)], np.arange(grid.d))
 
     def test_hand_computed_posterior(self):
         # h+(m)=0.6, h-(m)=0.2 at the spiked bin: 0.6*0.5/(0.6*0.5+0.2*0.5)=0.75
         lik = spiked_likelihood(0, n_bins=8, pos_value=0.6, neg_value=0.2, spike_bin=3)
         grid = BeliefGrid(101)
         weights, successors = _score_bin_transitions(lik, grid)
-        i, j = grid.nearest_index(0.5), lik.pos.bin_index(lik.pos.centers[3])
+        i, j = grid.nearest_index(0.5), lik.bin_index(lik.lo + 3.5 * lik.bin_width)
+        assert j == 3
         assert successors[i, j] == grid.nearest_index(0.75) == 75
-        assert weights[i, j] == pytest.approx((0.6 * 0.5 + 0.2 * 0.5) * lik.pos.bin_width,
+        assert weights[i, j] == pytest.approx((0.6 * 0.5 + 0.2 * 0.5) * lik.bin_width,
                                               abs=1e-12)
 
     def test_absorbing_boundaries(self):
         lik = separable_likelihood(0)
         grid = BeliefGrid(11)
         successors = _score_bin_transitions(lik, grid)[1]
-        assert successors[0, lik.pos.bin_index(0.9)] == 0
-        assert successors[grid.d - 1, lik.pos.bin_index(0.1)] == grid.d - 1
+        assert successors[0, lik.bin_index(0.9)] == 0
+        assert successors[grid.d - 1, lik.bin_index(0.1)] == grid.d - 1
 
     @settings(max_examples=60)
     @given(i=st.integers(0, 20), m=st.floats(-10.0, 10.0))
@@ -175,7 +175,7 @@ class TestBeliefUpdate:
         lik = overlapping_likelihood(0)
         successors = _score_bin_transitions(lik, BeliefGrid(21))[1]
         assert successors.dtype == np.intp
-        assert 0 <= successors[i, lik.pos.bin_index(m)] <= 20
+        assert 0 <= successors[i, lik.bin_index(m)] <= 20
 
 
 def expected_q(lik, grid, next_values):
@@ -211,9 +211,9 @@ class TestExpectedQ:
         q = expected_q(lik, grid, next_values)[grid.nearest_index(0.5)]
         # independent two-bin enumeration with the same nearest-bin dynamics
         expected = 0.0
-        width = lik.pos.bin_width
+        width = lik.bin_width
         for j in range(2):
-            hp, hn = float(lik.pos.bins[j]), float(lik.neg.bins[j])
+            hp, hn = float(lik.pos[j]), float(lik.neg[j])
             weight = (0.5 * hp + 0.5 * hn) * width
             posterior = hp * 0.5 / (hp * 0.5 + hn * 0.5)
             expected += weight * next_values[grid.nearest_index(posterior)]
@@ -225,7 +225,7 @@ class TestTrainPolicy:
     def test_negligible_costs_stop_immediately(self):
         lik = overlapping_likelihood(0)
         policy = train_policy([lik], CostParams(1e-4, 1e-4), BeliefGrid(11))
-        assert query_policy(policy, 0, 0.5) in (LABEL_NEG, LABEL_POS)
+        assert policy.actions[0, policy.grid.nearest_index(0.5)] in (LABEL_NEG, LABEL_POS)
 
     def test_uninformative_part_not_worth_evaluating(self):
         policy = train_policy([uninformative_likelihood(0)], CostParams(10.0, 10.0),
@@ -238,7 +238,7 @@ class TestTrainPolicy:
         # stop costs are 1.0 == 1.0 at p=0.5 and beat continuing
         policy = train_policy([uninformative_likelihood(0)], CostParams(2.0, 2.0),
                               BeliefGrid(11))
-        assert query_policy(policy, 0, 0.5) == LABEL_NEG
+        assert policy.actions[0, policy.grid.nearest_index(0.5)] == LABEL_NEG
 
     def test_capacity_limit(self):
         # 2^64 action rows pass any machine's memory
@@ -365,23 +365,26 @@ class TestPolicyInvariants:
 
 
 class TestQueryPolicy:
+    """The lookup at (mask, belief p): policy.actions[mask, policy.grid.nearest_index(p)]."""
+
     def test_full_mask_boundary(self, trained_three_part):
-        policy, _, _ = trained_three_part
-        assert query_policy(policy, policy.n_states - 1, 0.0) == LABEL_NEG
-        assert query_policy(policy, policy.n_states - 1, 1.0) == LABEL_POS
+        policy, _, grid = trained_three_part
+        assert policy.actions[policy.n_states - 1, grid.nearest_index(0.0)] == LABEL_NEG
+        assert policy.actions[policy.n_states - 1, grid.nearest_index(1.0)] == LABEL_POS
 
     def test_invalid_mask(self, trained_three_part):
+        # masks are 0..7: a table with a row for mask 8, or none for mask 7, is rejected
         policy, _, _ = trained_three_part
-        with pytest.raises(InvalidParameterError, match="mask 8 outside 0..7"):
-            query_policy(policy, policy.n_states, 0.5)
-        with pytest.raises(InvalidParameterError, match="mask -1 outside 0..7"):
-            query_policy(policy, -1, 0.5)
+        for rows in (policy.n_states + 1, policy.n_states - 1):
+            with pytest.raises(InvalidParameterError, match=r"\(2\*\*3, 41\) action table"):
+                dataclasses.replace(policy, actions=np.zeros((rows, 41), dtype=np.uint8))
 
     def test_matches_table(self, trained_three_part):
         policy, _, grid = trained_three_part
         for mask in (0, 1, 5):
             for p in (0.0, 0.24, 0.5, 0.87, 1.0):
-                assert query_policy(policy, mask, p) == policy.actions[mask, grid.nearest_index(p)]
+                nearest = int(np.argmin(np.abs(grid.centers - p)))
+                assert policy.actions[mask, grid.nearest_index(p)] == policy.actions[mask, nearest]
 
 
 @pytest.mark.parametrize("d", [2, 11, 100, 101])
@@ -427,8 +430,8 @@ class TestPersistence:
     def test_likelihoods_digest_covers_every_float(self):
         liks = [overlapping_likelihood(0), separable_likelihood(1, n_bins=8, lo=-1.0, hi=2.0)]
         policy = train_policy(liks, CostParams(4.0, 4.0), BeliefGrid(11))
-        payload = b"".join(struct.pack("<2d", lik.pos.lo, lik.pos.hi)
-                           + struct.pack("<8d", *lik.pos.bins) + struct.pack("<8d", *lik.neg.bins)
+        payload = b"".join(struct.pack("<2d", lik.lo, lik.hi)
+                           + struct.pack("<8d", *lik.pos) + struct.pack("<8d", *lik.neg)
                            for lik in liks)
         assert policy.likelihoods_sha256 == hashlib.sha256(payload).hexdigest()
         swapped = [dataclasses.replace(liks[0], pos=liks[0].neg, neg=liks[0].pos), liks[1]]

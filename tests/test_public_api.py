@@ -6,7 +6,7 @@ import partsched
 # here, in the diff, and belongs in CHANGES.md.
 PUBLIC_NAMES = [
     "BeliefGrid", "CapacityError", "ConfigurationError", "CostParams", "DetectionResult",
-    "DetectionResults", "DetectorModel", "DiscretePdf", "FormatError", "InferenceStats",
+    "DetectionResults", "DetectorModel", "FormatError", "InferenceStats",
     "InsufficientDataError", "InvalidActionError", "InvalidParameterError", "InvalidRangeError",
     "LABEL_NEG", "LABEL_POS", "MatrixResponseProvider", "NEG_LABEL", "PDF_FLOOR", "POS_LABEL",
     "PartschedError", "Policy", "ProviderError", "ResponseProvider", "ScoreLikelihood",
@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "exhaustive_value_row",
     "fit_part_likelihood", "full_score", "lambda_sweep", "load_likelihoods", "load_policy",
     "load_responses", "load_responses_bin", "load_responses_csv", "load_results_csv",
-    "make_synthetic", "part_action", "precision_recall", "query_policy", "random_tiny_instance",
+    "make_synthetic", "part_action", "precision_recall", "random_tiny_instance",
     "read_sample_sets", "run_grid", "save_likelihoods", "save_policy", "save_responses_bin",
     "save_responses_csv", "save_results_csv", "save_sample_sets", "save_sweep_csv",
     "simulate_policy", "step_trace", "train_policy",

@@ -18,7 +18,6 @@ from partsched import (
     lambda_sweep,
     make_synthetic,
     precision_recall,
-    query_policy,
     run_grid,
     save_sweep_csv,
     simulate_policy,
@@ -78,7 +77,7 @@ class TestMakeSynthetic:
         np.testing.assert_array_equal(p1.scores, p2.scores)
         np.testing.assert_array_equal(t1, t2)
         for a, b in zip(m1.likelihoods, m2.likelihoods):
-            np.testing.assert_array_equal(a.pos.bins, b.pos.bins)
+            np.testing.assert_array_equal(a.pos, b.pos)
 
     @pytest.mark.parametrize("case", sorted(RECORDED_DETECTOR_BINS_SHA256))
     def test_detector_bins_pinned(self, case):
@@ -87,8 +86,8 @@ class TestMakeSynthetic:
                              n_locations=1, seed=1404)
         digest = hashlib.sha256()
         for lik in make_synthetic(spec)[0].likelihoods:
-            digest.update(lik.pos.bins.astype("<f8").tobytes())
-            digest.update(lik.neg.bins.astype("<f8").tobytes())
+            digest.update(lik.pos.astype("<f8").tobytes())
+            digest.update(lik.neg.astype("<f8").tobytes())
         assert digest.hexdigest() == RECORDED_DETECTOR_BINS_SHA256[case]
 
     def test_zero_separation_classes_indistinguishable(self):
@@ -96,7 +95,7 @@ class TestMakeSynthetic:
                              n_locations=10, seed=4, train_samples=2000)
         model, _, _ = make_synthetic(spec)
         for lik in model.likelihoods:
-            l1 = np.abs(lik.pos.bins - lik.neg.bins).sum() * lik.pos.bin_width
+            l1 = np.abs(lik.pos - lik.neg).sum() * lik.bin_width
             assert l1 < 0.25  # KDE sampling noise only
 
     def test_single_part_sign_classifier_matches_gaussian_tail(self):
@@ -126,7 +125,7 @@ class TestMakeSynthetic:
                              n_locations=10, seed=2, train_samples=1500)
         model, _, _ = make_synthetic(spec)
         policy = train_policy(model.likelihoods, CostParams(16.0, 16.0), BeliefGrid(101))
-        assert query_policy(policy, 0, 0.5) == part_action(0)
+        assert policy.actions[0, policy.grid.nearest_index(0.5)] == part_action(0)
 
 
 class TestComputeRnpe:
@@ -366,7 +365,7 @@ class TestDegenerateSeparation:
         model, _, _ = make_synthetic(spec)
         costs = CostParams(3.0, 3.0)
         policy = train_policy(model.likelihoods, costs, BeliefGrid(101))
-        assert query_policy(policy, 0, 0.5) in (LABEL_NEG, LABEL_POS)
+        assert policy.actions[0, policy.grid.nearest_index(0.5)] in (LABEL_NEG, LABEL_POS)
         est = simulate_policy(policy, model.likelihoods, 20000, seed=3)
         assert abs(est.mean_cost - 1.5) <= 3.0 * est.std_error + 1e-9
 
