@@ -10,13 +10,9 @@ class PartschedError(Exception):
     exit_code: int
 
 
-class InsufficientDataError(PartschedError):
-    """Too few (or degenerate) samples to fit a density."""
-    exit_code = 3
-
-
 class InvalidRangeError(PartschedError, ValueError):
-    """A histogram support with hi <= lo or otherwise unusable bounds."""
+    """A histogram support with hi <= lo or otherwise unusable bounds, or samples too few or
+    too degenerate (zero spread) to fit a density on one."""
     exit_code = 3
 
 

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CapacityError, ConfigurationError, FormatError, InsufficientDataError,
-                     InvalidParameterError, InvalidRangeError)
+from .errors import (CapacityError, ConfigurationError, FormatError, InvalidParameterError,
+                     InvalidRangeError)
 
 DEFAULT_BINS = 201
 PDF_FLOOR = 1e-6
@@ -36,13 +36,13 @@ def _bandwidth(samples: np.ndarray, bandwidth: float | None, name: str) -> float
     """`bandwidth`, checked positive and finite, or by default Silverman's rule of thumb
     1.06 * sigma * N^(-1/5), which needs a nonzero spread; `name` words the samples."""
     if samples.size < 2:
-        raise InsufficientDataError(f"{name}: need at least 2 samples to fit, got {samples.size}")
+        raise InvalidRangeError(f"{name}: need at least 2 samples to fit, got {samples.size}")
     if bandwidth is None:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             bandwidth = 1.06 * float(np.std(samples, ddof=1)) * samples.size ** (-0.2)
         if bandwidth == 0.0:
-            raise InsufficientDataError(f"{name}: samples have zero spread; "
-                                        "supply an explicit bandwidth")
+            raise InvalidRangeError(f"{name}: samples have zero spread; "
+                                    "supply an explicit bandwidth")
         if not math.isfinite(bandwidth):
             raise InvalidRangeError("sample spread overflows float range; no finite bandwidth")
     bandwidth = float(bandwidth)
@@ -153,6 +153,11 @@ def _check_support(lo, hi) -> None:
         raise InvalidRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
 
 
+def _check_bins_shape(bins) -> None:
+    if bins.ndim != 1 or bins.size < 2:
+        raise InvalidParameterError(f"bins must be 1-D with >= 2 entries, got shape {bins.shape}")
+
+
 def _check_bin_counts(part_id, pos, neg) -> None:
     if pos.size != neg.size:
         raise InvalidParameterError(f"pos/neg must share one bin count, got {pos.size} and "
@@ -179,9 +184,7 @@ class ScoreLikelihood:
         _check_support(self.lo, self.hi)
         for name in ("pos", "neg"):
             bins = np.asarray(getattr(self, name), dtype=float)
-            if bins.ndim != 1 or bins.size < 2:
-                raise InvalidParameterError(f"bins must be 1-D with >= 2 entries, "
-                                            f"got shape {bins.shape}")
+            _check_bins_shape(bins)
             if not np.all(np.isfinite(bins)) or bins.min() <= 0.0:
                 raise InvalidParameterError("bins must be finite and strictly positive")
             if abs(float(bins.sum()) * (self.hi - self.lo) / bins.size - 1.0) > 1e-9:
@@ -197,6 +200,7 @@ class ScoreLikelihood:
         _check_support(lo, hi)
         pos_weights, neg_weights = (np.asarray(w, dtype=float) for w in (pos_weights, neg_weights))
         _check_bin_counts(part_id, pos_weights, neg_weights)
+        _check_bins_shape(pos_weights)  # before the width divides by its size
         width = (hi - lo) / pos_weights.size
         return cls(part_id, float(lo), float(hi),
                    *(_floor_normalize(w / width, width) for w in (pos_weights, neg_weights)))
@@ -259,7 +263,7 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         sigma = float(np.std(pooled, ddof=1))
     if sigma == 0.0:
-        raise InsufficientDataError(f"pooled samples have zero spread (part {part})")
+        raise InvalidRangeError(f"pooled samples have zero spread (part {part})")
     if not math.isfinite(sigma):
         raise InvalidRangeError(f"part {part}: pooled sample spread overflows float range; "
                                 "no finite support")

@@ -10,7 +10,8 @@ backward induction rather than restating it.  The Monte Carlo simulator
 replays a policy on the same table and estimates its cost and error rates,
 and `step_trace` replays one location's walk along the chain, snapping each
 posterior with the same rule, as the inference engine takes it.  Every walk
-starts where the engine's does, at mask 0 in `Policy.start`.
+starts where the engine's does, at mask 0 in `Policy.start`, and every entry
+point checks its parts with the engine's part-set rule (`_check_part_set`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InvalidParameterError
-from .likelihoods import ScoreLikelihood
+from .likelihoods import ScoreLikelihood, _check_part_set
 from .policy import (
     _PART_BASE,
     LABEL_NEG,
@@ -54,6 +55,7 @@ class TinyInstance:
             raise CapacityError(f"tiny instances support 1..{MAX_TINY_PARTS} parts, got {n}")
         if self.grid.d > MAX_TINY_BELIEF_BINS:
             raise CapacityError(f"tiny instances support d <= {MAX_TINY_BELIEF_BINS}, got {self.grid.d}")
+        _check_part_set(self.likelihoods)
 
     @property
     def n_parts(self) -> int:
@@ -78,11 +80,9 @@ def _chain_tables(likelihoods, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray
     The weight is the belief-weighted score mixture's mass, `mix * bin_width`
     with `mix = p * h+ + (1 - p) * h-`, and the successor is the `_snap` of the
     posterior `p * h+ / mix`, all from the raw histograms so the oracle does
-    not depend on the training module's internals.
+    not depend on the training module's internals.  The parts share one bin count.
     """
     n_bins = likelihoods[0].n_bins
-    if any(lik.n_bins != n_bins for lik in likelihoods):
-        raise InvalidParameterError("all likelihoods must share one bin count")
     weights = np.empty((len(likelihoods), grid.d, n_bins))
     successors = np.empty((len(likelihoods), grid.d, n_bins), dtype=np.min_scalar_type(grid.d - 1))
     p = grid.centers[:, None]
@@ -179,82 +179,73 @@ def _outcome_bins(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarra
     return j
 
 
+def _walk_parts(policy: Policy, likelihoods) -> list:
+    """One likelihood per policy part, forming a part set; ConfigurationError otherwise."""
+    likelihoods = list(likelihoods)
+    if len(likelihoods) != policy.n_parts:
+        raise ConfigurationError(f"{len(likelihoods)} likelihoods for a {policy.n_parts}-part policy")
+    _check_part_set(likelihoods)
+    return likelihoods
+
+
 def simulate_policy(policy: Policy, likelihoods, n_trials: int, seed: int) -> PolicyCostEstimate:
     """Estimate a policy's expected cost on the discretized belief chain.
 
-    Each trial walks the same chain the training tables describe from the
-    same start, `Policy.start` (the bin `_snap` gives 0.5): outcome bins are
-    drawn by inverse-CDF from the belief-weighted score mixture, and the
-    successor belief is the snapped posterior.  The realized cost charges one
-    unit per part plus the terminal misclassification risk under
-    `policy.costs`, so its mean estimates `policy.values[policy.start]`; a
+    Each trial walks the training tables' chain from `Policy.start`: outcome
+    bins are drawn by inverse-CDF from the belief-weighted score mixture, and
+    the successor belief is the snapped posterior.  A trial costs tau + risk,
+    one unit per part plus the terminal misclassification risk under
+    `policy.costs`, so the mean estimates `policy.values[policy.start]`; a
     hidden label drawn from the final belief feeds the fp/fn rates.
-    Deterministic given the seed, a non-negative integer.
+    Deterministic given the seed, a non-negative integer.  The likelihoods are
+    one per policy part, forming a part set (ConfigurationError otherwise).
     """
     if n_trials < 1:
         raise InvalidParameterError(f"n_trials must be >= 1, got {n_trials}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}")
-    likelihoods = list(likelihoods)
-    if len(likelihoods) != policy.n_parts:
-        raise ConfigurationError(f"{len(likelihoods)} likelihoods for a "
-                                 f"{policy.n_parts}-part policy")
+    likelihoods = _walk_parts(policy, likelihoods)
     weights, successors = _chain_tables(likelihoods, policy.grid)
-    cdf = np.cumsum(weights, axis=2, out=weights)  # in place: the weights are not read again
-    centers = policy.grid.centers
-    start = int(_snap(centers, 0.5))
-    costs = policy.costs
+    # in place: the weights are not read again; row k * d + i is (part k, belief bin i)
+    cdf = np.cumsum(weights, axis=2, out=weights).reshape(-1, weights.shape[2])
     rng = np.random.default_rng(seed)
 
-    cost_sum = 0.0
-    cost_sq_sum = 0.0
-    tau_sum = 0
-    fp = fn = n_pos_truth = n_neg_truth = 0
-
-    remaining = n_trials
-    while remaining > 0:
-        m = min(SIMULATION_CHUNK, remaining)
-        remaining -= m
-        mask = np.zeros(m, dtype=np.int64)
-        idx = np.full(m, start, dtype=np.int64)
-        tau = np.zeros(m, dtype=np.int64)
-        cost = np.zeros(m)
-        alive = np.ones(m, dtype=bool)
-        while (live := np.flatnonzero(alive)).size:  # a Policy never repeats a part, so this ends
+    cost_sum = cost_sq_sum = 0.0
+    tau_sum = fp = fn = n_pos_truth = 0
+    for first in range(0, n_trials, SIMULATION_CHUNK):
+        m = min(SIMULATION_CHUNK, n_trials - first)
+        mask, tau = np.zeros((2, m), dtype=np.int64)
+        idx = np.full(m, policy.start, dtype=np.int64)
+        risk = np.empty(m)  # every trial stops once, writing its entry
+        live = np.arange(m)
+        while live.size:  # a Policy never repeats a part, so this ends
             act = policy.actions[mask[live], idx[live]]
-            for label, lam, positive_pred in ((LABEL_NEG, costs.lambda_fn, False),
-                                              (LABEL_POS, costs.lambda_fp, True)):
+            for label, lam, positive_pred in ((LABEL_NEG, policy.costs.lambda_fn, False),
+                                              (LABEL_POS, policy.costs.lambda_fp, True)):
                 sel = live[act == label]
-                if sel.size == 0:
-                    continue
-                p_final = centers[idx[sel]]
-                cost[sel] += lam * (p_final if not positive_pred else 1.0 - p_final)
+                p_final = policy.grid.centers[idx[sel]]
+                risk[sel] = lam * (p_final if not positive_pred else 1.0 - p_final)
                 y = rng.random(sel.size) < p_final
                 n_pos_truth += int(y.sum())
-                n_neg_truth += int(sel.size - y.sum())
                 if positive_pred:
                     fp += int((~y).sum())
                 else:
                     fn += int(y.sum())
-                alive[sel] = False
-            sel = live[act >= _PART_BASE]
-            if sel.size:
-                k = act[act >= _PART_BASE].astype(np.int64) - _PART_BASE
-                u = rng.random(sel.size)
-                j = _outcome_bins(cdf.reshape(-1, cdf.shape[2]), k * policy.grid.d + idx[sel], u)
-                idx[sel] = successors[k, idx[sel], j]
-                mask[sel] |= np.left_shift(1, k)
-                tau[sel] += 1
-                cost[sel] += 1.0
+            evaluates = act >= _PART_BASE
+            live = live[evaluates]
+            k = act[evaluates].astype(np.int64) - _PART_BASE
+            j = _outcome_bins(cdf, k * policy.grid.d + idx[live], rng.random(live.size))
+            idx[live] = successors[k, idx[live], j]
+            mask[live] |= np.left_shift(1, k)
+            tau[live] += 1
+        cost = tau + risk
         cost_sum += float(cost.sum())
         cost_sq_sum += float((cost * cost).sum())
         tau_sum += int(tau.sum())
 
     mean = cost_sum / n_trials
-    if n_trials > 1:
-        var = max(cost_sq_sum - n_trials * mean * mean, 0.0) / (n_trials - 1)
-    else:
-        var = 0.0
+    var = max(cost_sq_sum - n_trials * mean * mean, 0.0) / (n_trials - 1) if n_trials > 1 else 0.0
+    n_neg_truth = n_trials - n_pos_truth  # every trial stops once
     return PolicyCostEstimate(
         mean_cost=mean,
         std_error=math.sqrt(var / n_trials),
@@ -268,20 +259,17 @@ def simulate_policy(policy: Policy, likelihoods, n_trials: int, seed: int) -> Po
 def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, float]]:
     """Replay the stop-or-evaluate loop on scripted scores along the snapped chain.
 
-    The belief starts in `Policy.start`, the bin `_snap` gives 0.5, and moves
-    to the bin `_snap` gives each posterior.  Returns the (action, belief
-    center at query) sequence, consuming one scripted score per part
-    evaluation; must match the inference engine's trace on an equivalent
-    provider.  It takes one likelihood per policy part (ConfigurationError otherwise).
+    The belief starts in `Policy.start` and moves to the bin `_snap` gives
+    each posterior.  Returns the (action, belief center at query) sequence,
+    consuming one scripted score per part evaluation; must match the inference
+    engine's trace on an equivalent provider.  The likelihoods are one per
+    policy part, forming a part set (ConfigurationError otherwise).
     """
-    likelihoods = list(likelihoods)
-    if len(likelihoods) != policy.n_parts:
-        raise ConfigurationError(f"{len(likelihoods)} likelihoods for a "
-                                 f"{policy.n_parts}-part policy")
+    likelihoods = _walk_parts(policy, likelihoods)
     scripts = iter(scripted_scores)
     centers = policy.grid.centers.tolist()
     mask = 0
-    i = int(_snap(policy.grid.centers, 0.5))
+    i = policy.start
     trace: list[tuple[int, float]] = []
     while True:
         p = centers[i]

@@ -97,8 +97,8 @@ class BeliefGrid:
     d: int = DEFAULT_BELIEF_BINS
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InvalidParameterError(f"need at least 2 belief bins, got {self.d}")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 2:
+            raise InvalidParameterError(f"need an integer of at least 2 belief bins, got {self.d!r}")
 
     @cached_property
     def centers(self) -> np.ndarray:

@@ -963,7 +963,7 @@ def error_classes(cls=PartschedError):
 
 def test_every_error_class_declares_a_documented_exit_code():
     classes = list(error_classes())
-    assert len(classes) == 8
+    assert len(classes) == 7
     for cls in classes:
         assert "exit_code" in vars(cls) and cls.exit_code in {2, 3, 4, 5}, cls.__name__
 
@@ -998,11 +998,18 @@ def precision_recall_without_positives():
     precision_recall([], np.array([False]))
 
 
+def fit_on_pooled_samples_without_spread():
+    # an explicit bandwidth needs no class spread; the pooled one is still zero
+    fit_part_likelihood(ScoreSampleSet(0, [1.0, 1.0], [1.0, 1.0]), bandwidth=0.5)
+
+
 # A class folded into a surviving one kept its exit code and message: each case named
 # after a folded class raises from that class's old site, with the code it had.
 FOLDED_CLASS_SITES = [
     pytest.param(5, run_grid_on_three_part_responses, "responses have 3 parts, policy has 2",
                  id="ArityMismatchError"),
+    pytest.param(3, fit_on_pooled_samples_without_spread,
+                 "pooled samples have zero spread (part 0)", id="InsufficientDataError"),
     pytest.param(4, step_trace_on_an_empty_script,
                  "script exhausted after 0 evaluations without a stop decision",
                  id="InsufficientScriptError"),
@@ -1051,6 +1058,12 @@ OUT_OF_DOMAIN_ARGUMENTS = [
     pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1.0, [1.0, 1.0], [1.0]),
                  r"pos/neg must share one bin count, got 2 and 1 \(part 0\)",
                  id="weight-counts"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1.0, [], []),
+                 r"bins must be 1-D with >= 2 entries, got shape \(0,\)", id="weights-empty"),
+    pytest.param(lambda: BeliefGrid(2.5), "need an integer of at least 2 belief bins, got 2.5",
+                 id="belief-bins-float"),
+    pytest.param(lambda: BeliefGrid("11"), "need an integer of at least 2 belief bins, got '11'",
+                 id="belief-bins-str"),
     pytest.param(lambda: MatrixResponseProvider(np.zeros(3)),
                  r"scores must be 2-D, got shape \(3,\)", id="responses-1-d"),
     pytest.param(lambda: DetectionResults(**dict(RESULT_COLUMNS, tau=[0, 1])),

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partsched import (
-    InsufficientDataError,
     InvalidRangeError,
     ScoreLikelihood,
     ScoreSampleSet,
@@ -72,7 +71,7 @@ class TestFitKde:
 
     def test_single_sample_rejected(self):
         for bandwidth in (None, 0.5):
-            with pytest.raises(InsufficientDataError, match="part 0 'pos' samples: .*got 1"):
+            with pytest.raises(InvalidRangeError, match="part 0 'pos' samples: .*got 1"):
                 fit_part_likelihood(ScoreSampleSet(0, [0.0], [0.0, 1.0]), bandwidth)
 
     def test_non_finite_rejected(self):
@@ -83,8 +82,8 @@ class TestFitKde:
 
     def test_zero_spread_needs_explicit_bandwidth(self):
         samples = ScoreSampleSet(0, [1.0, 1.0], [0.0, 2.0])
-        with pytest.raises(InsufficientDataError, match="part 0 'pos' samples: samples have "
-                                                        "zero spread; supply an explicit"):
+        with pytest.raises(InvalidRangeError, match="part 0 'pos' samples: samples have "
+                                                    "zero spread; supply an explicit"):
             fit_part_likelihood(samples)
         lik = fit_part_likelihood(samples, bandwidth=0.3)
         assert densities_at(lik, 1.0)[0] == lik.pos.max() > PDF_FLOOR
@@ -276,11 +275,11 @@ class TestFitPartLikelihood:
         assert neg_mean == pytest.approx(-2.0, abs=0.2)
 
     def test_empty_class_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidRangeError, match="part 0 'pos' samples: .*got 0"):
             fit_part_likelihood(ScoreSampleSet(0, [], [0.0, 1.0]))
 
     def test_too_few_samples_names_part_and_class(self):
-        with pytest.raises(InsufficientDataError, match="part 4 'neg' samples: .*got 1"):
+        with pytest.raises(InvalidRangeError, match="part 4 'neg' samples: .*got 1"):
             fit_part_likelihood(ScoreSampleSet(4, [0.0, 1.0], [2.0]))
 
     def test_shared_support(self, rng):

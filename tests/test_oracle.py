@@ -50,6 +50,16 @@ class TestTinyInstance:
         with pytest.raises(CapacityError):
             TinyInstance(likelihoods=liks, costs=CostParams(4.0, 4.0), grid=BeliefGrid(11))
 
+    def test_parts_follow_the_part_set_rule(self):
+        # the engine's rule, checked after the capacity limits
+        mixed = (uninformative_likelihood(0, n_bins=8), uninformative_likelihood(1, n_bins=4))
+        with pytest.raises(ConfigurationError,
+                           match=r"parts must share one bin count, got \[4, 8\]"):
+            TinyInstance(likelihoods=mixed, costs=CostParams(4.0, 4.0), grid=BeliefGrid(11))
+        four = tuple(uninformative_likelihood(k, n_bins=4 << (k % 2)) for k in range(4))
+        with pytest.raises(CapacityError, match="tiny instances support 1..3 parts, got 4"):
+            TinyInstance(likelihoods=four, costs=CostParams(4.0, 4.0), grid=BeliefGrid(11))
+
     def test_rejects_fine_grids(self):
         with pytest.raises(CapacityError):
             TinyInstance(likelihoods=(uninformative_likelihood(0),),
@@ -200,6 +210,13 @@ class TestSimulatePolicy:
         with pytest.raises(ConfigurationError, match="1 likelihoods for a 2-part policy"):
             simulate_policy(policy, inst.likelihoods[:1], 100, seed=1)
 
+    def test_likelihoods_must_be_the_policy_parts_in_order(self):
+        inst = two_part_instance(costs=CostParams(7.0, 3.0))
+        policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
+        with pytest.raises(ConfigurationError,
+                           match=r"part ids must be 0..n-1 in order with n >= 1, got \[1, 0\]"):
+            simulate_policy(policy, inst.likelihoods[::-1], 100, seed=1)
+
     def test_consistent_with_dp_value(self):
         inst = random_tiny_instance(7)
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
@@ -320,7 +337,7 @@ class TestSnap:
         assert [int(_snap(centers, float(x))) for x in p] == expected.tolist()
 
     def test_start_is_the_middle_bin(self):
-        # the engine starts at Policy.start, the oracle at _snap(centers, 0.5)
+        # both start at Policy.start, the bin the oracle's _snap gives 0.5
         for d in range(2, 2001):
             centers = BeliefGrid(d).centers
             start = constant_policy(1, LABEL_NEG, d=d).start
@@ -399,6 +416,14 @@ class TestStepTrace:
                 step_trace(policy, liks[:count], [0.9])
         assert step_trace(policy, liks[:3], [0.9]) == [(part_action(2), 0.5),
                                                       (LABEL_NEG, policy.grid.centers[-1])]
+
+    def test_likelihoods_must_share_one_bin_count(self):
+        inst = two_part_instance()
+        policy = constant_policy(2, LABEL_NEG, d=inst.grid.d, costs=inst.costs)
+        mixed = (inst.likelihoods[0], separable_likelihood(1, n_bins=4))
+        with pytest.raises(ConfigurationError,
+                           match=r"parts must share one bin count, got \[4, 8\]"):
+            step_trace(policy, mixed, [])
 
     @pytest.mark.filterwarnings("error")  # infinite responses must not trip numpy casts
     def test_matches_inference_engine_trace(self):

@@ -7,7 +7,7 @@ import partsched
 PUBLIC_NAMES = [
     "BeliefGrid", "CapacityError", "ConfigurationError", "CostParams", "DetectionResult",
     "DetectionResults", "DetectorModel", "FormatError", "InferenceStats",
-    "InsufficientDataError", "InvalidActionError", "InvalidParameterError", "InvalidRangeError",
+    "InvalidActionError", "InvalidParameterError", "InvalidRangeError",
     "LABEL_NEG", "LABEL_POS", "MatrixResponseProvider", "NEG_LABEL", "PDF_FLOOR", "POS_LABEL",
     "PartschedError", "Policy", "ProviderError", "ResponseProvider", "ScoreLikelihood",
     "ScoreSampleSet", "SyntheticSpec", "TinyInstance", "classification_counts", "compute_rnpe",
