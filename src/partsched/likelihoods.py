@@ -7,6 +7,13 @@ recorded at positive placements and one at background placements.  A
 arrays on it, so belief updates and policy training evaluate both densities
 with a single bin lookup.  `fit_part_likelihood`, the one fit entry point,
 evaluates both KDEs at the bin centers of that support.
+
+Where a class's kernel spans at least half a bin, a lattice evaluator sums the
+KDE: Taylor moments of the samples about the points of a lattice a few times
+finer than the bins, convolved with Hermite-function kernels by one FFT.  Its
+values lie within about 1e-13 of the largest value of the exact sum (tested to
+1e-12).  Narrower kernels, and lattices too large to pay, run the exact sum of
+every kernel term instead.
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ DEFAULT_BINS = 201
 PDF_FLOOR = 1e-6
 SUPPORT_PADDING_SIGMAS = 3.0
 _BLOCK_ELEMENTS = 2 ** 15  # kernel terms per KDE block: 256 KB of float64
+# The lattice evaluator: Taylor moments up to this order, kernels cut at this many
+# bandwidths, and at most this many lattice points
+_LATTICE_ORDER = 16
+_LATTICE_REACH = 40.0
+_LATTICE_POINTS = 4096
 
 
 def _bandwidth(samples: np.ndarray, bandwidth: float | None, name: str) -> float:
@@ -52,7 +64,8 @@ def _bandwidth(samples: np.ndarray, bandwidth: float | None, name: str) -> float
 
 
 def _kde(x: np.ndarray, samples: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian KDE of `samples` at the 1-D points `x`: the mean of unit-mass kernels.
+    """Gaussian KDE of `samples` at the 1-D points `x`: the mean of unit-mass kernels,
+    summed exactly, and the reference for `_lattice_kde`.
 
     The points are evaluated in blocks of _BLOCK_ELEMENTS // samples.size (at least one)
     into two reused buffers, 256 KB each up to 2**15 samples, whatever the number of
@@ -72,6 +85,85 @@ def _kde(x: np.ndarray, samples: np.ndarray, bandwidth: float) -> np.ndarray:
         np.exp(tt, out=tt)
         tt.sum(axis=-1, out=sums[a:b])
     return sums / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+def _lattice(samples: np.ndarray, bandwidth: float, lo: float, width: float, n_bins: int):
+    """The lattice of `_lattice_kde`: (r, first, step, k_lo, size).
+
+    Point k lies at first + k * step, where first = lo + width/2 is the first bin center
+    and step = width / r with r = ceil(width / (h/2)) points per bin, so every r-th point
+    is a bin center and every sample lies within h/4 of its nearest point.  The points
+    k_lo <= 0 to k_lo + size - 1 span every bin center and every sample's nearest point;
+    rounding is monotone, so the extreme samples give the ends."""
+    r = max(1, math.ceil(width / (0.5 * bandwidth)))
+    first, step = lo + 0.5 * width, width / r
+    k_min, k_max = np.rint((np.array([samples.min(), samples.max()]) - first) / step).tolist()
+    k_lo = min(0.0, k_min)
+    return r, first, step, k_lo, max(float((n_bins - 1) * r), k_max) - k_lo + 1.0
+
+
+def _lattice_kde(samples: np.ndarray, bandwidth: float, lo: float, width: float,
+                 n_bins: int) -> np.ndarray:
+    """`_kde` at the bin centers lo + (j + 1/2) * width, from Taylor moments on a lattice.
+
+    About a sample's nearest lattice point t, its kernel expands in Hermite functions
+    (the fast Gauss transform): exp(-(u - e)^2 / 2) = sum_p e^p / p! * He_p(u) * exp(-u^2/2),
+    with e = (s - t) / h, |e| <= 1/4, and u the offset from t in bandwidths.  The moments
+    sum e^p / p! per point, p = 0.._LATTICE_ORDER, convolved with the kernels
+    He_p(u) * exp(-u^2/2), cut at _LATTICE_REACH bandwidths, by one FFT give the sums in
+    O(N·P + M log M) for N samples and M points.  The dropped terms are below 1e-17 of a
+    kernel's peak, and the FFT's error is absolute, a small multiple of 1e-16 of the
+    largest sum.  So the values lie within about 1e-13 of the largest one where that is
+    near a kernel's peak or above: where the kernel spans at least half a bin
+    (width <= 2h) and a sample lies among the bins, within a bandwidth of a center."""
+    r, first, step, k_lo, size = _lattice(samples, bandwidth, lo, width, n_bins)
+    size = int(size)
+    k = samples - first  # in place: each sample's nearest point, and e = (s - t) / h
+    k /= step
+    np.rint(k, out=k)
+    e = k * step
+    e += first
+    np.subtract(samples, e, out=e)
+    e /= bandwidth
+    k -= k_lo
+    point = k.astype(np.intp)
+    del k
+    # kernel offsets up to `reach` points each way; the circular convolution of n points
+    # wraps none of them onto an output that is read
+    reach = int(min(size - 1, _LATTICE_REACH * bandwidth / step))  # the product may be inf
+    n = 1 << (size + reach - 1).bit_length()
+    u = np.arange(n, dtype=float)
+    u[n - reach:] -= n
+    u *= step / bandwidth
+    kernels = np.zeros((_LATTICE_ORDER + 1, n))  # row p: He_p(u) exp(-u^2/2)
+    kernels[0, :reach + 1] = np.exp(-0.5 * u[:reach + 1] ** 2)
+    kernels[0, n - reach:] = np.exp(-0.5 * u[n - reach:] ** 2)
+    moments = np.empty((_LATTICE_ORDER + 1, size))  # row p: sum of e^p / p! per point
+    moment = np.ones(samples.size)
+    for p in range(_LATTICE_ORDER + 1):
+        if p:
+            moment *= e
+            moment /= p
+            # He_p(u) = u He_{p-1}(u) - (p - 1) He_{p-2}(u)
+            kernels[p] = u * kernels[p - 1] - (p - 1) * kernels[p - 2]
+        moments[p] = np.bincount(point, moment, minlength=size)
+    spectrum = (np.fft.rfft(moments, n) * np.fft.rfft(kernels)).sum(axis=0)
+    sums = np.fft.irfft(spectrum, n)[-int(k_lo)::r][:n_bins]
+    return sums / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+def _bin_kde(samples: np.ndarray, bandwidth: float, lo: float, width: float,
+             n_bins: int) -> np.ndarray:
+    """The KDE at the bin centers lo + (j + 1/2) * width: `_lattice_kde` where the kernel
+    spans at least half a bin (width <= 2h), the lattice has at most _LATTICE_POINTS
+    points and its moments are fewer than the n_bins * N kernel terms of the direct sum;
+    `_kde` otherwise.  With narrower kernels every center can lie far out in the tails,
+    where the FFT's absolute error swamps the true values."""
+    if width <= 2.0 * bandwidth:
+        size = _lattice(samples, bandwidth, lo, width, n_bins)[-1]
+        if size <= _LATTICE_POINTS and (_LATTICE_ORDER + 1) * size < n_bins * samples.size:
+            return _lattice_kde(samples, bandwidth, lo, width, n_bins)
+    return _kde(lo + (np.arange(n_bins) + 0.5) * width, samples, bandwidth)
 
 
 def _floor_normalize(raw: np.ndarray, width: float) -> np.ndarray:
@@ -255,6 +347,12 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
     side, so both densities stay evaluable at any score seen in training and at moderate
     extrapolations.  A class's bins are its KDE at the bin centers, floored at PDF_FLOOR
     and renormalized to unit mass.
+
+    The KDE comes from the lattice evaluator, within about 1e-13 of its largest value
+    (tested to 1e-12, and the fitted bins to 1e-11 of the largest bin), where the bin
+    width is at most twice the bandwidth, the lattice has at most 4,096 points and its
+    17 moments per point are fewer than the bins × samples kernel terms.  Otherwise it is
+    the exact sum of every kernel term, in blocks of about 2^15 terms.
     """
     part, classes = sample_set.part_id, (sample_set.positives, sample_set.negatives)
     bandwidths = [_bandwidth(samples, bandwidth, f"part {part} '{name}' samples")
@@ -277,9 +375,9 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
         raise CapacityError(f"{n_bins} bins need {n_bins * 8} bytes per array, "
                             f"more than numpy can allocate")
     width = (hi - lo) / n_bins
-    centers = lo + (np.arange(n_bins) + 0.5) * width
     try:
-        return ScoreLikelihood(part, lo, hi, *(_floor_normalize(_kde(centers, s, h), width)
+        return ScoreLikelihood(part, lo, hi, *(_floor_normalize(_bin_kde(s, h, lo, width, n_bins),
+                                                                width)
                                                for s, h in zip(classes, bandwidths)))
     except InvalidRangeError as exc:
         raise InvalidRangeError(f"part {part}: {exc}") from exc

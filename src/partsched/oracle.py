@@ -197,9 +197,12 @@ def simulate_policy(policy: Policy, likelihoods, n_trials: int, seed: int) -> Po
     one unit per part plus the terminal misclassification risk under
     `policy.costs`, so the mean estimates `policy.values[policy.start]`; a
     hidden label drawn from the final belief feeds the fp/fn rates.
-    Deterministic given the seed, a non-negative integer.  The likelihoods are
-    one per policy part, forming a part set (ConfigurationError otherwise).
+    `n_trials` is an integer of at least 1.  Deterministic given the seed, a
+    non-negative integer.  The likelihoods are one per policy part, forming a
+    part set (ConfigurationError otherwise).
     """
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)):
+        raise InvalidParameterError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 1:
         raise InvalidParameterError(f"n_trials must be >= 1, got {n_trials}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

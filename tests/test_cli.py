@@ -32,6 +32,7 @@ from partsched import (
     SyntheticSpec,
     cli,
     fit_part_likelihood,
+    likelihoods,
     load_likelihoods,
     load_policy,
     load_responses_bin,
@@ -102,8 +103,13 @@ V_EMPTY_HALF = re.compile(r"(?<=V\(empty, 0\.5\)=)\S+")
 # start belief simulate took then, which is the start every command takes now.
 # simulate.json's dp_value is masked like V(empty, 0.5) above: it comes from
 # the trainer's matrix products, not from the simulator, and is compared to
-# the recorded value with a relative tolerance.
+# the recorded value with a relative tolerance.  The likelihoods digest is
+# the exact KDE sum's; the lattice evaluator, which fits these parts by
+# default, moves their bins by about 1e-13 and gives the second digest, while
+# simulate.json keeps its bytes.
 RECORDED_LIKELIHOODS_SHA256 = "7c5f393fc46c356658f48278e90488ccb327e239071384fcf2a24a3ef4333483"
+RECORDED_LATTICE_LIKELIHOODS_SHA256 = (
+    "c57e0470dfa8fc934d4787008c335e53c8b6dc1985dfb550cdaa74080b09b9a7")
 RECORDED_MASKED_SIMULATE_SHA256 = {
     "0.5": "44a6678bddb294b432738aa062eff366cd908e7127be73a6747468f30440932e",
 }
@@ -165,7 +171,9 @@ class TestPipeline:
         masked = V_EMPTY_HALF.sub("*", stdout)
         assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_STDOUT_SHA256
 
-    def test_fit_and_simulate_match_recorded_digests(self, tmp_path, monkeypatch):
+    @staticmethod
+    def fit_and_simulate(tmp_path, monkeypatch) -> str:
+        """The recorded chain's fit, training and simulate.json; its likelihoods' digest."""
         monkeypatch.chdir(tmp_path)
         write_recorded_inputs()
         assert main(["fit", "--samples", "samples.csv", "--out", "liks.json"]) == 0
@@ -173,13 +181,20 @@ class TestPipeline:
                      "--lambda-fn", "150", "--out", "policy.bin"]) == 0
         assert main(["simulate", "--policy", "policy.bin", "--likelihoods", "liks.json",
                      "--trials", "40000", "--seed", "7", "--out", "simulate.json"]) == 0
-        liks = (tmp_path / "liks.json").read_bytes()
-        assert hashlib.sha256(liks).hexdigest() == RECORDED_LIKELIHOODS_SHA256
         report = (tmp_path / "simulate.json").read_text()
         (value,) = DP_VALUE.findall(report)
         assert float(value) == pytest.approx(RECORDED_DP_VALUE["0.5"], rel=1e-12, abs=0.0)
         masked = DP_VALUE.sub("*", report)
         assert hashlib.sha256(masked.encode()).hexdigest() == RECORDED_MASKED_SIMULATE_SHA256["0.5"]
+        return hashlib.sha256((tmp_path / "liks.json").read_bytes()).hexdigest()
+
+    def test_fit_and_simulate_match_recorded_digests(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(likelihoods, "_LATTICE_POINTS", 0)  # the exact sum for every fit
+        assert self.fit_and_simulate(tmp_path, monkeypatch) == RECORDED_LIKELIHOODS_SHA256
+
+    def test_lattice_fit_moves_only_the_likelihood_digest(self, tmp_path, monkeypatch):
+        digest = self.fit_and_simulate(tmp_path, monkeypatch)
+        assert digest == RECORDED_LATTICE_LIKELIHOODS_SHA256
 
     def test_simulate_agrees_with_dp_value_on_an_even_grid(self, tmp_path, monkeypatch, capsys):
         # d = 20: a simulator that started one bin above the tables' start read

@@ -22,8 +22,12 @@ from partsched.likelihoods import PDF_FLOOR, _kde
 GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi)
 
 # `_likelihoods_sha256` of `explicit_fits()`, recorded when the KDE was a density object
-# that a separate `discretize` sampled at the bin centers
+# that a separate `discretize` sampled at the bin centers: the exact sum's bins.  The
+# lattice evaluator, which takes some of these fits by default, moves their bins by
+# about 1e-13 and gives the second digest.
 RECORDED_EXPLICIT_FITS_SHA256 = "60b5c01c0ec546edac43248f9096f943423b66eed72e749786bb6646dc132127"
+RECORDED_LATTICE_EXPLICIT_FITS_SHA256 = (
+    "e9e32f838e9ad8930f6931445a48d03a2aaece0367d9f0c16de5e0a4566b1f7f")
 
 
 def explicit_fits():
@@ -151,6 +155,7 @@ class TestKdeBlocks:
 
     @pytest.mark.parametrize("block", [1, 2000, 2 ** 15, 2 ** 22])
     def test_block_size_changes_no_bit(self, rng, monkeypatch, block):
+        monkeypatch.setattr(likelihoods, "_LATTICE_POINTS", 0)  # the fits run `_kde`
         samples = ScoreSampleSet(0, rng.standard_normal(2000) * 2.0 + 0.5,
                                  rng.standard_normal(2000) - 1.0)
         x = np.linspace(-12.0, 12.0, 201)
@@ -172,6 +177,113 @@ class TestKdeBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20  # the whole matrix would take 2 x 160 MB
+
+
+def lattice_case(rng, r, n_bins, n_samples, scale):
+    """Samples, bandwidth, lo and width for a lattice of r points per bin (width / (h/2) is
+    r - 1/4) on n_bins bins of width `scale` about 0.  Each sample sits on a lattice point,
+    half a step off one (the largest |e|), or h/4 off one, on points up to 3 bins past the
+    outer centers."""
+    width, bandwidth = scale, 2.0 * scale / (r - 0.25)
+    lo, step = -0.5 * n_bins * width, width / r
+    points = lo + 0.5 * width + rng.integers(-3 * r, (n_bins + 3) * r, n_samples) * step
+    offsets = np.array([0.0, 0.5 * step, -0.5 * step, 0.25 * bandwidth, -0.25 * bandwidth])
+    return points + rng.choice(offsets, n_samples), bandwidth, lo, width
+
+
+def bin_centers(lo, width, n_bins):
+    return lo + (np.arange(n_bins) + 0.5) * width
+
+
+def expression_at_bins(samples, bandwidth, lo, width, n_bins):
+    """kde_expression at the bin centers, 16 centers at a time."""
+    x = bin_centers(lo, width, n_bins)
+    return np.concatenate([kde_expression(x[a:a + 16], samples, bandwidth)
+                           for a in range(0, n_bins, 16)])
+
+
+class TestLatticeKde:
+    """`_lattice_kde` against the exact sum, and the rule that picks it in `_bin_kde`."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_bins, n_samples, scale", [
+        (2, 2, 1e-4), (7, 50, 1.0), (201, 2000, 1e4), (1001, 300, 3.0), (201, 40_000, 1e-2)])
+    def test_matches_the_exact_sum(self, rng, r, n_bins, n_samples, scale):
+        samples, bandwidth, lo, width = lattice_case(rng, r, n_bins, n_samples, scale)
+        assert likelihoods._lattice(samples, bandwidth, lo, width, n_bins)[0] == r
+        got = likelihoods._lattice_kde(samples, bandwidth, lo, width, n_bins)
+        expected = expression_at_bins(samples, bandwidth, lo, width, n_bins)
+        assert np.abs(got - expected).max() <= 1e-12 * expected.max()
+
+    def test_the_lattice_runs_where_the_kernel_spans_half_a_bin(self, rng):
+        samples, lo, width, n_bins = rng.standard_normal(2000) * 3.0, -12.5, 0.125, 200
+        x = bin_centers(lo, width, n_bins)
+        bandwidth = 0.5 * width  # width = 2h: four points per bin
+        got = likelihoods._bin_kde(samples, bandwidth, lo, width, n_bins)
+        assert np.array_equal(got, likelihoods._lattice_kde(samples, bandwidth, lo, width,
+                                                            n_bins))
+        assert not np.array_equal(got, _kde(x, samples, bandwidth))
+        expected = expression_at_bins(samples, bandwidth, lo, width, n_bins)
+        assert np.abs(got - expected).max() <= 1e-12 * expected.max()
+        narrow = np.nextafter(bandwidth, 0.0)  # width > 2h
+        assert np.array_equal(likelihoods._bin_kde(samples, narrow, lo, width, n_bins),
+                              _kde(x, samples, narrow))
+
+    @pytest.mark.parametrize("n_bins, n_samples", [
+        (1100, 2000),  # 4 points per bin: 4,397 points, over the cap
+        (201, 2),  # 17 moments per point outnumber the 402 kernel terms
+    ])
+    def test_large_lattices_run_the_exact_sum(self, rng, n_bins, n_samples):
+        samples, lo = rng.uniform(-1.0, 1.0, n_samples), -1.0
+        width = 2.0 / n_bins
+        bandwidth = 0.5 * width
+        assert np.array_equal(likelihoods._bin_kde(samples, bandwidth, lo, width, n_bins),
+                              _kde(bin_centers(lo, width, n_bins), samples, bandwidth))
+
+    def test_narrow_kernels_fit_by_the_exact_sum(self, rng, monkeypatch):
+        # a 0.01 bandwidth on bins about 0.06 wide
+        samples = ScoreSampleSet(0, rng.standard_normal(500), rng.standard_normal(500) + 1.0)
+        fitted = fit_part_likelihood(samples, bandwidth=0.01)
+        monkeypatch.setattr(likelihoods, "_LATTICE_POINTS", 0)
+        exact = fit_part_likelihood(samples, bandwidth=0.01)
+        assert np.array_equal(fitted.pos, exact.pos) and np.array_equal(fitted.neg, exact.neg)
+
+    def test_a_kernel_wider_than_float_range_of_steps_fits_flat(self, rng, monkeypatch):
+        # 40 bandwidths are more lattice steps than a float holds: the kernel reaches every
+        # point; the 1000 * 1e307 normalization overflows, as it does in `_kde`
+        samples = ScoreSampleSet(0, rng.standard_normal(1000) * 1e-3,
+                                 rng.standard_normal(1000) * 1e-3)
+        fitted = fit_part_likelihood(samples, bandwidth=1e307)
+        monkeypatch.setattr(likelihoods, "_LATTICE_POINTS", 0)
+        exact = fit_part_likelihood(samples, bandwidth=1e307)
+        np.testing.assert_allclose(fitted.pos, exact.pos, rtol=1e-12)
+        np.testing.assert_allclose(fitted.neg, exact.neg, rtol=1e-12)
+
+    def test_fitted_bins_match_the_exact_path(self, rng, monkeypatch):
+        sets = [ScoreSampleSet(0, rng.standard_normal(n) * 2.0 + 1.0, rng.standard_normal(n))
+                for n in (50, 2000, 40_000)]
+        fits = explicit_fits() + [fit_part_likelihood(s) for s in sets]
+        monkeypatch.setattr(likelihoods, "_LATTICE_POINTS", 0)
+        exact = explicit_fits() + [fit_part_likelihood(s) for s in sets]
+        moved = 0
+        for lattice_fit, exact_fit in zip(fits, exact):
+            for got, expected in ((lattice_fit.pos, exact_fit.pos),
+                                  (lattice_fit.neg, exact_fit.neg)):
+                assert np.abs(got - expected).max() <= 1e-11 * expected.max()
+                moved += not np.array_equal(got, expected)
+        assert moved  # some fits took the lattice
+
+    def test_memory(self, rng, monkeypatch):
+        samples = rng.standard_normal(40_000)
+        lo, hi = samples.min() - 3.0, samples.max() + 3.0
+        monkeypatch.setattr(likelihoods, "_kde", None)  # the lattice path or a TypeError
+        tracemalloc.start()
+        try:
+            likelihoods._bin_kde(samples, rule_of_thumb(samples), lo, (hi - lo) / 201, 201)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20  # the samples' float arrays take 320 KB each
 
 
 class TestDiscretize:
@@ -310,8 +422,13 @@ class TestFitPartLikelihood:
                            match="part 5: pooled sample spread overflows float range"):
             fit_part_likelihood(samples, bandwidth=1.0)
 
-    def test_explicit_bandwidth_fits_match_the_recorded_digest(self):
+    def test_explicit_bandwidth_fits_match_the_recorded_digest(self, monkeypatch):
+        monkeypatch.setattr(likelihoods, "_LATTICE_POINTS", 0)  # the exact sum for every fit
         assert likelihoods._likelihoods_sha256(explicit_fits()) == RECORDED_EXPLICIT_FITS_SHA256
+
+    def test_lattice_fits_match_the_recorded_digest(self):
+        digest = likelihoods._likelihoods_sha256(explicit_fits())
+        assert digest == RECORDED_LATTICE_EXPLICIT_FITS_SHA256
 
     def test_deterministic(self, rng):
         pos = rng.standard_normal(30)

@@ -210,6 +210,15 @@ class TestSimulatePolicy:
         with pytest.raises(ConfigurationError, match="1 likelihoods for a 2-part policy"):
             simulate_policy(policy, inst.likelihoods[:1], 100, seed=1)
 
+    # a bool is an int to isinstance: True would run one trial
+    @pytest.mark.parametrize("n_trials", [2.5, "10", True])
+    def test_trial_count_must_be_an_integer(self, n_trials):
+        inst = two_part_instance(costs=CostParams(7.0, 3.0))
+        policy = constant_policy(2, LABEL_POS, d=inst.grid.d, costs=inst.costs)
+        with pytest.raises(InvalidParameterError,
+                           match=f"n_trials must be an integer, got {n_trials!r}"):
+            simulate_policy(policy, inst.likelihoods, n_trials, seed=1)
+
     def test_likelihoods_must_be_the_policy_parts_in_order(self):
         inst = two_part_instance(costs=CostParams(7.0, 3.0))
         policy = train_policy(inst.likelihoods, inst.costs, inst.grid)
