@@ -10,7 +10,6 @@ from .errors import (
     CapacityError,
     ConfigurationError,
     FormatError,
-    InvalidActionError,
     InvalidParameterError,
     InvalidRangeError,
     PartschedError,

@@ -1,7 +1,7 @@
 """Exception types shared across the engine; `exit_code` is the CLI's exit status for each.
 
-A class stands for one exit code, or for an error that some caller catches on its own
-(fitting, synthesis, policy loading and the provider fetch each catch one).
+One class per exit code, or per error a caller catches on its own: policy loading catches
+InvalidParameterError, fitting and synthesis InvalidRangeError, the provider fetch ProviderError.
 """
 
 
@@ -13,11 +13,6 @@ class PartschedError(Exception):
 class InvalidRangeError(PartschedError, ValueError):
     """A histogram support with hi <= lo or otherwise unusable bounds, or samples too few or
     too degenerate (zero spread) to fit a density on one."""
-    exit_code = 3
-
-
-class InvalidActionError(PartschedError):
-    """An action referencing a part that is not available in this state."""
     exit_code = 3
 
 
@@ -38,8 +33,8 @@ class FormatError(PartschedError, ValueError):
 
 
 class InvalidParameterError(PartschedError, ValueError):
-    """A parameter outside its documented domain: a non-positive cost, a score script that
-    runs out before the policy stops, a metric that needs a positive example and has none."""
+    """A parameter outside its documented domain: a non-positive cost, an action code out of
+    range or naming a used part, a score script that runs out, a metric with no positive."""
     exit_code = 4
 
 

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InvalidParameterError, ProviderError
-from .likelihoods import ScoreLikelihood, _check_part_set, _read_csv
+from .likelihoods import ScoreLikelihood, _check_part_set, _is_real, _read_csv
 from .policy import _PART_BASE, LABEL_POS, BeliefGrid, CostParams, Policy, _score_bin_transitions
 
 POS_LABEL = "pos"
@@ -93,14 +93,7 @@ class MatrixResponseProvider(ResponseProvider):
         if scores.ndim != 2:
             raise InvalidParameterError(f"scores must be 2-D, got shape {scores.shape}")
         self.scores = scores
-
-    @property
-    def n_locations(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_parts(self) -> int:
-        return self.scores.shape[1]
+        self.n_locations, self.n_parts = scores.shape
 
     def get_response(self, location_id: int, part_id: int) -> float:
         return float(self.scores[location_id, part_id])
@@ -123,7 +116,7 @@ class DetectorModel:
     def __post_init__(self):
         likelihoods = tuple(self.likelihoods)
         _check_part_set(likelihoods)
-        if not math.isfinite(self.bias):
+        if not _is_real(self.bias):
             raise InvalidParameterError(f"bias must be finite, got {self.bias!r}")
         object.__setattr__(self, "likelihoods", likelihoods)
 
@@ -207,22 +200,20 @@ class DetectionResults:
     def __len__(self) -> int:
         return self.location_id.size
 
-    def __iter__(self) -> Iterator[DetectionResult]:
-        width = self.order.shape[1]
-        rows = self.order.tobytes()
+    def _rows(self, rows: slice = slice(None)) -> Iterator[DetectionResult]:
+        """The `DetectionResult`s of `rows`, all by default, built from bulk copies of columns."""
+        parts = self.order[rows].tobytes()
         return (DetectionResult(loc, POS_LABEL if pos else NEG_LABEL, s,
-                                tuple(rows[start:start + e]), t, b, ps)
-                for loc, pos, s, start, e, t, b, ps in zip(
-                    self.location_id.tolist(), self.positive.tolist(), self.score.tolist(),
-                    itertools.count(0, width), self.n_evaluated.tolist(),
-                    self.tau.tolist(), self.final_belief.tolist(), self.partial_score.tolist()))
+                                tuple(parts[start:start + e]), t, b, ps)
+                for start, loc, pos, s, t, e, b, ps in zip(
+                    itertools.count(0, self.order.shape[1]),
+                    *(getattr(self, name)[rows].tolist() for name in RESULT_COLUMNS)))
+
+    __iter__ = _rows
 
     def __getitem__(self, index) -> DetectionResult:
         i = range(len(self))[operator.index(index)]  # IndexError out of range; a slice, TypeError
-        return DetectionResult(
-            self.location_id[i].item(), POS_LABEL if self.positive[i] else NEG_LABEL,
-            self.score[i].item(), tuple(self.order[i, :self.n_evaluated[i]].tolist()),
-            self.tau[i].item(), self.final_belief[i].item(), self.partial_score[i].item())
+        return next(self._rows(slice(i, i + 1)))
 
     def _parts(self) -> np.ndarray:
         """Every location's parts_evaluated, concatenated in location order."""

@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,22 +45,32 @@ _LATTICE_REACH = 40.0
 _LATTICE_POINTS = 4096
 
 
+def _is_real(v, limit: float = sys.float_info.max) -> bool:
+    """Whether v is a Python or numpy int or float in [-limit, limit]; not a NaN, bool or str."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and -limit <= v <= limit)
+
+
+def _is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _bandwidth(samples: np.ndarray, bandwidth: float | None, name: str) -> float:
-    """`bandwidth`, checked positive and finite, or by default Silverman's rule of thumb
-    1.06 * sigma * N^(-1/5), which needs a nonzero spread; `name` words the samples."""
+    """`bandwidth`, checked a positive and finite number, or by default Silverman's rule of
+    thumb 1.06 * sigma * N^(-1/5), which needs a nonzero spread; `name` words the samples."""
     if samples.size < 2:
         raise InvalidRangeError(f"{name}: need at least 2 samples to fit, got {samples.size}")
-    if bandwidth is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            bandwidth = 1.06 * float(np.std(samples, ddof=1)) * samples.size ** (-0.2)
-        if bandwidth == 0.0:
-            raise InvalidRangeError(f"{name}: samples have zero spread; "
-                                    "supply an explicit bandwidth")
-        if not math.isfinite(bandwidth):
-            raise InvalidRangeError("sample spread overflows float range; no finite bandwidth")
-    bandwidth = float(bandwidth)
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise InvalidParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if bandwidth is not None:
+        if not (_is_real(bandwidth) and bandwidth > 0.0):
+            raise InvalidParameterError(f"bandwidth must be positive and finite, got {bandwidth!r}")
+        return float(bandwidth)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        bandwidth = 1.06 * float(np.std(samples, ddof=1)) * samples.size ** (-0.2)
+    if bandwidth == 0.0:
+        raise InvalidRangeError(f"{name}: samples have zero spread; supply an explicit bandwidth")
+    if not math.isfinite(bandwidth):
+        raise InvalidRangeError("sample spread overflows float range; no finite bandwidth")
     return bandwidth
 
 
@@ -229,13 +240,15 @@ class ScoreSampleSet:
 
     def __post_init__(self):
         for name in ("positives", "negatives"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iuf":  # bools, strings and objects are not scores
+                raise InvalidParameterError(f"{name} must be numbers (part {self.part_id})")
+            arr = arr.astype(float)  # a copy of its own
             if arr.ndim != 1:
                 raise InvalidParameterError(f"{name} must be 1-D")
             if arr.size and not np.all(np.isfinite(arr)):
                 raise InvalidParameterError(f"{name} contain non-finite scores "
                                             f"(part {self.part_id})")
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -293,6 +306,8 @@ class ScoreLikelihood:
         pos_weights, neg_weights = (np.asarray(w, dtype=float) for w in (pos_weights, neg_weights))
         _check_bin_counts(part_id, pos_weights, neg_weights)
         _check_bins_shape(pos_weights)  # before the width divides by its size
+        if not all(np.isfinite(w).all() and w.min() >= 0.0 for w in (pos_weights, neg_weights)):
+            raise InvalidParameterError(f"weights must be finite and non-negative (part {part_id})")
         width = (hi - lo) / pos_weights.size
         return cls(part_id, float(lo), float(hi),
                    *(_floor_normalize(w / width, width) for w in (pos_weights, neg_weights)))
@@ -367,10 +382,9 @@ def fit_part_likelihood(sample_set: ScoreSampleSet, bandwidth: float | None = No
                                 "no finite support")
     lo = float(pooled.min()) - SUPPORT_PADDING_SIGMAS * sigma
     hi = float(pooled.max()) + SUPPORT_PADDING_SIGMAS * sigma
-    if not (hi > lo):
-        raise InvalidRangeError(f"part {part}: need hi > lo, got [{lo}, {hi}]")
-    if n_bins < 2:
-        raise InvalidParameterError(f"need at least 2 bins, got {n_bins}")
+    if not (_is_integer(n_bins) and n_bins >= 2):
+        raise InvalidParameterError(f"need at least 2 bins, got {n_bins!r}")
+    n_bins = int(n_bins)  # a numpy integer's arithmetic wraps or warns where an int's does not
     if n_bins * 8 > np.iinfo(np.intp).max:  # numpy's own limit: "array is too big"
         raise CapacityError(f"{n_bins} bins need {n_bins * 8} bytes per array, "
                             f"more than numpy can allocate")

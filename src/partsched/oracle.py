@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InvalidParameterError
-from .likelihoods import ScoreLikelihood, _check_part_set
+from .likelihoods import ScoreLikelihood, _check_part_set, _is_integer, _is_real
 from .policy import (
     _PART_BASE,
     LABEL_NEG,
@@ -201,11 +201,11 @@ def simulate_policy(policy: Policy, likelihoods, n_trials: int, seed: int) -> Po
     non-negative integer.  The likelihoods are one per policy part, forming a
     part set (ConfigurationError otherwise).
     """
-    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)):
+    if not _is_integer(n_trials):
         raise InvalidParameterError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 1:
         raise InvalidParameterError(f"n_trials must be >= 1, got {n_trials}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (_is_integer(seed) and seed >= 0):
         raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}")
     likelihoods = _walk_parts(policy, likelihoods)
     weights, successors = _chain_tables(likelihoods, policy.grid)
@@ -264,8 +264,8 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
 
     The belief starts in `Policy.start` and moves to the bin `_snap` gives
     each posterior.  Returns the (action, belief center at query) sequence,
-    consuming one scripted score per part evaluation; must match the inference
-    engine's trace on an equivalent provider.  The likelihoods are one per
+    consuming one scripted score, a number, per part evaluation; must match the
+    inference engine's trace on an equivalent provider.  The likelihoods are one per
     policy part, forming a part set (ConfigurationError otherwise).
     """
     likelihoods = _walk_parts(policy, likelihoods)
@@ -282,11 +282,13 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
             return trace
         k = action - _PART_BASE
         try:
-            m = float(next(scripts))
+            m = next(scripts)
         except StopIteration:
             raise InvalidParameterError(
                 f"script exhausted after {len(trace) - 1} evaluations without a stop decision"
             ) from None
+        if not _is_real(m, math.inf):
+            raise InvalidParameterError(f"script entry {len(trace) - 1} is not a number: {m!r}")
         lik = likelihoods[k]
         j = lik.bin_index(m)
         hp, hn = float(lik.pos[j]), float(lik.neg[j])

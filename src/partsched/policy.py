@@ -46,14 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    FormatError,
-    InvalidActionError,
-    InvalidParameterError,
-)
-from .likelihoods import (ScoreLikelihood, _check_part_set, _clamped_index, _json_int, _json_real,
-                          _likelihoods_sha256)
+from .errors import CapacityError, FormatError, InvalidParameterError
+from .likelihoods import (ScoreLikelihood, _check_part_set, _clamped_index, _is_integer, _is_real,
+                          _json_int, _json_real, _likelihoods_sha256)
 
 DEFAULT_BELIEF_BINS = 101
 
@@ -78,7 +73,7 @@ def action_name(action: int) -> str:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Costs charged for a false positive / false negative declaration."""
+    """Costs charged for a false positive / false negative declaration: finite numbers > 0."""
 
     lambda_fp: float
     lambda_fn: float
@@ -86,8 +81,10 @@ class CostParams:
     def __post_init__(self):
         for name in ("lambda_fp", "lambda_fn"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if not (_is_real(v) and v > 0.0):
                 raise InvalidParameterError(f"{name} must be strictly positive and finite, got {v}")
+            if isinstance(v, np.generic):  # a Python number, for the policy header's JSON
+                object.__setattr__(self, name, v.item())
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class BeliefGrid:
     d: int = DEFAULT_BELIEF_BINS
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 2:
+        if not (_is_integer(self.d) and self.d >= 2):
             raise InvalidParameterError(f"need an integer of at least 2 belief bins, got {self.d!r}")
 
     @cached_property
@@ -120,13 +117,13 @@ class BeliefGrid:
 class Policy:
     """Action lookup table over (used-parts mask, belief bin), and the value row V(empty, .).
 
-    The policy checks its action codes once, on a uint8 copy of its own: a
-    code that is not an integer in 0..n_parts+1, or one naming a part its
-    mask already uses, is an InvalidActionError.  The copy is read-only, so
-    the checked table is the one every lookup reads.  `values` is a read-only
-    float64 copy of V(empty, .), one expected cost per start bin; the values
-    of other masks are not kept.  `likelihoods_sha256` names the likelihoods
-    the policy was trained on (see `_likelihoods_sha256`)."""
+    The policy checks its action codes once, on a uint8 copy of its own: like
+    a table of the wrong shape, a code that is not an integer in 0..n_parts+1,
+    or one naming a part its mask already uses, is an InvalidParameterError.
+    The copy is read-only, so the checked table is the one every lookup reads.
+    `values` is a read-only float64 copy of V(empty, .), one expected cost per
+    start bin; the values of other masks are not kept.  `likelihoods_sha256`
+    names the likelihoods the policy was trained on (see `_likelihoods_sha256`)."""
 
     n_parts: int
     grid: BeliefGrid
@@ -140,8 +137,8 @@ class Policy:
         codes = np.asarray(self.actions)
         values = np.array(self.values, dtype=float)
         # no numpy dimension reaches 2**63, so the shift stays small
-        if not (0 < self.n_parts < 63 and codes.shape == (1 << self.n_parts, d)
-                and values.shape == (d,)):
+        if not (_is_integer(self.n_parts) and 0 < self.n_parts < 63
+                and codes.shape == (1 << self.n_parts, d) and values.shape == (d,)):
             raise InvalidParameterError(
                 f"a {self.n_parts}-part policy on {d} belief bins needs a "
                 f"(2**{self.n_parts}, {d}) action table and a ({d},) value row")
@@ -149,14 +146,14 @@ class Policy:
         with np.errstate(invalid="ignore"):
             actions = np.array(codes, dtype=np.uint8, order="C")
         if (actions != codes).any():
-            raise InvalidActionError(f"action code {codes[actions != codes][0]} out of range")
+            raise InvalidParameterError(f"action code {codes[actions != codes][0]} out of range")
         if actions.max() >= _PART_BASE + self.n_parts:
-            raise InvalidActionError(f"action code {actions.max()} out of range")
+            raise InvalidParameterError(f"action code {actions.max()} out of range")
         # rows whose mask has bit k set must not name part k; one view per part,
         # so the only temporary is a boolean half-table
         for k in range(self.n_parts):
             if (actions.reshape(-1, 2, 1 << k, d)[:, 1] == part_action(k)).any():
-                raise InvalidActionError("table names an already-used part")
+                raise InvalidParameterError("table names an already-used part")
         actions.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "actions", actions)
@@ -351,5 +348,5 @@ def load_policy(path) -> Policy:
     try:
         return Policy(n_parts=n_parts, grid=BeliefGrid(d), costs=costs, actions=actions,
                       values=values, likelihoods_sha256=digest)
-    except InvalidActionError as exc:
+    except InvalidParameterError as exc:  # the header and payload checks leave only the codes
         raise FormatError(f"{path}: {exc}") from exc

@@ -10,7 +10,6 @@ deployed detector would.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,16 +24,11 @@ from .inference import (
     POS_LABEL,
     run_grid,
 )
-from .likelihoods import ScoreSampleSet, _likelihoods_sha256, fit_part_likelihood
+from .likelihoods import (ScoreSampleSet, _is_integer, _is_real, _likelihoods_sha256,
+                          fit_part_likelihood)
 from .policy import LABEL_POS, BeliefGrid, CostParams, Policy, _check_training_bytes, train_policy
 
 DEFAULT_PROFILE_RATIO = 0.8
-
-
-def _is_finite(v) -> bool:
-    """Whether v is a number, not a bool, within the float range (an int may lie beyond it)."""
-    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -52,16 +46,16 @@ class SyntheticSpec:
     def __post_init__(self):
         for name, least in (("n_parts", 1), ("n_locations", 1), ("seed", 0), ("train_samples", 2)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            if not (_is_integer(v) and v >= least):
                 raise InvalidParameterError(f"{name} must be an integer >= {least}, got {v!r}")
-        if not (_is_finite(self.separation) and self.separation >= 0.0):
+        if not (_is_real(self.separation) and self.separation >= 0.0):
             raise InvalidParameterError(f"separation must be finite and >= 0, got {self.separation!r}")
-        if not (_is_finite(self.prior_positive) and 0.0 <= self.prior_positive <= 1.0):
+        if not (_is_real(self.prior_positive) and 0.0 <= self.prior_positive <= 1.0):
             raise InvalidParameterError(f"prior_positive must be in [0, 1], got {self.prior_positive!r}")
         if self.informativeness_profile is not None:
             profile = self.informativeness_profile
             if not (isinstance(profile, (list, tuple, np.ndarray))
-                    and all(_is_finite(v) and v >= 0.0 for v in profile)):
+                    and all(_is_real(v) and v >= 0.0 for v in profile)):
                 raise InvalidParameterError("informativeness_profile must be a list of finite "
                                             f"multipliers >= 0, got {profile!r}")
             if len(profile) != self.n_parts:
@@ -146,9 +140,17 @@ def _columns(results) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([r.score for r in results]))
 
 
+def _truth_at(truth, location_id: np.ndarray) -> np.ndarray:
+    """The truth labels at `location_id`; InvalidParameterError where the truth is too short."""
+    truth = np.asarray(truth, dtype=bool)
+    if location_id.size and location_id.max() >= truth.size:
+        raise InvalidParameterError(f"no truth label for location {location_id.max()}")
+    return truth[location_id]
+
+
 def classification_counts(results, truth) -> ClassificationCounts:
     location_id, predicted, _ = _columns(results)
-    actual = np.asarray(truth, dtype=bool)[location_id]
+    actual = _truth_at(truth, location_id)
     tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
     return ClassificationCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
@@ -178,7 +180,7 @@ def precision_recall(results, truth) -> PrCurve:
         raise InvalidParameterError("precision/recall needs at least one positive location")
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
-    labels = truth[location_id][order]
+    labels = _truth_at(truth, location_id)[order]
     # one threshold per distinct score value, at its last index; equality (not
     # diff) so tied -inf groups stay single thresholds
     ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], scores.size > 0))
@@ -211,17 +213,16 @@ class SweepRow:
 def lambda_sweep(spec: SyntheticSpec, lambda_grid, grid: BeliefGrid | None = None) -> list[SweepRow]:
     """Train and evaluate one policy per (lambda_fp, lambda_fn) grid point; one row each.
 
-    Every point's CostParams is built first, so an empty grid, a cost that is
-    not finite and positive, or a repeated point raises InvalidParameterError
-    before any work.  All points share the synthetic likelihoods, responses
-    and ap_full: the AP of one `run_grid` pass of the always-foreground policy,
-    whose scores are `full_score`'s bit for bit.  That pass comes before any
-    training, so a spec with no positive location raises InvalidParameterError
-    there, and it builds the successor table every point reuses.
+    Every point's CostParams is built first, so an empty grid, a point that is not a pair of
+    finite positive numbers, or a repeated point raises InvalidParameterError before any
+    work.  All points share the synthetic likelihoods, responses and ap_full: the AP of one
+    `run_grid` pass of the always-foreground policy, whose scores are `full_score`'s bit for
+    bit.  That pass comes before any training, so a spec with no positive location raises
+    InvalidParameterError there, and it builds the successor table every point reuses.
     """
     try:
-        costs = [CostParams(float(fp), float(fn)) for fp, fn in lambda_grid]
-    except InvalidParameterError as exc:
+        costs = [CostParams(fp, fn) for fp, fn in lambda_grid]
+    except (TypeError, ValueError) as exc:  # CostParams' error, or a point that is not a pair
         raise InvalidParameterError(f"lambda grid values must be finite and positive: {exc}") from exc
     if not costs:
         raise InvalidParameterError("lambda grid must be non-empty")

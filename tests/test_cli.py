@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from partsched import (
     CapacityError,
     CostParams,
     DetectionResults,
+    DetectorModel,
     FormatError,
     InvalidParameterError,
     MatrixResponseProvider,
@@ -30,6 +32,7 @@ from partsched import (
     ScoreLikelihood,
     ScoreSampleSet,
     SyntheticSpec,
+    classification_counts,
     cli,
     fit_part_likelihood,
     likelihoods,
@@ -38,8 +41,10 @@ from partsched import (
     load_responses_bin,
     load_responses_csv,
     load_results_csv,
+    lambda_sweep,
     make_synthetic,
     oracle,
+    part_action,
     precision_recall,
     read_sample_sets,
     run_grid,
@@ -978,7 +983,7 @@ def error_classes(cls=PartschedError):
 
 def test_every_error_class_declares_a_documented_exit_code():
     classes = list(error_classes())
-    assert len(classes) == 7
+    assert len(classes) == 6
     for cls in classes:
         assert "exit_code" in vars(cls) and cls.exit_code in {2, 3, 4, 5}, cls.__name__
 
@@ -1009,6 +1014,11 @@ def step_trace_on_an_empty_script():
     oracle.step_trace(policy, model.likelihoods, [])
 
 
+def step_trace_on_a_script(script):
+    model, policy = two_part_model_and_policy(100.0)
+    oracle.step_trace(policy, model.likelihoods, script)
+
+
 def precision_recall_without_positives():
     precision_recall([], np.array([False]))
 
@@ -1016,6 +1026,26 @@ def precision_recall_without_positives():
 def fit_on_pooled_samples_without_spread():
     # an explicit bandwidth needs no class spread; the pooled one is still zero
     fit_part_likelihood(ScoreSampleSet(0, [1.0, 1.0], [1.0, 1.0]), bandwidth=0.5)
+
+
+CMD_INSPECT = cli.cmd_inspect  # the command itself, which the exit-code test patches out
+
+
+def inspect_a_policy_naming_a_used_part():
+    # part 0 asked for at mask 0b01, where it is already used; inspect reads the
+    # relative path policy.bin, so the message does not name a temporary directory
+    actions = np.zeros((4, 5), dtype=np.uint8)
+    actions[0b01, 0] = part_action(0)
+    header = json.dumps({"d": 5, "lambda_fn": 1.0, "lambda_fp": 1.0, "n_parts": 2,
+                         "likelihoods_sha256": "0" * 64}).encode() + b"\n"
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("policy.bin").write_bytes(header + actions.tobytes() + bytes(8 * 5))
+            CMD_INSPECT(cli.build_parser().parse_args(["inspect", "--policy", "policy.bin"]))
+        finally:
+            os.chdir(cwd)
 
 
 # A class folded into a surviving one kept its exit code and message: each case named
@@ -1030,6 +1060,8 @@ FOLDED_CLASS_SITES = [
                  id="InsufficientScriptError"),
     pytest.param(4, precision_recall_without_positives,
                  "precision/recall needs at least one positive location", id="UndefinedMetricError"),
+    pytest.param(3, inspect_a_policy_naming_a_used_part,
+                 "policy.bin: table names an already-used part", id="InvalidActionError"),
 ]
 
 
@@ -1048,6 +1080,9 @@ def test_main_exits_with_the_error_class_code(code, fail, message, monkeypatch, 
 # (exit 4), which is a ValueError, so callers that catch ValueError still catch it.
 RESULT_COLUMNS = dict(location_id=[0], positive=[True], score=[1.0], tau=[0], n_evaluated=[1],
                       order=[[0]], final_belief=[0.5], partial_score=[0.0])
+SAMPLES = ScoreSampleSet(0, [0.0, 1.0], [0.0, 1.0])
+UNIFORM = ScoreLikelihood.from_weights(0, 0.0, 1.0, [1, 1], [1, 1])
+SPEC = SyntheticSpec(n_parts=2, separation=1.0, prior_positive=0.5, n_locations=10, seed=1)
 OUT_OF_DOMAIN_ARGUMENTS = [
     pytest.param(lambda: fit_part_likelihood(ScoreSampleSet(0, [0.0, 1.0], [0.0, 1.0]), -1.0),
                  "bandwidth must be positive and finite, got -1.0", id="bandwidth"),
@@ -1088,6 +1123,44 @@ OUT_OF_DOMAIN_ARGUMENTS = [
     pytest.param(lambda: Policy(1, BeliefGrid(5), CostParams(1.0, 1.0),
                                 np.zeros((2, 4), dtype=np.uint8), np.zeros(5), "0" * 64),
                  r"needs a \(2\*\*1, 5\) action table", id="policy-shape"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1.0, [1.0, math.inf], [1.0, 1.0]),
+                 r"weights must be finite and non-negative \(part 0\)", id="weights-inf"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1.0, [1.0, 1.0], [-1.0, 1.0]),
+                 r"weights must be finite and non-negative \(part 0\)", id="weights-negative"),
+    # a bool or a string is not a number, nor a count
+    pytest.param(lambda: fit_part_likelihood(SAMPLES, bandwidth=True),
+                 "bandwidth must be positive and finite, got True", id="bandwidth-bool"),
+    pytest.param(lambda: fit_part_likelihood(SAMPLES, bandwidth="0.3"),
+                 "bandwidth must be positive and finite, got '0.3'", id="bandwidth-str"),
+    pytest.param(lambda: DetectorModel(True, (UNIFORM,), CostParams(1.0, 1.0)),
+                 "bias must be finite, got True", id="bias-bool"),
+    pytest.param(lambda: DetectorModel("1", (UNIFORM,), CostParams(1.0, 1.0)),
+                 "bias must be finite, got '1'", id="bias-str"),
+    pytest.param(lambda: lambda_sweep(SPEC, [(True, 2)]),
+                 "lambda_fp must be strictly positive and finite, got True", id="lambda-grid-bool"),
+    pytest.param(lambda: fit_part_likelihood(SAMPLES, n_bins=2.5), "need at least 2 bins, got 2.5",
+                 id="n_bins-float"),
+    pytest.param(lambda: fit_part_likelihood(SAMPLES, n_bins="5"), "need at least 2 bins, got '5'",
+                 id="n_bins-str"),
+    pytest.param(lambda: Policy(2.5, BeliefGrid(5), CostParams(1.0, 1.0),
+                                np.zeros((4, 5), dtype=np.uint8), np.zeros(5), "0" * 64),
+                 "a 2.5-part policy on 5 belief bins needs", id="policy-n-parts-float"),
+    # library edges that raised bare exceptions
+    pytest.param(lambda: lambda_sweep(SPEC, [(1, 2, 3)]), "lambda grid values must be finite "
+                 "and positive: too many values to unpack", id="lambda-grid-triple"),
+    pytest.param(lambda: lambda_sweep(SPEC, [("a", 2)]),
+                 "lambda_fp must be strictly positive and finite, got a", id="lambda-grid-str"),
+    pytest.param(lambda: lambda_sweep(SPEC, [5]), "lambda grid values must be finite and "
+                 "positive: cannot unpack non-iterable int object", id="lambda-grid-int"),
+    pytest.param(lambda: precision_recall(DetectionResults(**dict(RESULT_COLUMNS, location_id=[3])),
+                                          [True]),
+                 "no truth label for location 3", id="precision-recall-truth-short"),
+    pytest.param(lambda: classification_counts(DetectionResults(**RESULT_COLUMNS), []),
+                 "no truth label for location 0", id="counts-truth-short"),
+    pytest.param(lambda: step_trace_on_a_script(["a"]), "script entry 0 is not a number: 'a'",
+                 id="script-str"),
+    pytest.param(lambda: ScoreSampleSet(0, ["a"], [0.0]),
+                 r"positives must be numbers \(part 0\)", id="samples-str"),
 ]
 
 
@@ -1095,6 +1168,27 @@ OUT_OF_DOMAIN_ARGUMENTS = [
 def test_out_of_domain_arguments_raise_invalid_parameter_error(call, message):
     with pytest.raises(InvalidParameterError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, message", OUT_OF_DOMAIN_ARGUMENTS)
+def test_out_of_domain_arguments_warn_nothing_first(call, message):
+    # the argument is rejected before any arithmetic on it could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
+
+
+def test_numpy_numbers_are_numbers():
+    costs = CostParams(np.int64(2), np.float64(3))
+    assert costs == CostParams(2, 3.0)
+    # kept as Python numbers, so a policy header can hold them
+    assert type(costs.lambda_fp) is int and type(costs.lambda_fn) is float
+    assert np.array_equal(fit_part_likelihood(SAMPLES, np.float64(0.5), np.int64(5)).pos,
+                          fit_part_likelihood(SAMPLES, 0.5, 5).pos)
+    assert DetectorModel(np.float64(0.5), (UNIFORM,), costs).bias == 0.5
+    assert Policy(np.int64(1), BeliefGrid(np.int64(5)), costs, np.zeros((2, 5), dtype=np.uint8),
+                  np.zeros(5), "0" * 64).n_states == 2
 
 
 @pytest.mark.parametrize("message, line", [

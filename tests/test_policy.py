@@ -15,7 +15,6 @@ from partsched import (
     CapacityError,
     CostParams,
     FormatError,
-    InvalidActionError,
     InvalidParameterError,
     Policy,
     SyntheticSpec,
@@ -543,7 +542,7 @@ class TestPersistence:
     def test_constructor_rejects_invalid_entry(self, mask, action, message):
         actions = np.zeros((4, 5), dtype=np.uint8)
         actions[mask, 3] = action
-        with pytest.raises(InvalidActionError, match=message):
+        with pytest.raises(InvalidParameterError, match=message):
             Policy(n_parts=2, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
                    actions=actions, values=np.zeros(5), likelihoods_sha256=UNTRAINED_SHA256)
 
@@ -553,7 +552,7 @@ class TestPersistence:
     def test_constructor_rejects_codes_the_cast_changes(self, code):
         actions = np.zeros((4, 5), dtype=np.asarray(code).dtype)  # int64 or float64
         actions[0, 3] = code
-        with pytest.raises(InvalidActionError, match="out of range"):
+        with pytest.raises(InvalidParameterError, match="out of range"):
             Policy(n_parts=2, grid=BeliefGrid(5), costs=CostParams(1.0, 1.0),
                    actions=actions, values=np.zeros(5), likelihoods_sha256=UNTRAINED_SHA256)
 
