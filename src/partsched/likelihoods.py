@@ -45,10 +45,14 @@ _LATTICE_REACH = 40.0
 _LATTICE_POINTS = 4096
 
 
+def _is_number(v) -> bool:
+    """Whether v is a Python or numpy int or float, ±inf and NaN included; not a bool or str."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _is_real(v, limit: float = sys.float_info.max) -> bool:
-    """Whether v is a Python or numpy int or float in [-limit, limit]; not a NaN, bool or str."""
-    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and -limit <= v <= limit)
+    """Whether v is a number (`_is_number`) in [-limit, limit]; not a NaN."""
+    return _is_number(v) and -limit <= v <= limit
 
 
 def _is_integer(v) -> bool:
@@ -240,10 +244,7 @@ class ScoreSampleSet:
 
     def __post_init__(self):
         for name in ("positives", "negatives"):
-            arr = np.asarray(getattr(self, name))
-            if arr.dtype.kind not in "iuf":  # bools, strings and objects are not scores
-                raise InvalidParameterError(f"{name} must be numbers (part {self.part_id})")
-            arr = arr.astype(float)  # a copy of its own
+            arr = _numbers(getattr(self, name), name, self.part_id)
             if arr.ndim != 1:
                 raise InvalidParameterError(f"{name} must be 1-D")
             if arr.size and not np.all(np.isfinite(arr)):
@@ -253,7 +254,17 @@ class ScoreSampleSet:
             object.__setattr__(self, name, arr)
 
 
+def _numbers(values, name: str, part_id) -> np.ndarray:
+    """values as a float array of their own; InvalidParameterError unless they are numbers."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":  # bools, strings and objects are not numbers
+        raise InvalidParameterError(f"{name} must be numbers (part {part_id})")
+    return arr.astype(float)
+
+
 def _check_support(lo, hi) -> None:
+    if not (_is_number(lo) and _is_number(hi)):
+        raise InvalidParameterError(f"lo and hi must be numbers, got {lo!r} and {hi!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise InvalidRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
 
@@ -288,13 +299,12 @@ class ScoreLikelihood:
     def __post_init__(self):
         _check_support(self.lo, self.hi)
         for name in ("pos", "neg"):
-            bins = np.asarray(getattr(self, name), dtype=float)
+            bins = _numbers(getattr(self, name), name, self.part_id)
             _check_bins_shape(bins)
             if not np.all(np.isfinite(bins)) or bins.min() <= 0.0:
                 raise InvalidParameterError("bins must be finite and strictly positive")
             if abs(float(bins.sum()) * (self.hi - self.lo) / bins.size - 1.0) > 1e-9:
                 raise InvalidParameterError("bins do not integrate to 1 over [lo, hi]")
-            bins = bins.copy()
             bins.flags.writeable = False
             object.__setattr__(self, name, bins)
         _check_bin_counts(self.part_id, self.pos, self.neg)
@@ -303,14 +313,21 @@ class ScoreLikelihood:
     def from_weights(cls, part_id, lo, hi, pos_weights, neg_weights) -> "ScoreLikelihood":
         """Likelihood whose bin masses are proportional to the weights, floored and normalized."""
         _check_support(lo, hi)
-        pos_weights, neg_weights = (np.asarray(w, dtype=float) for w in (pos_weights, neg_weights))
+        lo, hi = float(lo), float(hi)
+        pos_weights, neg_weights = (_numbers(w, "weights", part_id)
+                                    for w in (pos_weights, neg_weights))
         _check_bin_counts(part_id, pos_weights, neg_weights)
         _check_bins_shape(pos_weights)  # before the width divides by its size
         if not all(np.isfinite(w).all() and w.min() >= 0.0 for w in (pos_weights, neg_weights)):
             raise InvalidParameterError(f"weights must be finite and non-negative (part {part_id})")
         width = (hi - lo) / pos_weights.size
-        return cls(part_id, float(lo), float(hi),
-                   *(_floor_normalize(w / width, width) for w in (pos_weights, neg_weights)))
+        try:
+            with np.errstate(over="raise"):
+                densities = [w / width for w in (pos_weights, neg_weights)]
+        except FloatingPointError:
+            raise InvalidParameterError("weights overflow when divided by the bin width "
+                                        f"{width:.6g} (part {part_id})") from None
+        return cls(part_id, lo, hi, *(_floor_normalize(d, width) for d in densities))
 
     @property
     def n_bins(self) -> int:

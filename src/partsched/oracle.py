@@ -152,6 +152,9 @@ class _ExhaustiveTreeSolver:
 
 def exhaustive_value_row(inst: TinyInstance, start_mask: int = 0) -> np.ndarray:
     """Optimal expected cost at every grid belief, sharing one memoized solve."""
+    if not (_is_integer(start_mask) and 0 <= start_mask < 1 << inst.n_parts):
+        raise InvalidParameterError("start_mask must be an integer in "
+                                    f"0..{(1 << inst.n_parts) - 1}, got {start_mask!r}")
     solver = _ExhaustiveTreeSolver(inst)
     return np.array([solver.value(start_mask, i) for i in range(len(solver.centers))])
 
@@ -298,6 +301,8 @@ def step_trace(policy: Policy, likelihoods, scripted_scores) -> list[tuple[int, 
 
 def random_tiny_instance(seed: int) -> TinyInstance:
     """Seeded random TinyInstance with at most 4 active score bins per pdf."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise InvalidParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     n_parts = int(rng.integers(1, MAX_TINY_PARTS + 1))
     d = int(rng.choice([11, 21]))

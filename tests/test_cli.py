@@ -54,6 +54,7 @@ from partsched import (
     train_policy,
 )
 from partsched.cli import main
+from partsched.inference import DetectionResult
 
 
 @pytest.fixture()
@@ -1161,6 +1162,33 @@ OUT_OF_DOMAIN_ARGUMENTS = [
                  id="script-str"),
     pytest.param(lambda: ScoreSampleSet(0, ["a"], [0.0]),
                  r"positives must be numbers \(part 0\)", id="samples-str"),
+    # a negative id would wrap around to the truth's end
+    pytest.param(lambda: precision_recall([DetectionResult(-1, "pos", 1.0, (0,), 1, 0.5, 1.0)],
+                                          [True, True]),
+                 "no truth label for location -1", id="precision-recall-negative-id"),
+    pytest.param(lambda: classification_counts([0, 1], [True, True]),
+                 "malformed results: 'int' object has no attribute 'location_id'",
+                 id="counts-not-results"),
+    pytest.param(lambda: precision_recall([DetectionResult(0, "pos", "a", (0,), 1, 0.5, 1.0)],
+                                          [True]),
+                 "result score must be a number, got 'a'", id="precision-recall-str-score"),
+    pytest.param(lambda: ScoreLikelihood(0, "0", 1.0, [1.0, 1.0], [1.0, 1.0]),
+                 "lo and hi must be numbers, got '0' and 1.0", id="support-str"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, "0", 1.0, [1.0, 1.0], [1.0, 1.0]),
+                 "lo and hi must be numbers, got '0' and 1.0", id="weights-support-str"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1.0, ["a", 1.0], [1.0, 1.0]),
+                 r"weights must be numbers \(part 0\)", id="weights-str"),
+    pytest.param(lambda: ScoreLikelihood.from_weights(0, 0.0, 1e-300, [1e308, 1.0], [1.0, 1.0]),
+                 r"weights overflow when divided by the bin width 5e-301 \(part 0\)",
+                 id="weights-overflow"),
+    pytest.param(lambda: oracle.random_tiny_instance(-1), "seed must be an integer >= 0, got -1",
+                 id="tiny-seed-negative"),
+    pytest.param(lambda: oracle.random_tiny_instance(2.5), "seed must be an integer >= 0, got 2.5",
+                 id="tiny-seed-float"),
+    pytest.param(lambda: oracle.random_tiny_instance(True),
+                 "seed must be an integer >= 0, got True", id="tiny-seed-bool"),
+    pytest.param(lambda: oracle.exhaustive_value_row(oracle.random_tiny_instance(1), True),
+                 r"start_mask must be an integer in 0\.\.3, got True", id="start-mask-bool"),
 ]
 
 

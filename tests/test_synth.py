@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from partsched import (
     BeliefGrid,
     CostParams,
+    DetectionResults,
     DetectorModel,
     InferenceStats,
     InvalidParameterError,
@@ -42,6 +45,37 @@ RECORDED_LATTICE_DETECTOR_BINS_SHA256 = {
     "scan": "301d49e5f01d02acf8f4c93460948bca066ec154adfab31246f5b781a0373136",
     "scan-deep": "79866f283ba8e228cf2025ae5e0dfd063031e9d3b2c6796698e172b7ad06a5e0",
 }
+
+# sha256 of make_synthetic's score matrix (little-endian float64) then its truth labels (one
+# byte each), recorded when the class means were added through a full-size np.where matrix:
+# a scan-sized spec, a spec whose means are all zero, and a profile with a zero multiplier.
+SYNTHETIC_DIGEST_SPECS = {
+    "scan": SyntheticSpec(n_parts=9, separation=4.0, prior_positive=0.01, n_locations=20_000,
+                          seed=1),
+    "zero-separation": SyntheticSpec(n_parts=3, separation=0.0, prior_positive=0.5,
+                                     n_locations=5_000, seed=4),
+    "profile": SyntheticSpec(n_parts=4, separation=2.5, prior_positive=0.3, n_locations=5_000,
+                             seed=7, informativeness_profile=(1.0, 0.0, 0.5, 2.0)),
+}
+RECORDED_SYNTHETIC_SHA256 = {
+    "scan": "e8258393dc775451671b4b1035b8b4d31a67a396d1501e617a4cd9de77b6dc68",
+    "zero-separation": "87bb890b9a87ac3d99c186220e8e9b1c8a0d4f2474ddf066896d899c2284ec58",
+    "profile": "d1be6e6a86646d8ec79d09946eb6adfb263730083ada6aa20977bdcce66b769f",
+}
+
+# the result rows a caller keeps when it needs only what the metrics read
+Outcome = namedtuple("Outcome", "location_id label score")
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees while `call()` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
 
 
 def gauss_cdf(x):
@@ -104,6 +138,20 @@ class TestMakeSynthetic:
     @pytest.mark.parametrize("case", sorted(RECORDED_LATTICE_DETECTOR_BINS_SHA256))
     def test_lattice_detector_bins_pinned(self, case):
         assert self.detector_bins_sha256(case) == RECORDED_LATTICE_DETECTOR_BINS_SHA256[case]
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_SYNTHETIC_SHA256))
+    def test_scores_and_truth_pinned(self, case):
+        _, provider, truth = make_synthetic(SYNTHETIC_DIGEST_SPECS[case])
+        digest = hashlib.sha256(provider.scores.astype("<f8").tobytes())
+        digest.update(truth.astype(np.uint8).tobytes())
+        assert digest.hexdigest() == RECORDED_SYNTHETIC_SHA256[case]
+
+    def test_memory_stays_near_its_score_matrix(self):
+        # the matrix, the truth labels and the fits' fixed-size temporaries: 1.125x here
+        spec = SyntheticSpec(n_parts=9, separation=4.0, prior_positive=0.01,
+                             n_locations=200_000, seed=5)
+        peak, (_, provider, _) = traced_peak(lambda: make_synthetic(spec))
+        assert peak <= 1.25 * provider.scores.nbytes
 
     def test_zero_separation_classes_indistinguishable(self):
         spec = SyntheticSpec(n_parts=2, separation=0.0, prior_positive=0.5,
@@ -229,6 +277,67 @@ def test_metrics_read_result_columns(small_spec, monkeypatch):
         np.testing.assert_array_equal(getattr(curve, name), getattr(expected, name))
     assert curve.average_precision == expected.average_precision
     assert 0 < counts.tp < len(results) and np.isinf(curve.thresholds[-1])
+
+
+def scan_outcomes(n, seed):
+    """n scan-like result rows: 2% foreground with Gaussian scores, the rest background at
+    -inf; and truth labels, 1% positive."""
+    rng = np.random.default_rng(seed)
+    positive = rng.random(n) < 0.02
+    scores = np.where(positive, rng.standard_normal(n), -math.inf)
+    rows = [Outcome(i, POS_LABEL if p else NEG_LABEL, s)
+            for i, (p, s) in enumerate(zip(positive.tolist(), scores.tolist()))]
+    return rows, rng.random(n) < 0.01
+
+
+class TestMetricMemory:
+    # on a list the metrics read each field into one array, with no copied list and no list
+    # of pointers per field: about 26 and 9 bytes per row
+    N = 200_000
+
+    def test_precision_recall_peak_per_row(self):
+        rows, truth = scan_outcomes(self.N, 8)
+        peak, curve = traced_peak(lambda: precision_recall(rows, truth))
+        assert peak <= 30 * self.N
+        assert 0.0 < curve.average_precision < 1.0
+
+    def test_classification_counts_peak_per_row(self):
+        rows, truth = scan_outcomes(self.N, 9)
+        peak, counts = traced_peak(lambda: classification_counts(rows, truth))
+        assert peak <= 16 * self.N
+        assert counts.tp + counts.fp + counts.tn + counts.fn == self.N
+
+
+def results_with_ties(rng, n=400):
+    """DetectionResults over a shuffled location order whose scores repeat and include ±inf,
+    NaN and both zeros, with truth labels for them."""
+    values = np.array([1.5, 1.5, 0.0, -0.0, 2.0, math.inf, -math.inf, math.nan])
+    score = rng.choice(values, size=n)
+    positive = rng.random(n) < 0.6
+    score[~positive & (rng.random(n) < 0.8)] = -math.inf
+    results = DetectionResults(location_id=rng.permutation(n), positive=positive, score=score,
+                               tau=np.zeros(n), n_evaluated=np.zeros(n),
+                               order=np.zeros((n, 1)), final_belief=np.full(n, 0.5),
+                               partial_score=np.zeros(n))
+    return results, rng.random(n) < 0.3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_metrics_agree_between_a_list_and_columns(seed):
+    results, truth = results_with_ties(np.random.default_rng(seed))
+    expected_curve = precision_recall(results, truth)
+    expected_counts = classification_counts(results, truth)
+    rows = list(results)
+    outcomes = [Outcome(r.location_id, r.label, r.score) for r in rows]
+    for read in (lambda: rows, lambda: outcomes, lambda: iter(rows)):  # iter: read only once
+        curve = precision_recall(read(), truth)
+        for name in ("precision", "recall", "thresholds"):
+            np.testing.assert_array_equal(getattr(curve, name), getattr(expected_curve, name))
+        assert curve.average_precision == expected_curve.average_precision
+        assert classification_counts(read(), truth) == expected_counts
+    thresholds = expected_curve.thresholds
+    assert np.isnan(thresholds).any() and np.isposinf(thresholds).any()
+    assert np.isneginf(thresholds).any()
 
 
 @pytest.fixture(scope="module")
